@@ -21,6 +21,18 @@ the constant vector (tol, ..., tol).  On Banach targets this is just the
 norm of that vector; monotonicity of the built-in families makes the
 calibration order-faithful.
 
+The gap sweep is batched.  The atoms of the whole prefix are
+concatenated, each member is evaluated once on them, and each term's
+integral is the dot product of that term's weights with its slice of
+the values; the limit's integral is taken once per member, and vector
+gaps are scored for all terms in one call of the target's gap
+functional.  Every gap is bit-identical to the per-term route
+(``integral_gap``), which evaluates a member on one measure at a time
+and integrates the limit afresh.  That per-term route is kept as the
+independent recheck of a divergence witness: the two gaps that decide a
+divergent verdict are recomputed by it, sharing no evaluation with the
+sweep, and must agree with the sweep.
+
 The bounded-Lipschitz oracle is the independent route: its LP witness
 can be lifted back into the battery (as a clamped McShane extension of
 the optimal support values), which is what makes the divergent direction
@@ -39,9 +51,10 @@ import numpy as np
 
 from .carrier import CompactSpace
 from .errors import DomainError, UnsupportedError
-from .funcs import Clamp, DistTo, Form, McShane, Scale, Sum, Tent, VectorFunction, validate_metadata
-from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
-                      bl_distance, normalize)
+from .funcs import (Clamp, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
+                    VectorFunction, validate_metadata)
+from .measure import (BLResult, BuiltPrefixFamily, FiniteMeasure, MeasureFamily,
+                      RandomElement, bl_distance, normalize)
 from .target import TargetSpace, gap_value
 from .integral import atomic_oracle
 
@@ -153,16 +166,18 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
     McShane forms with seeded anchors.  Vector members (when a target
     with a base is supplied) lift fresh scalar forms through the base,
     one coefficient function per base vector.  All declared metadata is
-    spot-checked by sampling at construction.
+    spot-checked by sampling at construction; every form is checked on
+    the same seeded samples, drawn once per battery.
     """
     spec = spec or BatterySpec()
     rng = np.random.Generator(np.random.Philox(key=seed))
+    draws = ValidationDraws()
     scalars: List[ScalarMember] = []
     for shape, count in (("tent", spec.tents), ("dist", spec.distances),
                          ("mcshane", spec.mcshanes)):
         for i in range(count):
             form = _random_scalar_form(space, rng, spec, shape)
-            validate_metadata(space, form, seed=7)
+            validate_metadata(space, form, seed=7, draws=draws)
             scalars.append(ScalarMember(name=f"{shape}[{i}]", form=form,
                                         bound=form.bound(space),
                                         lip=form.lipschitz(space)))
@@ -175,7 +190,7 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
             coeffs = [_random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
                       for k in range(target.dim)]
             vf = _lift_through_base(space, target, coeffs)
-            vf.validate(seed=7)
+            vf.validate(seed=7, draws=draws)
             vectors.append(VectorMember(name=f"vec[{i}]", function=vf,
                                         bounds=tuple(vf.bounds()),
                                         lips=tuple(vf.lipschitz_constants())))
@@ -222,6 +237,35 @@ def _member_gap(member, mu_n: FiniteMeasure, mu: FiniteMeasure) -> float:
     if isinstance(member, VectorMember):
         return integral_gap(member.function, mu_n, mu)
     return integral_gap(member.form, mu_n, mu)
+
+
+def _battery_gaps(members: Sequence, prefix: Sequence[FiniteMeasure],
+                  limit: FiniteMeasure) -> tuple:
+    """Every member's gap series over the prefix, one member evaluation each.
+
+    Each term's integral is ``mu_n.weights @ vals[start:end]`` on that
+    term's slice of the member's values on the concatenated atoms: the
+    same operands, in the same order, as the per-term route, so every gap
+    equals ``integral_gap`` bit for bit.
+    """
+    space = limit.space
+    points = np.concatenate([mu.points for mu in prefix])
+    ends = np.cumsum([mu.n_atoms for mu in prefix])
+    slices = [slice(end - mu.n_atoms, end) for mu, end in zip(prefix, ends)]
+    gaps = []
+    for member in members:
+        if isinstance(member, VectorMember):
+            g = member.function
+            vals, at_limit = g.evaluate(points), g.evaluate(limit.points)
+        else:
+            vals = member.form.evaluate(space, points)
+            at_limit = member.form.evaluate(space, limit.points)
+        sums = np.array([mu.weights @ vals[part] for mu, part in zip(prefix, slices)])
+        diff = sums - limit.weights @ at_limit
+        series = (gap_value(member.function.target, diff)
+                  if isinstance(member, VectorMember) else np.abs(diff))
+        gaps.append(tuple(float(x) for x in series))
+    return tuple(gaps)
 
 
 def _member_thresholds(member, tol: float) -> Tuple[float, float]:
@@ -320,7 +364,7 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     window_start = n_terms - n_terms // 4 + 1
     members = battery.members
     names = tuple(m.name for m in members)
-    gaps = tuple(tuple(_member_gap(m, mu_n, limit) for mu_n in prefix) for m in members)
+    gaps = _battery_gaps(members, prefix, limit)
     thresholds = tuple(_member_thresholds(m, tol) for m in members)
     if _bl_values is not None:
         bl_values = tuple(float(v) for v in _bl_values)
@@ -349,7 +393,7 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
 
     if witness is not None:
         # the witness must be reproducible from scratch, not an artefact
-        # of the sweep above
+        # of the batched sweep above, so it is recomputed by the per-term route
         idx = all_names.index(witness.member)
         for n in (witness.n1, witness.n2):
             if witness.member == "total_mass":
@@ -429,6 +473,9 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     prefix = family.prefix(n_terms)
     if not all(mu.is_probability for mu in prefix):
         raise DomainError("equivalence scenarios must produce probability measures")
+    # the four certifications below slice this one build of the prefix
+    built = BuiltPrefixFamily(space=family.space, measure_fn=family.measure_fn,
+                              label=family.label, name=family.name, built=tuple(prefix))
 
     bl_results = [bl_distance(mu_n, candidate) for mu_n in prefix]
     bl_values = tuple(res.value for res in bl_results)
@@ -450,7 +497,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     scalar_battery = Battery(space=family.space, target=None,
                              scalar_members=scalar_base.scalar_members + tuple(witness_members),
                              vector_members=())
-    scalar_verdict = certify(family, candidate, scalar_battery, n_terms, tol,
+    scalar_verdict = certify(built, candidate, scalar_battery, n_terms, tol,
                              _bl_values=bl_values)
 
     vector_verdicts = []
@@ -464,7 +511,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
             for m in witness_members)
         vec_battery = Battery(space=family.space, target=target, scalar_members=(),
                               vector_members=batt.vector_members + lifted)
-        verdict = certify(family, candidate, vec_battery, n_terms, tol,
+        verdict = certify(built, candidate, vec_battery, n_terms, tol,
                           _bl_values=bl_values)
         vector_verdicts.append((target.family.name, verdict))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -183,9 +183,11 @@ class McShane(Form):
             raise DomainError("mcshane Lipschitz constant must be nonnegative")
 
     def evaluate(self, space, pts):
-        cols = [self.values[i] + self.lip * space.dist_to(pts, a)
-                for i, a in enumerate(self.anchors)]
-        return np.min(np.stack(cols, axis=0), axis=0)
+        out = None
+        for value, anchor in zip(self.values, self.anchors):
+            col = value + self.lip * space.dist_to(pts, anchor)
+            out = col if out is None else np.minimum(out, col)
+        return out
 
     def bound(self, space):
         lo = min(self.values)
@@ -348,15 +350,62 @@ _VALIDATION_SAMPLES = 10_000
 _METADATA_SLACK = 1.01  # declared constants may be loose, never violated by >1%
 
 
+class ValidationDraws:
+    """Seeded validation samples, drawn once per carrier shape and reused.
+
+    Every form validated on one carrier with one seed sees the same two
+    sample sets, so a battery build can draw them (and the distances
+    between paired samples) once instead of once per form.  The memo is
+    keyed by (carrier kind, dimension or point count, seed, sample count),
+    holds at most ``MAX_SHAPES`` draws and lives only as long as its
+    owner, normally one :func:`generate_battery` call.  The arrays are
+    read-only, so a form cannot alter what the next one sees.
+    """
+
+    MAX_SHAPES = 4
+
+    def __init__(self):
+        self._draws: dict = {}
+
+    def get(self, space: CompactSpace, seed: int, samples: int):
+        size = space.n_points if space.kind == "finite" else space.dim
+        key = (space.kind, size, seed, samples)
+        if key not in self._draws:
+            if len(self._draws) >= self.MAX_SHAPES:
+                del self._draws[next(iter(self._draws))]
+            self._draws[key] = _draw_validation_samples(space, seed, samples)
+        return self._draws[key]
+
+
+def _draw_validation_samples(space: CompactSpace, seed: int, samples: int):
+    """The two seeded sample sets every form on this carrier is checked on,
+    and the distance between each pair of samples."""
+    rng = np.random.default_rng(seed)
+    pts = space.sample_points(rng, samples)
+    qts = space.sample_points(rng, samples)
+    if space.kind == "finite":
+        dists = space.dist_matrix[np.asarray(pts, int), np.asarray(qts, int)]
+    else:
+        dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
+    for arr in (pts, qts, dists):
+        arr.setflags(write=False)
+    return pts, qts, dists
+
+
 def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
-                      samples: int = _VALIDATION_SAMPLES) -> None:
+                      samples: int = _VALIDATION_SAMPLES,
+                      draws: Optional[ValidationDraws] = None) -> None:
     """Spot-check the declared (B, L) metadata by dense sampling.
 
     The bounds are computed, not fitted, so a failure here means a bug in
     the bound propagation rather than bad luck.  Raises ``DomainError``.
+    ``draws`` lends samples drawn for an earlier form; they are exactly
+    the samples a fresh ``default_rng(seed)`` would give.
     """
-    rng = np.random.default_rng(seed)
-    pts = space.sample_points(rng, samples)
+    if draws is None:
+        pts, qts, dists = _draw_validation_samples(space, seed, samples)
+    else:
+        pts, qts, dists = draws.get(space, seed, samples)
     vals = form.evaluate(space, pts)
     b = form.bound(space)
     if np.any(np.abs(vals) > b * _METADATA_SLACK + 1e-12):
@@ -364,11 +413,6 @@ def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
     lip = form.lipschitz(space)
     if not math.isfinite(lip):
         return
-    qts = space.sample_points(rng, samples)
-    if space.kind == "finite":
-        dists = space.dist_matrix[np.asarray(pts, int), np.asarray(qts, int)]
-    else:
-        dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
     wals = form.evaluate(space, qts)
     ok = dists > 1e-9
     if np.any(np.abs(vals[ok] - wals[ok]) > lip * dists[ok] * _METADATA_SLACK + 1e-12):
@@ -409,9 +453,9 @@ class VectorFunction:
     def at_point(self, point: Point) -> np.ndarray:
         return self.evaluate(self.space.points_array([point]))[0]
 
-    def validate(self, seed: int = 0) -> None:
+    def validate(self, seed: int = 0, draws: Optional[ValidationDraws] = None) -> None:
         for f in self.forms:
-            validate_metadata(self.space, f, seed=seed)
+            validate_metadata(self.space, f, seed=seed, draws=draws)
 
     def to_json(self) -> dict:
         return {"coords": [f.to_json() for f in self.forms]}

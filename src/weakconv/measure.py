@@ -369,6 +369,36 @@ class MeasureFamily:
         return [self.measure(n) for n in range(1, count + 1)]
 
 
+@dataclass(frozen=True)
+class BuiltPrefixFamily(MeasureFamily):
+    """A family whose first terms are already built.
+
+    ``prefix`` slices the built terms instead of rebuilding them, so one
+    build can serve several certifications; ``measure`` still builds
+    from ``measure_fn``, which keeps single-term rechecks independent of
+    the built list.
+    """
+
+    built: tuple = ()
+
+    def prefix(self, count: int) -> List[FiniteMeasure]:
+        if count <= len(self.built):
+            return list(self.built[:count])
+        return super().prefix(count)
+
+
+def _inverse_cdf_draws(law: FiniteMeasure, seed: int, count: int) -> np.ndarray:
+    """Atom indices of the first ``count`` i.i.d. draws from ``law``.
+
+    Counter-based (Philox) seeding: the first n draws never depend on how
+    many were requested, so prefixes of the draw are consistent.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random(count)
+    idx = np.searchsorted(np.cumsum(law.weights), u, side="right")
+    return np.minimum(idx, law.n_atoms - 1)
+
+
 _DRIFT_RATES = {
     "harmonic": lambda n: 1.0 / n,
     "quadratic": lambda n: 1.0 / (n * n),
@@ -436,15 +466,9 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
         law: FiniteMeasure = params["law"]
         if not law.is_probability:
             raise DomainError("empirical sampling needs a probability law")
-        cumulative = np.cumsum(law.weights)
 
         def fn(n: int) -> FiniteMeasure:
-            # counter-based generator: the first n draws never depend on
-            # how many were requested before, so prefixes are consistent
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            u = rng.random(n)
-            idx = np.searchsorted(cumulative, u, side="right")
-            idx = np.minimum(idx, law.n_atoms - 1)
+            idx = _inverse_cdf_draws(law, seed, n)
             counts = np.bincount(idx, minlength=law.n_atoms) / n
             return FiniteMeasure(space=space, points=law.points[counts > 0],
                                  weights=counts[counts > 0])
@@ -516,8 +540,4 @@ class RandomElement:
             raise DomainError("random elements need a probability law")
 
     def sample(self, count: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
-        u = rng.random(count)
-        idx = np.searchsorted(np.cumsum(self.law.weights), u, side="right")
-        idx = np.minimum(idx, self.law.n_atoms - 1)
-        return self.law.points[idx]
+        return self.law.points[_inverse_cdf_draws(self.law, self.seed, count)]

@@ -196,27 +196,44 @@ class TargetSpace:
         return out
 
 
-def seminorm(space: TargetSpace, n: int, x: np.ndarray) -> float:
-    """Level-n seminorm p_n(x); levels beyond the family depth repeat."""
-    val = space.family.level(n, x)
-    return float(val)
+def _per_row(val):
+    """A float for one vector, the array of per-row values for a stack."""
+    return float(val) if np.ndim(val) == 0 else val
 
 
-def paranorm(space: TargetSpace, x: np.ndarray) -> float:
-    """Exact paranorm via the clamped geometric tail (always < 1)."""
+def seminorm(space: TargetSpace, n: int, x: np.ndarray):
+    """Level-n seminorm p_n(x); levels beyond the family depth repeat.
+
+    Like :func:`paranorm` and :func:`gap_value`, it acts on the last axis
+    of ``x``: a float for one vector, an array for a stack of rows.
+    """
+    return _per_row(space.family.level(n, x))
+
+
+def paranorm(space: TargetSpace, x: np.ndarray):
+    """Exact paranorm via the clamped geometric tail (always < 1).
+
+    Each row is scored with the same floating-point operations in the
+    same order whatever the stack's shape, so a stacked call returns
+    exactly the values of one call per row.
+    """
     depth = space.family.depth
     x = np.asarray(x, dtype=float)
     total = 0.0
     for n in range(1, depth):
-        pn = float(space.family.level_fn(n, x))
-        total += 2.0 ** (-n) * pn / (1.0 + pn)
-    pd = float(space.family.level_fn(depth, x))
-    total += 2.0 ** (-(depth - 1)) * pd / (1.0 + pd)
-    return total
+        pn = space.family.level_fn(n, x)
+        total = total + 2.0 ** (-n) * pn / (1.0 + pn)
+    pd = space.family.level_fn(depth, x)
+    total = total + 2.0 ** (-(depth - 1)) * pd / (1.0 + pd)
+    return _per_row(total)
 
 
-def gap_value(space: TargetSpace, v: np.ndarray) -> float:
-    """The magnitude the certification machinery assigns to a difference."""
+def gap_value(space: TargetSpace, v: np.ndarray):
+    """The magnitude the certification machinery assigns to a difference.
+
+    Acts on the last axis of ``v``: a float for one difference vector, an
+    array with one value per row for a stack of them.
+    """
     if space.kind == "banach":
         return seminorm(space, 1, v)
     return paranorm(space, v)
@@ -337,14 +354,14 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
             violations.append(f"level {n} exceeds level {n + 1}")
             break
 
-    para_x = np.array([paranorm(space, x) for x in xs])
-    para_neg = np.array([paranorm(space, -x) for x in xs])
+    para_x = paranorm(space, xs)
+    para_neg = paranorm(space, -xs)
     symmetric = bool(np.array_equal(para_x, para_neg))
     if not symmetric:
         violations.append("paranorm changed under negation")
 
-    para_sum = np.array([paranorm(space, x + y) for x, y in zip(xs, ys)])
-    para_y = np.array([paranorm(space, y) for y in ys])
+    para_sum = paranorm(space, xs + ys)
+    para_y = paranorm(space, ys)
     subadditive = bool(np.all(para_sum <= para_x + para_y + 1e-12))
     if not subadditive:
         violations.append("subadditivity violated on a sampled pair")
@@ -353,7 +370,7 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
     if fam.norm_at_depth:
         definite = paranorm(space, np.zeros(dim)) == 0.0
         nonzero = xs[np.linalg.norm(xs, axis=1) > 1e-9]
-        if nonzero.size and np.any([paranorm(space, x) <= 0 for x in nonzero]):
+        if nonzero.size and np.any(paranorm(space, nonzero) <= 0):
             definite = False
         if not definite:
             violations.append("definiteness violated")
@@ -364,7 +381,7 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
     scalar_ok = True
     tail = ()
     for x in xs[: min(16, samples)]:
-        vals = np.array([paranorm(space, (2.0 ** -k) * x) for k in ks])
+        vals = paranorm(space, (2.0 ** -ks)[:, None] * x)
         if np.any(np.diff(vals) > 1e-15) or vals[-1] > 1e-6:
             scalar_ok = False
             violations.append("scalar-limit schedule failed to decay")
@@ -373,7 +390,7 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
     if scalar_ok:
         alpha = 3.7  # arbitrary fixed scalar for the second schedule
         for x in xs[: min(8, samples)]:
-            vals = np.array([paranorm(space, alpha * (2.0 ** -k) * x) for k in ks])
+            vals = paranorm(space, (alpha * 2.0 ** -ks)[:, None] * x)
             if np.any(np.diff(vals) > 1e-15) or vals[-1] > 1e-6:
                 scalar_ok = False
                 violations.append("vanishing-vector schedule failed to decay")

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from weakconv import DomainError, UnsupportedError
-from weakconv.carrier import unit_cube
-from weakconv.convergence import (Battery, BatterySpec, ScalarMember, Status,
-                                  VectorMember, bl_witness_function, certify,
+from weakconv.carrier import finite_space, unit_cube
+from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
+                                  Status, VectorMember, _battery_gaps,
+                                  bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
                                   generate_battery, integral_gap)
 from weakconv.funcs import Const, Coord, Tent, validate_metadata, vector_function
 from weakconv.measure import (MeasureFamily, RandomElement, bl_distance, dirac,
-                              finite_measure, scenario)
+                              finite_measure, normalize, scenario)
+from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
                              omega_space)
 
@@ -94,6 +99,82 @@ class TestIntegralGap:
     def test_zero_for_equal_measures(self):
         mu = finite_measure(CUBE1, [((0.3,), 0.5), ((0.6,), 0.5)])
         assert integral_gap(Coord(0), mu, mu) == 0.0
+
+
+def per_term_gaps(battery, prefix, limit):
+    """Reference: one integral_gap call per member and term."""
+    return tuple(
+        tuple(integral_gap(m.function if isinstance(m, VectorMember) else m.form,
+                           mu_n, limit) for mu_n in prefix)
+        for m in battery.members)
+
+
+@st.composite
+def carrier_prefixes(draw):
+    """A carrier, a battery on it and a prefix whose terms differ in atom count."""
+    if draw(st.booleans()):
+        space = unit_cube(draw(st.integers(1, 8)))
+        point = st.lists(st.floats(0.0, 1.0), min_size=space.dim, max_size=space.dim)
+    else:
+        n = draw(st.integers(2, 8))
+        plane = np.array(draw(st.lists(
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+            min_size=n, max_size=n, unique=True)))
+        dist = np.linalg.norm(plane[:, None, :] - plane[None, :, :], axis=-1)
+        assume(np.all(dist + np.eye(n) > 1e-6))
+        space = finite_space(tuple(range(n)), dist)
+        point = st.integers(0, n - 1)
+    weight = st.floats(0.01, 1.0)
+
+    def measure():
+        k = draw(st.integers(1, 6))
+        rows = draw(st.lists(point, min_size=k, max_size=k))
+        weights = draw(st.lists(weight, min_size=k, max_size=k))
+        return finite_measure(space, [(space.point_at(r), w) for r, w in zip(rows, weights)])
+
+    prefix = [measure() for _ in range(draw(st.integers(1, 10)))]
+    target = draw(st.sampled_from(suite_targets()))
+    spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
+    battery = generate_battery(space, target=target, spec=spec,
+                               seed=draw(st.integers(0, 2**16)))
+    return battery, prefix, measure()
+
+
+class TestBatchedGapsExact:
+    """The batched sweep equals the per-term route exactly (==, not approx)."""
+
+    @pytest.mark.parametrize("idx", range(20))
+    def test_bundled_suite(self, idx):
+        entry = bundled_suite()[idx]
+        fam, limit = entry.family, entry.family.label.reference
+        batteries = [generate_battery(fam.space, None,
+                                      BatterySpec(vector_members=0), seed=idx)]
+        batteries += [generate_battery(fam.space, t, seed=idx) for t in suite_targets()]
+        prefix = fam.prefix(DEFAULT_PREFIX)
+        for battery in batteries:
+            verdict = certify(fam, limit, battery, _bl_values=(0.0,) * DEFAULT_PREFIX)
+            assert verdict.gaps == per_term_gaps(battery, prefix, limit)
+
+    def test_normalizing_path(self):
+        def masses(n):
+            return finite_measure(CUBE2, [((0.5, 0.1 / n), 1.0 + 1.0 / n),
+                                          ((0.2, 0.9), 0.5 + (n % 3) / 7.0)][: 1 + n % 2])
+
+        fam = MeasureFamily(space=CUBE2, measure_fn=masses, name="wobbling")
+        limit = finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
+        battery = generate_battery(CUBE2, omega_space(3), seed=4)
+        verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True,
+                          _bl_values=(0.0,) * 16)
+        prefix = [normalize(mu) for mu in fam.prefix(16)]
+        assert verdict.member_names[-1] == "total_mass"
+        assert verdict.gaps[:-1] == per_term_gaps(battery, prefix, normalize(limit))
+
+    @given(carrier_prefixes())
+    @settings(max_examples=30, deadline=None)
+    def test_property_cube_and_finite(self, case):
+        battery, prefix, limit = case
+        assert _battery_gaps(battery.members, prefix, limit) \
+            == per_term_gaps(battery, prefix, limit)
 
 
 class TestWitnessExtension:

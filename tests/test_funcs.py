@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from weakconv import DomainError
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
-                            Step, Sum, Tent, form_from_json, validate_metadata,
-                            vector_function)
+                            Step, Sum, Tent, ValidationDraws, form_from_json,
+                            validate_metadata, vector_function)
 from weakconv.target import banach_space, omega_space
 
 CUBE1 = unit_cube(1)
@@ -49,6 +49,17 @@ class TestEvaluation:
         # min(0.2 + 0.5*|s|, 1.0 + 0.5*|s-1|) at s=0.5 is 0.45
         f = McShane(anchors=((0.0,), (1.0,)), values=(0.2, 1.0), lip=0.5)
         assert f(CUBE1, (0.5,)) == pytest.approx(0.45)
+
+    def test_mcshane_matches_stacked_minimum(self):
+        # reference: the minimum over a stacked anchor-by-point matrix
+        rng = np.random.default_rng(3)
+        space = unit_cube(3)
+        anchors = tuple(tuple(a) for a in rng.random((5, 3)))
+        values = tuple(rng.uniform(-1.0, 1.0, 5))
+        f = McShane(anchors, values, 1.7)
+        pts = rng.random((200, 3))
+        cols = [v + 1.7 * space.dist_to(pts, a) for a, v in zip(anchors, values)]
+        assert np.array_equal(f.evaluate(space, pts), np.min(np.stack(cols), axis=0))
 
     def test_clamp(self):
         f = Clamp(-0.5, 0.5, Scale(2.0, Coord(0)))
@@ -119,6 +130,59 @@ class TestMetadata:
 
         with pytest.raises(DomainError):
             validate_metadata(CUBE1, Liar((0.5,), 0.5), seed=5)
+
+
+class LyingBound(Tent):
+    def bound(self, space):
+        return 0.1
+
+
+class LyingLipschitz(Tent):
+    def lipschitz(self, space):
+        return 0.01
+
+
+class TestSharedValidationDraws:
+    """Battery builds lend every form the same seeded samples."""
+
+    HONEST = (Tent((0.3,), 0.5), Clamp(-1, 1, DistTo((0.9,))),
+              McShane(((0.2,), (0.8,)), (0.1, -0.4), 1.5))
+
+    @pytest.mark.parametrize("liar", [LyingBound((0.5,), 0.5),
+                                      LyingLipschitz((0.5,), 0.5)])
+    def test_liar_after_honest_forms_still_caught(self, liar):
+        draws = ValidationDraws()
+        for form in self.HONEST:
+            validate_metadata(CUBE1, form, seed=7, draws=draws)
+        with pytest.raises(DomainError):
+            validate_metadata(CUBE1, liar, seed=7, draws=draws)
+
+    @pytest.mark.parametrize("space", [CUBE2, unit_cube(8), PAIR])
+    def test_memoised_samples_equal_a_fresh_draw(self, space):
+        draws = ValidationDraws()
+        validate_metadata(space, Const(0.0), seed=7, draws=draws)
+        pts, qts, dists = draws.get(space, 7, 10_000)
+        rng = np.random.default_rng(7)
+        assert np.array_equal(pts, space.sample_points(rng, 10_000))
+        assert np.array_equal(qts, space.sample_points(rng, 10_000))
+        assert_allclose(dists, [space.distance(space.point_at(p), space.point_at(q))
+                                for p, q in zip(pts, qts)], rtol=0, atol=1e-15)
+        assert draws.get(space, 7, 10_000)[0] is pts  # drawn once, then reused
+
+    def test_samples_are_read_only(self):
+        class Scribbler(Const):
+            def evaluate(self, space, pts):
+                pts[0] = 0.0
+                return super().evaluate(space, pts)
+
+        with pytest.raises(ValueError):
+            validate_metadata(CUBE1, Scribbler(0.0), seed=7, draws=ValidationDraws())
+
+    def test_memo_is_bounded(self):
+        draws = ValidationDraws()
+        for seed in range(ValidationDraws.MAX_SHAPES + 3):
+            draws.get(CUBE1, seed, 100)
+        assert len(draws._draws) == ValidationDraws.MAX_SHAPES
 
 
 class TestJsonRoundTrip:

@@ -301,6 +301,26 @@ class TestScenarios:
             assert mu.is_probability
             assert_allclose(np.round(mu.weights * n), mu.weights * n)
 
+    @pytest.mark.parametrize("law,seed", [
+        (finite_measure(CUBE1, [((0.45,), 0.5), ((0.55,), 0.5)]), 7),
+        (finite_measure(CUBE2, [((0.4, 0.4), 0.4), ((0.46, 0.4), 0.3),
+                                ((0.4, 0.48), 0.3)]), 3),
+        (finite_measure(PAIR, [(0, 0.3), (1, 0.7)]), 1),
+    ])
+    def test_empirical_prefixes_bitwise_stable(self, law, seed):
+        # reference: the scenario's own inverse-CDF draw, written out in full
+        fam = scenario("empirical", {"space": law.space, "law": law}, seed=seed)
+        for n in range(1, 65):
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            idx = np.searchsorted(np.cumsum(law.weights), rng.random(n), side="right")
+            idx = np.minimum(idx, law.n_atoms - 1)
+            counts = np.bincount(idx, minlength=law.n_atoms) / n
+            mu = fam.measure(n)
+            assert np.array_equal(mu.points, law.points[counts > 0])
+            assert np.array_equal(mu.weights, counts[counts > 0])
+            assert np.array_equal(RandomElement(law, seed=seed).sample(n),
+                                  law.points[idx])
+
     def test_indices_start_at_one(self):
         fam = scenario("constant", {"space": CUBE1, "mu": dirac(CUBE1, (0.5,))})
         with pytest.raises(DomainError):
