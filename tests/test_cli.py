@@ -53,6 +53,27 @@ class TestBL:
         assert set(doc) == {"value", "support", "witness"}
         assert len(doc["support"]) == len(doc["witness"]) == 3
 
+    def test_readme_example_output(self, tmp_path, capsys):
+        path = write(tmp_path, "bl.json", {
+            "space": CUBE1,
+            "mu": measure(([0.0], 0.5), ([1.0], 0.5)),
+            "nu": measure(([0.5], 1.0)),
+        })
+        code, out = run(capsys, "bl", path, "--witness")
+        assert code == 0
+        assert out == ("# weakconv bl\nvalue = 0.5\nsupport_size = 3\niterations = 0\n"
+                       "witness (0.0,) -> 0.25\nwitness (0.5,) -> -0.25\n"
+                       "witness (1.0,) -> 0.25\n")
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize would add about 0.25 s and 19 MB to every command
+        probe = "import sys, weakconv, weakconv.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestIntegrate:
     def test_certified_tent(self, tmp_path, capsys):

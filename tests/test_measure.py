@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.optimize import linprog
 
+import weakconv.measure as measure_module
 from weakconv import CapacityError, DomainError
 from weakconv.carrier import ball_set, box_set, finite_space, unit_cube
-from weakconv.measure import (RandomElement, bl_distance, dirac, finite_measure,
+from weakconv.convergence import bl_witness_function
+from weakconv.measure import (MAX_BL_SUPPORT, RandomElement, bl_distance, dirac, finite_measure,
                               measure_from_json, measure_of, normalize,
                               point_from_json, pushforward, scenario,
                               tightness_witness)
@@ -16,6 +20,8 @@ from weakconv.measure import (RandomElement, bl_distance, dirac, finite_measure,
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
 PAIR = finite_space(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+_XY = np.array([[0.0, 0.0], [2.5, 0.0], [0.0, 1.0], [2.5, 2.0]])
+PLANE = finite_space(("p", "q", "r", "s"), np.linalg.norm(_XY[:, None] - _XY[None], axis=-1))
 
 
 def brute_force_bl(space, mu, nu, step=0.05):
@@ -211,6 +217,277 @@ class TestBLDistance:
         ac = bl_distance(a, c).value
         cb = bl_distance(c, b).value
         assert ab <= ac + cb + 1e-9
+
+
+def pairwise(space, pts):
+    """Support distances, computed apart from the oracle's own matrix."""
+    if space.kind == "finite":
+        return space.dist_matrix[np.ix_(pts, pts)]
+    p = np.asarray(pts, dtype=float)
+    return np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
+
+
+def cross_cost(mu, nu):
+    """min(rho, 2) between the atoms of mu (rows) and of nu (columns)."""
+    if mu.space.kind == "finite":
+        return np.minimum(mu.space.dist_matrix[np.ix_(mu.points, nu.points)], 2.0)
+    return np.minimum(np.linalg.norm(mu.points[:, None] - nu.points[None], axis=-1), 2.0)
+
+
+def signed_difference(res, mu, nu):
+    index = {p: i for i, p in enumerate(res.support)}
+    d = np.zeros(len(res.support))
+    for p, w in mu.atoms():
+        d[index[p]] += w
+    for p, w in nu.atoms():
+        d[index[p]] -= w
+    return d
+
+
+def assert_certified(res, mu, nu):
+    """The witness is feasible and attains the value, within 1e-9."""
+    f = np.array(res.witness_values)
+    rho = pairwise(mu.space, list(res.support))
+    assert np.max(np.abs(f)) <= 1.0 + 1e-9
+    assert np.max(np.abs(f[:, None] - f[None, :]) - rho) <= 1e-9
+    assert abs(f @ signed_difference(res, mu, nu) - res.value) <= 1e-9
+
+
+def linprog_transport(mu, nu):
+    """Independent route: the Kantorovich LP between mu and nu under min(rho, 2)."""
+    cost = cross_cost(mu, nu)
+    k, n = cost.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(k), np.ones((1, n))),
+                          sparse.kron(np.ones((1, k)), sparse.eye(n))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def linprog_function_side(space, res, d):
+    """Independent route: max f.d over |f| <= 1, |f_i - f_j| <= rho_ij."""
+    m = len(d)
+    rho = pairwise(space, list(res.support))
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(i + 1, m):
+            row = np.zeros(m)
+            row[i], row[j] = 1.0, -1.0
+            rows += [row, -row]
+            rhs += [rho[i, j], rho[i, j]]
+    out = linprog(-d, A_ub=np.array(rows) if rows else None, b_ub=rhs or None,
+                  bounds=[(-1.0, 1.0)] * m, method="highs")
+    assert out.status == 0, out.message
+    return -out.fun
+
+
+def distinct_points(space, rng, m):
+    """``m`` distinct random points of the carrier."""
+    if space.kind == "finite":
+        return [int(p) for p in rng.choice(space.n_points, size=m, replace=False)]
+    return [space.point_at(p) for p in space.sample_points(rng, m)]
+
+
+def random_pair(space, rng, m, share=0.3):
+    """Probability measures whose union support is ``m`` random points."""
+    pts = distinct_points(space, rng, m)
+    side = rng.random(m)
+    on_mu = side < 0.5 + share / 2
+    on_nu = side >= 0.5 - share / 2
+    on_mu[0], on_nu[-1] = True, True
+
+    def build(mask):
+        chosen = [p for p, keep in zip(pts, mask) if keep]
+        return finite_measure(space, list(zip(chosen, rng.dirichlet(np.ones(len(chosen))))))
+    return build(on_mu), build(on_nu)
+
+
+def planar_space(rng, n, scale=3.0):
+    """A finite carrier of ``n`` planar points whose distances reach past 2."""
+    xy = rng.random((n, 2)) * scale
+    dist = np.linalg.norm(xy[:, None] - xy[None], axis=-1)
+    return finite_space(tuple(f"p{i}" for i in range(n)), dist)
+
+
+@st.composite
+def cube_pairs(draw):
+    dim = draw(st.integers(1, 8))
+    m = draw(st.integers(2, MAX_BL_SUPPORT))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_pair(unit_cube(dim), rng, m)
+
+
+@st.composite
+def finite_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = planar_space(rng, draw(st.integers(2, 64)))
+    return random_pair(space, rng, draw(st.integers(2, space.n_points)))
+
+
+class TestBLProperties:
+    """The oracle at the support cap, checked by routes that share none of its code."""
+
+    @given(cube_pairs())
+    @example(random_pair(unit_cube(8), np.random.default_rng(0), MAX_BL_SUPPORT))
+    @settings(max_examples=20, deadline=None)
+    def test_cube_pairs_certified_symmetric_and_match_linprog(self, pair):
+        mu, nu = pair
+        res, back = bl_distance(mu, nu), bl_distance(nu, mu)
+        assert res.value == back.value
+        assert back.witness_values == tuple(-f for f in res.witness_values)
+        assert_certified(res, mu, nu)
+        assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
+
+    @given(finite_pairs())
+    @settings(max_examples=25, deadline=None)
+    def test_finite_pairs_past_the_truncation(self, pair):
+        mu, nu = pair
+        res, back = bl_distance(mu, nu), bl_distance(nu, mu)
+        assert res.value == back.value
+        assert_certified(res, mu, nu)
+        assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_dirac_form(self, dim, seed, finite):
+        rng = np.random.default_rng(seed)
+        space = planar_space(rng, 8) if finite else unit_cube(dim)
+        x, y = distinct_points(space, rng, 2)
+        got = bl_distance(dirac(space, x), dirac(space, y)).value
+        assert abs(got - min(2.0, space.distance(x, y))) <= 1e-12
+
+    @given(st.integers(2, MAX_BL_SUPPORT), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_cdf_form_on_the_line(self, m, seed):
+        mu, nu = random_pair(CUBE1, np.random.default_rng(seed), m)
+        res = bl_distance(mu, nu)
+        xs = np.array([p[0] for p in res.support])
+        cdf_gap = np.abs(np.cumsum(signed_difference(res, mu, nu))[:-1]) @ np.diff(xs)
+        assert abs(res.value - cdf_gap) <= 1e-12
+
+    @given(st.integers(1, 8), st.integers(3, MAX_BL_SUPPORT), st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_triangle_inequality_at_the_cap(self, dim, m, seed):
+        rng = np.random.default_rng(seed)
+        space = unit_cube(dim)
+        pool = distinct_points(space, rng, m)
+        measures = []
+        for _ in range(3):
+            chosen = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+            w = rng.dirichlet(np.ones(len(chosen)))
+            measures.append(finite_measure(space, [(pool[c], wi) for c, wi in zip(chosen, w)]))
+        a, b, c = measures
+        assert bl_distance(a, b).value <= bl_distance(a, c).value + bl_distance(c, b).value + 1e-9
+
+
+class TestBLAgainstLinprog:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        space = unit_cube(int(rng.integers(1, 9))) if seed % 3 else planar_space(rng, 12)
+        mu, nu = random_pair(space, rng, int(rng.integers(2, 13)))
+        res = bl_distance(mu, nu)
+        assert_certified(res, mu, nu)
+        assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bl_shaped_instances(self, seed):
+        # the function-side LP: box rows and both directions of each pair row
+        rng = np.random.default_rng(100 + seed)
+        space = unit_cube(int(rng.integers(1, 4)))
+        mu, nu = random_pair(space, rng, int(rng.integers(2, 7)))
+        res = bl_distance(mu, nu)
+        ref = linprog_function_side(space, res, signed_difference(res, mu, nu))
+        assert abs(res.value - ref) <= 1e-9
+
+
+class TestBLEdgeCases:
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_equal_weight_assignment_at_the_cap(self, dim):
+        # every northwest-corner step exhausts a row and a column at once:
+        # the start is as degenerate as a transport basis can be
+        rng = np.random.default_rng(dim)
+        space = unit_cube(dim)
+        half = MAX_BL_SUPPORT // 2
+        pts = distinct_points(space, rng, MAX_BL_SUPPORT)
+        mu = finite_measure(space, [(p, 1.0 / half) for p in pts[:half]])
+        nu = finite_measure(space, [(p, 1.0 / half) for p in pts[half:]])
+        res = bl_distance(mu, nu)
+        assert len(res.support) == MAX_BL_SUPPORT
+        assert_certified(res, mu, nu)
+        assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
+
+    def test_identical_measures_give_zero(self):
+        mu = finite_measure(CUBE2, [((0.1, 0.2), 0.25), ((0.7, 0.4), 0.75)])
+        res = bl_distance(mu, mu)
+        assert res.value == 0.0 and res.iterations == 0
+        assert res.witness_values == (0.0, 0.0)
+
+    def test_known_split_instance(self):
+        mu = finite_measure(CUBE1, [((0.0,), 0.5), ((1.0,), 0.5)])
+        res = bl_distance(mu, dirac(CUBE1, (0.5,)))
+        assert res.value == 0.5 and res.iterations == 0
+        assert res.witness_values == (0.25, -0.25, 0.25)
+
+    @pytest.mark.parametrize("space", [CUBE2, PLANE], ids=["cube", "finite"])
+    def test_shared_atoms_with_equal_weight_stay_feasible(self, space):
+        # d_i = 0 at the shared atoms; the McShane extension of the witness
+        # must reproduce every support value, those atoms included
+        a, b, c, e = ([space.point_at(p) for p in ((0.5, 0.5), (0.0, 0.0), (1.0, 0.2), (0.3, 1.0))]
+                      if space.kind == "cube" else [0, 1, 2, 3])
+        mu = finite_measure(space, [(a, 0.3), (b, 0.5), (c, 0.2)])
+        nu = finite_measure(space, [(a, 0.3), (c, 0.2), (e, 0.5)])
+        res = bl_distance(mu, nu)
+        assert_certified(res, mu, nu)
+        assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
+        member = bl_witness_function(mu, nu, result=res)
+        pts = space.points_array(list(res.support))
+        assert_allclose(member.form.evaluate(space, pts), res.witness_values, atol=1e-12)
+
+    def test_truncation_binds_on_finite_pair(self):
+        space = finite_space(("a", "b", "c"), np.array([[0.0, 3.0, 2.5],
+                                                        [3.0, 0.0, 1.0],
+                                                        [2.5, 1.0, 0.0]]))
+        mu = finite_measure(space, [(0, 0.5), (2, 0.5)])
+        res = bl_distance(mu, dirac(space, 1))
+        assert abs(res.value - (0.5 * 2.0 + 0.5 * 1.0)) <= 1e-12  # not 0.5 * 3 + 0.5 * 1
+        assert_certified(res, mu, dirac(space, 1))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_one_source_or_one_sink_needs_no_pivots(self, flip):
+        rng = np.random.default_rng(3)
+        space = unit_cube(8)
+        many = finite_measure(space, list(zip(distinct_points(space, rng, 40),
+                                              rng.dirichlet(np.ones(40)))))
+        one = dirac(space, space.point_at(rng.random(8)))
+        mu, nu = (one, many) if flip else (many, one)
+        res = bl_distance(mu, nu)
+        assert res.iterations == 0
+        assert_certified(res, mu, nu)
+        assert abs(res.value - float(many.weights @ cross_cost(many, one)[:, 0])) <= 1e-12
+
+    def test_masses_off_by_the_probability_tolerance(self):
+        # both masses within 1e-9 of one, in opposite directions
+        mu = finite_measure(CUBE1, [((0.2,), 0.5 + 4e-10), ((0.7,), 0.5 + 4e-10)])
+        nu = finite_measure(CUBE1, [((0.4,), 1.0 - 8e-10)])
+        assert abs(bl_distance(mu, nu).value - 0.25) <= 2e-9
+        lone = finite_measure(CUBE1, [((0.4,), 1.0 - 8e-10)])
+        assert bl_distance(dirac(CUBE1, (0.4,)), lone).value <= 1e-9  # nothing to move
+
+    def test_certificate_rejects_a_wrong_plan(self, monkeypatch):
+        solve = measure_module._transport
+
+        def halved(*args):
+            plan, v, pivots = solve(*args)
+            return {cell: x / 2 for cell, x in plan.items()}, v, pivots
+
+        monkeypatch.setattr(measure_module, "_transport", halved)
+        mu = finite_measure(CUBE2, [((0.1, 0.2), 0.4), ((0.9, 0.3), 0.6)])
+        with pytest.raises(RuntimeError, match="certificate failed: marginals"):
+            bl_distance(mu, dirac(CUBE2, (0.5, 0.5)))
 
 
 class TestTightness:
