@@ -1,107 +1,113 @@
+"""The transport simplex behind the BL oracle (``measure._transport``).
+
+Known instances are solved directly and their plans checked against the
+dual: the sink potentials v give u_i = min_j (c_ij - v_j), and an optimal
+plan costs exactly sum supply * u + sum demand * v.  Random instances are
+checked through ``bl_distance`` against independent HiGHS routes.
+"""
+
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from weakconv import DomainError
-from weakconv.simplex import UnboundedError, solve_max
+from test_measure import (assert_certified, linprog_transport, pairwise, planar_space,
+                          random_pair, signed_difference, transport_lp)
+from weakconv.carrier import unit_cube
+from weakconv.measure import _transport, bl_distance
 
 
-def scipy_max(c, a, b):
-    res = linprog(-np.asarray(c, dtype=float), A_ub=a, b_ub=b,
-                  bounds=[(0, None)] * len(c), method="highs")
-    assert res.status == 0, res.message
-    return -res.fun, res.x
+def solve(cost, supply, demand):
+    """Run the transport simplex on a k x n cost; return (plan, value, pivots)."""
+    cost = np.asarray(cost, dtype=float)
+    k, n = cost.shape
+    plan, v, pivots = _transport(cost, list(range(k)), list(range(n)), supply, demand)
+    value = sum(x * cost[i, j] for (i, j), x in plan.items())
+    # the plan is feasible and its cost equals the value of the dual the
+    # potentials define, so it is optimal
+    out, into = np.zeros(k), np.zeros(n)
+    for (i, j), x in plan.items():
+        assert x >= 0.0
+        out[i] += x
+        into[j] += x
+    np.testing.assert_allclose(out, supply, atol=1e-12)
+    np.testing.assert_allclose(into, demand, atol=1e-12)
+    u = (cost - v).min(axis=1)
+    assert abs(np.dot(supply, u) + np.dot(demand, v) - value) <= 1e-12
+    return {cell: x for cell, x in plan.items() if x > 0.0}, value, pivots
+
+
+def linprog_function_side(space, res, d):
+    """Independent route: max f.d over |f| <= 1, |f_i - f_j| <= rho_ij."""
+    m = len(d)
+    rho = pairwise(space, list(res.support))
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(i + 1, m):
+            row = np.zeros(m)
+            row[i], row[j] = 1.0, -1.0
+            rows += [row, -row]
+            rhs += [rho[i, j], rho[i, j]]
+    out = linprog(-d, A_ub=np.array(rows) if rows else None, b_ub=rhs or None,
+                  bounds=[(-1.0, 1.0)] * m, method="highs")
+    assert out.status == 0, out.message
+    return -out.fun
 
 
 class TestKnownInstances:
     def test_tiny(self):
-        # max x + y st x <= 1, y <= 2
-        sol = solve_max(np.array([1.0, 1.0]), np.eye(2), np.array([1.0, 2.0]))
-        assert sol.value == pytest.approx(3.0)
-        assert_allclose(sol.x, [1.0, 2.0])
+        # the northwest corner is already the cheapest plan
+        plan, value, pivots = solve([[1.0, 3.0], [2.0, 1.0]], [0.5, 0.5], [0.5, 0.5])
+        assert value == pytest.approx(1.0)
+        assert plan == {(0, 0): 0.5, (1, 1): 0.5}
+        assert pivots == 0
 
     def test_zero_objective(self):
-        sol = solve_max(np.zeros(2), np.eye(2), np.ones(2))
-        assert sol.value == 0.0
+        plan, value, pivots = solve(np.zeros((2, 3)), [0.5, 0.5], [0.2, 0.3, 0.5])
+        assert value == 0.0
+        assert pivots == 0
 
     def test_binding_mixture(self):
-        # max 3x + 2y st x + y <= 4, x <= 2
-        c = np.array([3.0, 2.0])
-        a = np.array([[1.0, 1.0], [1.0, 0.0]])
-        b = np.array([4.0, 2.0])
-        sol = solve_max(c, a, b)
-        assert sol.value == pytest.approx(10.0)
-        assert_allclose(sol.x, [2.0, 2.0])
-
-    def test_unbounded_detected(self):
-        c = np.array([1.0, 0.0])
-        a = np.array([[0.0, 1.0]])
-        b = np.array([1.0])
-        with pytest.raises(UnboundedError):
-            solve_max(c, a, b)
-
-    def test_negative_rhs_rejected(self):
-        with pytest.raises(DomainError):
-            solve_max(np.ones(1), np.eye(1), np.array([-1.0]))
+        # the northwest corner costs 1.7; the optimum fills the cheap
+        # off-diagonal cells up to their row and column bounds
+        plan, value, pivots = solve([[2.0, 1.0], [1.0, 2.0]], [0.6, 0.4], [0.3, 0.7])
+        assert value == pytest.approx(1.1)
+        assert pivots >= 1
+        assert plan.keys() == {(0, 1), (1, 0), (1, 1)}
+        assert plan[0, 1] == pytest.approx(0.6)
+        assert plan[1, 0] == pytest.approx(0.3)
+        assert plan[1, 1] == pytest.approx(0.1)
 
     def test_degenerate_instance_terminates(self):
-        # several constraints active at the optimum; Bland's rule must not
-        # cycle here
-        c = np.array([1.0, 1.0, 1.0])
-        a = np.array([
-            [1.0, 1.0, 0.0],
-            [1.0, 0.0, 1.0],
-            [0.0, 1.0, 1.0],
-            [1.0, 1.0, 1.0],
-        ])
-        b = np.array([1.0, 1.0, 1.0, 1.0])
-        sol = solve_max(c, a, b)
-        ref, _ = scipy_max(c, a, b)
-        assert sol.value == pytest.approx(ref, abs=1e-9)
+        # equal weights: every northwest-corner step exhausts a row and a
+        # column at once, and the reversed cost makes that start the worst
+        n = 6
+        idx = np.arange(n)
+        cost = np.abs(idx[:, None] - (n - 1 - idx[None, :])).astype(float)
+        weights = np.full(n, 1.0 / n)
+        plan, value, pivots = solve(cost, weights, weights)
+        assert pivots > 0
+        assert value == pytest.approx(transport_lp(cost, weights, weights), abs=1e-9)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(30))
     def test_random_instances(self, seed):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 12))
-        c = rng.standard_normal(n)
-        a = rng.standard_normal((m, n))
-        b = rng.uniform(0.1, 2.0, size=m)
-        # cap every variable so the problem is always bounded
-        a_full = np.vstack([a, np.eye(n)])
-        b_full = np.concatenate([b, np.full(n, 5.0)])
-        sol = solve_max(c, a_full, b_full)
-        ref, _ = scipy_max(c, a_full, b_full)
-        assert sol.value == pytest.approx(ref, abs=1e-8)
-        # primal feasibility of our solution
-        assert np.all(sol.x >= -1e-9)
-        assert np.all(a_full @ sol.x <= b_full + 1e-8)
+        space = unit_cube(int(rng.integers(1, 9))) if seed % 3 else planar_space(rng, 12)
+        mu, nu = random_pair(space, rng, int(rng.integers(2, 13)))
+        res = bl_distance(mu, nu)
+        assert_certified(res, mu, nu)
+        assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bl_shaped_instances(self, seed):
-        # the structure used by the distance oracle: box rows then
-        # difference rows, with a zero-sum objective
+        # the function-side LP: box rows and both directions of each pair row
         rng = np.random.default_rng(100 + seed)
-        m = int(rng.integers(2, 6))
-        d = rng.standard_normal(m)
-        d -= d.mean()
-        pts = rng.random(m)
-        rows = [np.eye(m)]
-        rhs = [np.full(m, 2.0)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                row = np.zeros(m)
-                row[i], row[j] = 1.0, -1.0
-                rho = abs(pts[i] - pts[j])
-                rows += [row[None, :], -row[None, :]]
-                rhs += [np.array([rho]), np.array([rho])]
-        a = np.vstack(rows)
-        b = np.concatenate(rhs)
-        sol = solve_max(d, a, b)
-        ref, _ = scipy_max(d, a, b)
-        assert sol.value == pytest.approx(ref, abs=1e-9)
+        space = unit_cube(int(rng.integers(1, 4)))
+        mu, nu = random_pair(space, rng, int(rng.integers(2, 7)))
+        res = bl_distance(mu, nu)
+        ref = linprog_function_side(space, res, signed_difference(res, mu, nu))
+        assert abs(res.value - ref) <= 1e-9
