@@ -22,7 +22,6 @@ the wall-clock note goes to standard error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -30,9 +29,10 @@ from typing import Optional, Sequence
 
 from .carrier import space_from_json
 from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, Battery, BatterySpec,
-                          Status, certify, equivalence_report, generate_battery)
+                          Status, _scalar_members, _vector_members, certify,
+                          equivalence_report)
 from .errors import CapacityError, DomainError, UnsupportedError
-from .funcs import form_from_json, vector_function
+from .funcs import ValidationDraws, form_from_json, vector_function
 from .integral import integrability_report, integrate
 from .measure import bl_distance, measure_from_json, point_from_json, scenario
 from .suite import selftest, suite_targets
@@ -99,15 +99,13 @@ def _run_knob(args, doc: dict, key: str, default):
 
 def _battery_from_doc(space, doc: dict, seed: int, targets) -> Battery:
     spec = BatterySpec.from_json(doc["battery"]) if "battery" in doc else BatterySpec()
-    scalar = generate_battery(space, None,
-                              dataclasses.replace(spec, vector_members=0), seed)
+    # one validation draw and memo for every battery build of the command
+    draws = ValidationDraws()
+    scalars = _scalar_members(space, spec, seed, draws)
     vectors = []
     for k, target in enumerate(targets):
-        if spec.vector_members > 0:
-            batt = generate_battery(space, target, spec, seed=seed + 1 + k)
-            vectors.extend(batt.vector_members)
-    return Battery(space=space, target=None,
-                   scalar_members=scalar.scalar_members,
+        vectors.extend(_vector_members(space, target, spec, seed + 1 + k, draws))
+    return Battery(space=space, target=None, scalar_members=scalars,
                    vector_members=tuple(vectors))
 
 

@@ -42,7 +42,6 @@ contains a member that sees it too.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -158,6 +157,56 @@ def _lift_through_base(space: CompactSpace, target: TargetSpace,
     return VectorFunction(space=space, target=target, forms=tuple(coords))
 
 
+def _draw_scalar_forms(space: CompactSpace, rng: np.random.Generator,
+                       spec: BatterySpec) -> List[Tuple[str, Form]]:
+    """The named scalar forms a battery draws first from its stream."""
+    return [(f"{shape}[{i}]", _random_scalar_form(space, rng, spec, shape))
+            for shape, count in (("tent", spec.tents), ("dist", spec.distances),
+                                 ("mcshane", spec.mcshanes))
+            for i in range(count)]
+
+
+def _scalar_members(space: CompactSpace, spec: BatterySpec, seed: int,
+                    draws: ValidationDraws) -> tuple:
+    """The scalar members of ``generate_battery(space, target, spec, seed)``,
+    which do not depend on the target, validated through ``draws``."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    members = []
+    for name, form in _draw_scalar_forms(space, rng, spec):
+        validate_metadata(space, form, seed=7, draws=draws)
+        members.append(ScalarMember(name=name, form=form, bound=form.bound(space),
+                                    lip=form.lipschitz(space)))
+    return tuple(members)
+
+
+def _vector_members(space: CompactSpace, target: Optional[TargetSpace],
+                    spec: BatterySpec, seed: int, draws: ValidationDraws) -> tuple:
+    """``generate_battery(space, target, spec, seed).vector_members``, validated
+    through ``draws``.
+
+    The scalar forms are still drawn, so the stream and every vector member
+    stay the same, but they are not validated: callers that want only a
+    target's vector members would throw them away.
+    """
+    if spec.vector_members == 0:
+        return ()
+    if target is None or target.base is None:
+        raise UnsupportedError("vector members need a target with a base")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    _draw_scalar_forms(space, rng, spec)
+    shapes = ("tent", "mcshane", "dist")
+    members = []
+    for i in range(spec.vector_members):
+        coeffs = [_random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
+                  for k in range(target.dim)]
+        vf = _lift_through_base(space, target, coeffs)
+        vf.validate(seed=7, draws=draws)
+        members.append(VectorMember(name=f"vec[{i}]", function=vf,
+                                    bounds=tuple(vf.bounds()),
+                                    lips=tuple(vf.lipschitz_constants())))
+    return tuple(members)
+
+
 def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
                      spec: Optional[BatterySpec] = None, seed: int = 0) -> Battery:
     """Deterministically generate a battery from a seed.
@@ -170,32 +219,10 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
     the same seeded samples, drawn once per battery.
     """
     spec = spec or BatterySpec()
-    rng = np.random.Generator(np.random.Philox(key=seed))
     draws = ValidationDraws()
-    scalars: List[ScalarMember] = []
-    for shape, count in (("tent", spec.tents), ("dist", spec.distances),
-                         ("mcshane", spec.mcshanes)):
-        for i in range(count):
-            form = _random_scalar_form(space, rng, spec, shape)
-            validate_metadata(space, form, seed=7, draws=draws)
-            scalars.append(ScalarMember(name=f"{shape}[{i}]", form=form,
-                                        bound=form.bound(space),
-                                        lip=form.lipschitz(space)))
-    vectors: List[VectorMember] = []
-    if spec.vector_members > 0:
-        if target is None or target.base is None:
-            raise UnsupportedError("vector members need a target with a base")
-        shapes = ("tent", "mcshane", "dist")
-        for i in range(spec.vector_members):
-            coeffs = [_random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
-                      for k in range(target.dim)]
-            vf = _lift_through_base(space, target, coeffs)
-            vf.validate(seed=7, draws=draws)
-            vectors.append(VectorMember(name=f"vec[{i}]", function=vf,
-                                        bounds=tuple(vf.bounds()),
-                                        lips=tuple(vf.lipschitz_constants())))
-    return Battery(space=space, target=target, scalar_members=tuple(scalars),
-                   vector_members=tuple(vectors))
+    return Battery(space=space, target=target,
+                   scalar_members=_scalar_members(space, spec, seed, draws),
+                   vector_members=_vector_members(space, target, spec, seed, draws))
 
 
 def bl_witness_function(mu: FiniteMeasure, nu: FiniteMeasure,
@@ -491,18 +518,19 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
         witness_members.append(ScalarMember(name=f"bl_witness[n={n}]", form=member.form,
                                             bound=member.bound, lip=member.lip))
 
-    scalar_spec = dataclasses.replace(spec or BatterySpec(), vector_members=0)
-    scalar_base = generate_battery(family.space, target=None, spec=scalar_spec,
-                                   seed=seed)
+    # every battery build of this report validates through one draw and memo
+    spec = spec or BatterySpec()
+    draws = ValidationDraws()
     scalar_battery = Battery(space=family.space, target=None,
-                             scalar_members=scalar_base.scalar_members + tuple(witness_members),
+                             scalar_members=(_scalar_members(family.space, spec, seed, draws)
+                                             + tuple(witness_members)),
                              vector_members=())
     scalar_verdict = certify(built, candidate, scalar_battery, n_terms, tol,
                              _bl_values=bl_values)
 
     vector_verdicts = []
     for target in targets:
-        batt = generate_battery(family.space, target=target, spec=spec, seed=seed)
+        vectors = _vector_members(family.space, target, spec, seed, draws)
         lifted = tuple(
             VectorMember(name=f"{m.name}:lift",
                          function=_lift_through_base(family.space, target,
@@ -510,7 +538,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                          bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
             for m in witness_members)
         vec_battery = Battery(space=family.space, target=target, scalar_members=(),
-                              vector_members=batt.vector_members + lifted)
+                              vector_members=vectors + lifted)
         verdict = certify(built, candidate, vec_battery, n_terms, tol,
                           _bl_values=bl_values)
         vector_verdicts.append((target.family.name, verdict))

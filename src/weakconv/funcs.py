@@ -351,25 +351,35 @@ _METADATA_SLACK = 1.01  # declared constants may be loose, never violated by >1%
 
 
 class ValidationDraws:
-    """Seeded validation samples, drawn once per carrier shape and reused.
+    """Seeded validation samples drawn once per carrier, and the forms that passed.
 
     Every form validated on one carrier with one seed sees the same two
     sample sets, so a battery build can draw them (and the distances
-    between paired samples) once instead of once per form.  The memo is
-    keyed by (carrier kind, dimension or point count, seed, sample count),
-    holds at most ``MAX_SHAPES`` draws and lives only as long as its
-    owner, normally one :func:`generate_battery` call.  The arrays are
-    read-only, so a form cannot alter what the next one sees.
+    between paired samples) once instead of once per form.  The draws are
+    keyed by (carrier, seed, sample count), so equal carriers share them
+    and unequal ones never do; at most ``MAX_SHAPES`` are held.  The
+    arrays are read-only, so a form cannot alter what the next one sees.
+
+    A form that passes on a draw is remembered with its key, and
+    :func:`validate_metadata` skips an equal form on the same key: forms
+    are frozen values, so an equal form gives the same verdict.  A form
+    that cannot be hashed is checked every time.  Everything lives only
+    as long as the owner, one battery build, report or CLI command, so
+    nothing is cached across commands.
     """
 
     MAX_SHAPES = 4
 
     def __init__(self):
         self._draws: dict = {}
+        self._passed: set = set()
 
     def get(self, space: CompactSpace, seed: int, samples: int):
-        size = space.n_points if space.kind == "finite" else space.dim
-        key = (space.kind, size, seed, samples)
+        """The two sample sets and the distance between each pair of samples."""
+        return self._draw(space, seed, samples)[:3]
+
+    def _draw(self, space: CompactSpace, seed: int, samples: int):
+        key = (space, seed, samples)
         if key not in self._draws:
             if len(self._draws) >= self.MAX_SHAPES:
                 del self._draws[next(iter(self._draws))]
@@ -379,7 +389,8 @@ class ValidationDraws:
 
 def _draw_validation_samples(space: CompactSpace, seed: int, samples: int):
     """The two seeded sample sets every form on this carrier is checked on,
-    and the distance between each pair of samples."""
+    the distance between each pair of samples and the mask of pairs far
+    enough apart to bound a Lipschitz ratio."""
     rng = np.random.default_rng(seed)
     pts = space.sample_points(rng, samples)
     qts = space.sample_points(rng, samples)
@@ -387,9 +398,10 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int):
         dists = space.dist_matrix[np.asarray(pts, int), np.asarray(qts, int)]
     else:
         dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
-    for arr in (pts, qts, dists):
+    apart = dists > 1e-9
+    for arr in (pts, qts, dists, apart):
         arr.setflags(write=False)
-    return pts, qts, dists
+    return pts, qts, dists, apart
 
 
 def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
@@ -400,23 +412,32 @@ def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
     The bounds are computed, not fitted, so a failure here means a bug in
     the bound propagation rather than bad luck.  Raises ``DomainError``.
     ``draws`` lends samples drawn for an earlier form; they are exactly
-    the samples a fresh ``default_rng(seed)`` would give.
+    the samples a fresh ``default_rng(seed)`` would give.  A form equal
+    to one that already passed on ``draws`` with the same carrier, seed
+    and sample count returns at once.
     """
+    key = None
     if draws is None:
-        pts, qts, dists = _draw_validation_samples(space, seed, samples)
+        pts, qts, dists, apart = _draw_validation_samples(space, seed, samples)
     else:
-        pts, qts, dists = draws.get(space, seed, samples)
+        try:
+            key = (space, seed, samples, form)
+            if key in draws._passed:
+                return
+        except TypeError:  # an unhashable form is checked every time
+            key = None
+        pts, qts, dists, apart = draws._draw(space, seed, samples)
     vals = form.evaluate(space, pts)
     b = form.bound(space)
     if np.any(np.abs(vals) > b * _METADATA_SLACK + 1e-12):
         raise DomainError(f"declared bound {b} violated by {form.kind} form")
     lip = form.lipschitz(space)
-    if not math.isfinite(lip):
-        return
-    wals = form.evaluate(space, qts)
-    ok = dists > 1e-9
-    if np.any(np.abs(vals[ok] - wals[ok]) > lip * dists[ok] * _METADATA_SLACK + 1e-12):
-        raise DomainError(f"declared Lipschitz constant {lip} violated by {form.kind} form")
+    if math.isfinite(lip):
+        wals = form.evaluate(space, qts)
+        if np.any((np.abs(vals - wals) > lip * dists * _METADATA_SLACK + 1e-12) & apart):
+            raise DomainError(f"declared Lipschitz constant {lip} violated by {form.kind} form")
+    if key is not None:
+        draws._passed.add(key)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from weakconv import CapacityError, DomainError
@@ -59,6 +61,41 @@ class TestSpaces:
         assert unit_cube(2) != unit_cube(3)
         assert three_point_space() == three_point_space()
         assert three_point_space() != unit_cube(1)
+
+
+# a coordinate of [0, 1], with the cube's faces drawn often
+_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def cube_points_and_anchor(draw):
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    pts = draw(st.lists(st.lists(_unit, min_size=d, max_size=d), min_size=n, max_size=n))
+    anchor = draw(st.lists(_unit, min_size=d, max_size=d))
+    return unit_cube(d), np.array(pts), tuple(anchor)
+
+
+class TestDistTo:
+    @given(cube_points_and_anchor())
+    @settings(max_examples=200, deadline=None)
+    def test_cube_kernel_equals_the_axis_sum(self, case):
+        space, pts, anchor = case
+        diff = pts - np.asarray(anchor)
+        reference = np.sqrt(np.sum(diff * diff, axis=-1))
+        assert np.array_equal(space.dist_to(pts, anchor), reference)
+        assert space.dist_to(pts[0], anchor) == reference[0]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_cube_kernel_equals_the_axis_sum_on_corners(self, d):
+        space = unit_cube(d)
+        corners = np.array(np.meshgrid(*[[0.0, 1.0]] * d, indexing="ij")).reshape(d, -1).T
+        rng = np.random.default_rng(d)
+        for anchor in [tuple(corners[-1]), tuple(rng.random(d))]:
+            pts = np.vstack([corners, rng.random((500, d))])
+            diff = pts - np.asarray(anchor)
+            assert np.array_equal(space.dist_to(pts, anchor),
+                                  np.sqrt(np.sum(diff * diff, axis=-1)))
 
 
 class TestMetricAxioms:

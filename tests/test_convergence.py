@@ -9,15 +9,16 @@ from numpy.testing import assert_allclose
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weakconv import DomainError, UnsupportedError
+from weakconv import DomainError, UnsupportedError, convergence, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
-                                  Status, VectorMember, _battery_gaps,
+                                  Status, VectorMember, _battery_gaps, _vector_members,
                                   bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
                                   generate_battery, integral_gap)
-from weakconv.funcs import Const, Coord, Tent, validate_metadata, vector_function
+from weakconv.funcs import (Const, Coord, Tent, ValidationDraws, validate_metadata,
+                            vector_function)
 from weakconv.measure import (MeasureFamily, RandomElement, bl_distance, dirac,
                               finite_measure, normalize, scenario)
 from weakconv.suite import bundled_suite, suite_targets
@@ -78,6 +79,19 @@ class TestBatteryGeneration:
         assert spec.tent_radius == (0.5, 0.75)
         with pytest.raises(DomainError):
             BatterySpec.from_json({"tornadoes": 3})
+
+    @pytest.mark.parametrize("space,target,seed", [
+        (CUBE1, banach_space(2, p=2), 0),
+        (CUBE2, omega_space(4), 9),
+        (CUBE2, cumulative_l1_space(3), 4),
+        (finite_space(("a", "b", "c"), 1.0 - np.eye(3)), omega_space(3), 2),
+    ])
+    def test_vector_members_helper_matches_generate_battery(self, space, target, seed):
+        full = generate_battery(space, target=target, seed=seed).vector_members
+        alone = _vector_members(space, target, BatterySpec(), seed, ValidationDraws())
+        assert [m.function.to_json() for m in alone] == [m.function.to_json() for m in full]
+        assert [(m.name, m.bounds, m.lips) for m in alone] \
+            == [(m.name, m.bounds, m.lips) for m in full]
 
     def test_works_on_finite_spaces(self):
         from weakconv.carrier import finite_space
@@ -354,6 +368,31 @@ class TestEquivalenceReport:
         witness_names = [name for name in rep.scalar_verdict.member_names
                          if name.startswith("bl_witness[n=")]
         assert len(witness_names) == 2
+
+    def test_each_distinct_form_is_validated_once(self, monkeypatch):
+        calls, checks = [], []
+        validate = funcs.validate_metadata
+        draw = ValidationDraws._draw
+
+        def counted_validate(space, form, **kwargs):
+            calls.append((space, form))
+            return validate(space, form, **kwargs)
+
+        def counted_draw(self, *args):
+            checks.append(args)  # reached only when the memo misses
+            return draw(self, *args)
+
+        monkeypatch.setattr(funcs, "validate_metadata", counted_validate)
+        monkeypatch.setattr(convergence, "validate_metadata", counted_validate)
+        monkeypatch.setattr(ValidationDraws, "_draw", counted_draw)
+        fam = scenario("dirac_drift", {"space": CUBE2, "s0": [0.2, 0.3], "v": [0.5, 0.1],
+                                       "rate": "quadratic"})
+        targets = suite_targets()
+        equivalence_report(fam, targets, n_terms=16, seed=3)
+        # the scalar battery, then each target's vector coordinates; the
+        # targets' own scalar forms are drawn but never validated
+        assert len(calls) == 10 + sum(3 * t.dim for t in targets)
+        assert len(checks) == len(set(calls)) < len(calls)
 
     def test_unlabeled_rejected(self):
         fam = constant_family(dirac(CUBE1, (0.5,)))

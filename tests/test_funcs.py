@@ -145,8 +145,10 @@ class LyingLipschitz(Tent):
 class TestSharedValidationDraws:
     """Battery builds lend every form the same seeded samples."""
 
+    # the last form has the same fields as both liars, so a memo keyed by
+    # the fields alone would let them through
     HONEST = (Tent((0.3,), 0.5), Clamp(-1, 1, DistTo((0.9,))),
-              McShane(((0.2,), (0.8,)), (0.1, -0.4), 1.5))
+              McShane(((0.2,), (0.8,)), (0.1, -0.4), 1.5), Tent((0.5,), 0.5))
 
     @pytest.mark.parametrize("liar", [LyingBound((0.5,), 0.5),
                                       LyingLipschitz((0.5,), 0.5)])
@@ -177,6 +179,47 @@ class TestSharedValidationDraws:
 
         with pytest.raises(ValueError):
             validate_metadata(CUBE1, Scribbler(0.0), seed=7, draws=ValidationDraws())
+
+    def test_draws_are_not_shared_between_unequal_carriers(self):
+        # two 2-point carriers: a liar that passes at distance 1 must still
+        # be caught at distance 0.1 when both share one ValidationDraws
+        class SteepTent(Tent):
+            def lipschitz(self, space):
+                return 1.0
+
+        near = finite_space(("a", "b"), np.array([[0.0, 0.1], [0.1, 0.0]]))
+        draws = ValidationDraws()
+        validate_metadata(PAIR, SteepTent(0, 0.1), seed=7, draws=draws)
+        with pytest.raises(DomainError):
+            validate_metadata(near, SteepTent(0, 0.1), seed=7, draws=draws)
+        twin = finite_space(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert draws.get(twin, 7, 10_000)[0] is draws.get(PAIR, 7, 10_000)[0]
+
+    def test_a_passed_form_is_not_checked_again(self):
+        evaluated = []
+
+        class Counted(Tent):
+            def evaluate(self, space, pts):
+                evaluated.append(self)
+                return super().evaluate(space, pts)
+
+        class Unhashable(Counted):
+            __hash__ = None
+
+        draws = ValidationDraws()
+        for _ in range(3):
+            validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7, draws=draws)
+        assert len(evaluated) == 2  # one bound and one Lipschitz evaluation
+        validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=8, draws=draws)
+        validate_metadata(CUBE2, Counted((0.5, 0.5), 0.5), seed=7, draws=draws)
+        assert len(evaluated) == 6
+        evaluated.clear()
+        for _ in range(3):
+            validate_metadata(CUBE1, Unhashable((0.5,), 0.5), seed=7, draws=draws)
+        assert len(evaluated) == 6
+        evaluated.clear()
+        validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7, draws=ValidationDraws())
+        assert len(evaluated) == 2  # a new owner remembers nothing
 
     def test_memo_is_bounded(self):
         draws = ValidationDraws()
