@@ -11,7 +11,8 @@ vector-valued test functions on labeled measure sequences.
 from .errors import CapacityError, DomainError, UnsupportedError
 from .carrier import (CompactSpace, MeasurableSet, Partition, ball_set, box_set,
                       finite_space, grid_partition, metric_axioms_report,
-                      point_set, space_from_json, trivial_partition, unit_cube)
+                      point_from_json, point_set, space_from_json, trivial_partition,
+                      unit_cube)
 from .funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale, Step,
                     Sum, Tent, VectorFunction, form_from_json, validate_metadata,
                     vector_function)
@@ -23,8 +24,8 @@ from .target import (SchauderBase, TargetSpace, banach_space,
                      target_from_json)
 from .measure import (BLResult, FamilyLabel, FiniteMeasure, MeasureFamily,
                       RandomElement, bl_distance, dirac, finite_measure,
-                      measure_from_json, measure_of, normalize, point_from_json,
-                      pushforward, scenario, tightness_witness)
+                      measure_from_json, measure_of, normalize, pushforward,
+                      scenario, tightness_witness)
 from .integral import (IntegralCertificate, IntegrabilityReport, SimpleFunction,
                        approximate_by_simple, as_vector_function, atomic_oracle,
                        continuity_integrability_harness, integrability_report,

@@ -191,6 +191,28 @@ def space_from_json(node: dict) -> CompactSpace:
     raise DomainError(f"unknown space kind {node['kind']!r}")
 
 
+def point_from_json(space: CompactSpace, p) -> Point:
+    """Decode a JSON point: coordinates for cubes, index or label otherwise.
+
+    A point that does not lie in the carrier is a ``DomainError``.
+    """
+    point = p
+    if space.kind == "cube":
+        if not isinstance(p, (list, tuple)) or len(p) != space.dim:
+            raise DomainError(f"cube point must be a list of {space.dim} coordinates")
+        try:
+            point = tuple(float(x) for x in p)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"cube coordinates must be numbers, got {p!r}") from exc
+    elif isinstance(p, str):
+        if p not in space.labels:
+            raise DomainError(f"unknown point label {p!r}")
+        point = space.labels.index(p)
+    if not space.contains(point):
+        raise DomainError(f"point {p!r} lies outside the carrier")
+    return point if space.kind == "cube" else int(point)
+
+
 # ---------------------------------------------------------------------------
 # metric axiom checking
 # ---------------------------------------------------------------------------

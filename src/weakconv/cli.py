@@ -27,14 +27,14 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .carrier import space_from_json
+from .carrier import point_from_json, space_from_json
 from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, Battery, BatterySpec,
                           Status, _scalar_members, _vector_members, certify,
                           equivalence_report)
 from .errors import CapacityError, DomainError, UnsupportedError
 from .funcs import ValidationDraws, form_from_json, vector_function
 from .integral import integrability_report, integrate
-from .measure import bl_distance, measure_from_json, point_from_json, scenario
+from .measure import bl_distance, measure_from_json, scenario
 from .suite import selftest, suite_targets
 from .target import target_from_json
 
@@ -142,10 +142,10 @@ def cmd_integrate(args) -> int:
     fn_node = _need(doc, "function")
     if isinstance(fn_node, dict) and "coords" in fn_node:
         target = target_from_json(_need(doc, "target"))
-        forms = tuple(form_from_json(c) for c in fn_node["coords"])
+        forms = tuple(form_from_json(c, space) for c in fn_node["coords"])
         g = vector_function(space, target, forms, validate=False)
     else:
-        g = form_from_json(fn_node)
+        g = form_from_json(fn_node, space)
 
     report = integrability_report(g, mu)
     print("# weakconv integrate")

@@ -13,6 +13,10 @@ Certification compares, for each battery member f, the integral gap
                        tail stays within tol,
 * inconclusive         otherwise.
 
+One private kernel scores the members and applies this rule for
+``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
+the oracle's own status is the same rule applied to its values.
+
 Gaps of vector members are measured by the target's norm or paranorm.
 A paranorm compresses scale (it never exceeds 1), so the raw scalar
 thresholds would be unreachable for it; thresholds for vector members
@@ -52,8 +56,8 @@ from .carrier import CompactSpace
 from .errors import DomainError, UnsupportedError
 from .funcs import (Clamp, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
                     VectorFunction, validate_metadata)
-from .measure import (BLResult, BuiltPrefixFamily, FiniteMeasure, MeasureFamily,
-                      RandomElement, bl_distance, normalize)
+from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
+                      bl_distance, normalize)
 from .target import TargetSpace, gap_value
 from .integral import atomic_oracle
 
@@ -360,10 +364,80 @@ class Verdict:
         return rows
 
 
+def _window_start(n_terms: int, tol: float) -> int:
+    """First index of the last-quarter window, once the arguments are checked."""
+    if n_terms < 8:
+        raise DomainError("certification needs a prefix of at least 8 terms")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    return n_terms - n_terms // 4 + 1
+
+
+def _window_rule(names: Sequence[str], series: Sequence[Sequence[float]],
+                 thresholds: Sequence[Tuple[float, float]],
+                 window_start: int) -> Tuple[Status, Optional[DivergenceWitness]]:
+    """The decision rule over the window, for members and the oracle alike.
+
+    The first series over its divergence threshold at two window indices
+    is divergent, with those indices as the witness; every series within
+    its tail threshold over the window is convergent evidence; anything
+    else is inconclusive.
+    """
+    for name, gaps, (_, hi) in zip(names, series, thresholds):
+        exceed = [n for n in range(window_start, len(gaps) + 1) if gaps[n - 1] > hi]
+        if len(exceed) >= 2:
+            n1, n2 = exceed[0], exceed[1]
+            return Status.DIVERGENT, DivergenceWitness(
+                member=name, n1=n1, n2=n2, gap=min(gaps[n1 - 1], gaps[n2 - 1]))
+    if all(max(gaps[window_start - 1:]) <= lo for gaps, (lo, _) in zip(series, thresholds)):
+        return Status.CONVERGENT_EVIDENCE, None
+    return Status.INCONCLUSIVE, None
+
+
+def _verdict(family: MeasureFamily, prefix: Sequence[FiniteMeasure], limit: FiniteMeasure,
+             members: Sequence, bl_values: Sequence[float], tol: float, window_start: int,
+             mass: Optional[Tuple[tuple, float]] = None) -> Verdict:
+    """Score every member over the prefix and decide: the one certification kernel.
+
+    ``bl_values`` are the oracle's values on the prefix.  ``mass`` is
+    (total-mass gaps, limit mass) on the normalizing path, where the
+    prefix and limit are the normalized copies; the mass gaps then join
+    the battery as the member ``total_mass``.
+    """
+    names = tuple(m.name for m in members)
+    gaps = _battery_gaps(members, prefix, limit)
+    thresholds = tuple(_member_thresholds(m, tol) for m in members)
+    mass_gaps: tuple = ()
+    if mass is not None:
+        mass_gaps, mass_limit = mass
+        names += ("total_mass",)
+        gaps += (mass_gaps,)
+        thresholds += ((tol, 10.0 * tol),)
+
+    status, witness = _window_rule(names, gaps, thresholds, window_start)
+    oracle, _ = _window_rule(("bl",), (bl_values,), ((tol, 10.0 * tol),), window_start)
+    if witness is not None:
+        # the witness must be reproducible from scratch, not an artefact
+        # of the batched sweep above, so it is recomputed by the per-term route
+        idx = names.index(witness.member)
+        for n in (witness.n1, witness.n2):
+            if idx == len(members):
+                fresh = abs(family.measure(n).total_mass - mass_limit)
+            else:
+                fresh = _member_gap(members[idx], prefix[n - 1], limit)
+            if abs(fresh - gaps[idx][n - 1]) > _WITNESS_RECHECK_TOL:
+                raise RuntimeError("divergence witness failed recheck")
+    elif oracle is not Status.CONVERGENT_EVIDENCE:
+        status = Status.INCONCLUSIVE
+
+    return Verdict(status=status, n_terms=len(prefix), tol=tol, window_start=window_start,
+                   member_names=names, gaps=gaps, thresholds=thresholds,
+                   bl_values=tuple(bl_values), witness=witness, mass_gaps=mass_gaps)
+
+
 def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
             n_terms: int = DEFAULT_PREFIX, tol: float = DEFAULT_TOL,
-            normalize_inputs: bool = False,
-            _bl_values: Optional[Sequence[float]] = None) -> Verdict:
+            normalize_inputs: bool = False) -> Verdict:
     """Certify (or refute) weak convergence of a measure sequence.
 
     Works on probability measures; with ``normalize_inputs`` finite
@@ -372,88 +446,25 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     is bounded continuous), and the remaining checks run on normalized
     copies.
     """
-    if n_terms < 8:
-        raise DomainError("certification needs a prefix of at least 8 terms")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    window_start = _window_start(n_terms, tol)
     prefix = family.prefix(n_terms)
-    mass_gaps: tuple = ()
-    mass_limit = limit.total_mass
+    mass = None
     if normalize_inputs:
-        mass_gaps = tuple(abs(mu.total_mass - mass_limit) for mu in prefix)
+        mass = (tuple(abs(mu.total_mass - limit.total_mass) for mu in prefix),
+                limit.total_mass)
         prefix = [normalize(mu) for mu in prefix]
         limit = normalize(limit)
-    else:
-        if not (limit.is_probability and all(mu.is_probability for mu in prefix)):
-            raise DomainError("certify needs probability measures "
-                              "(or normalize_inputs=True)")
-
-    window_start = n_terms - n_terms // 4 + 1
-    members = battery.members
-    names = tuple(m.name for m in members)
-    gaps = _battery_gaps(members, prefix, limit)
-    thresholds = tuple(_member_thresholds(m, tol) for m in members)
-    if _bl_values is not None:
-        bl_values = tuple(float(v) for v in _bl_values)
-        if len(bl_values) != n_terms:
-            raise DomainError("precomputed oracle values have the wrong length")
-    else:
-        bl_values = tuple(bl_distance(mu_n, limit).value for mu_n in prefix)
-
-    window = slice(window_start - 1, n_terms)
-    all_names = names
-    all_gaps = gaps
-    all_thresholds = thresholds
-    if normalize_inputs:
-        all_names = names + ("total_mass",)
-        all_gaps = gaps + (mass_gaps,)
-        all_thresholds = thresholds + ((tol, 10.0 * tol),)
-
-    witness = None
-    for name, series, (lo, hi) in zip(all_names, all_gaps, all_thresholds):
-        exceed = [n for n in range(window_start, n_terms + 1) if series[n - 1] > hi]
-        if len(exceed) >= 2:
-            n1, n2 = exceed[0], exceed[1]
-            witness = DivergenceWitness(member=name, n1=n1, n2=n2,
-                                        gap=min(series[n1 - 1], series[n2 - 1]))
-            break
-
-    if witness is not None:
-        # the witness must be reproducible from scratch, not an artefact
-        # of the batched sweep above, so it is recomputed by the per-term route
-        idx = all_names.index(witness.member)
-        for n in (witness.n1, witness.n2):
-            if witness.member == "total_mass":
-                fresh = abs(family.measure(n).total_mass - mass_limit)
-            else:
-                fresh = _member_gap(members[idx], prefix[n - 1], limit)
-            if abs(fresh - all_gaps[idx][n - 1]) > _WITNESS_RECHECK_TOL:
-                raise RuntimeError("divergence witness failed recheck")
-        status = Status.DIVERGENT
-    else:
-        tails_ok = all(max(series[window]) <= lo
-                       for series, (lo, _) in zip(all_gaps, all_thresholds))
-        bl_ok = max(bl_values[window]) <= tol
-        status = Status.CONVERGENT_EVIDENCE if (tails_ok and bl_ok) else Status.INCONCLUSIVE
-
-    return Verdict(status=status, n_terms=n_terms, tol=tol, window_start=window_start,
-                   member_names=all_names, gaps=all_gaps, thresholds=all_thresholds,
-                   bl_values=bl_values, witness=witness, mass_gaps=mass_gaps)
+    elif not (limit.is_probability and all(mu.is_probability for mu in prefix)):
+        raise DomainError("certify needs probability measures "
+                          "(or normalize_inputs=True)")
+    bl_values = tuple(bl_distance(mu_n, limit).value for mu_n in prefix)
+    return _verdict(family, prefix, limit, battery.members, bl_values, tol,
+                    window_start, mass)
 
 
 # ---------------------------------------------------------------------------
 # oracle vs battery agreement
 # ---------------------------------------------------------------------------
-
-
-def _oracle_status(bl_values: Sequence[float], window_start: int, tol: float) -> Status:
-    window = list(bl_values[window_start - 1:])
-    exceed = [v for v in window if v > 10.0 * tol]
-    if len(exceed) >= 2:
-        return Status.DIVERGENT
-    if max(window) <= tol:
-        return Status.CONVERGENT_EVIDENCE
-    return Status.INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -497,17 +508,16 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     candidate = family.label.reference
     if not candidate.is_probability:
         raise DomainError("the reference measure must be a probability measure")
+    window_start = _window_start(n_terms, tol)
     prefix = family.prefix(n_terms)
     if not all(mu.is_probability for mu in prefix):
         raise DomainError("equivalence scenarios must produce probability measures")
-    # the four certifications below slice this one build of the prefix
-    built = BuiltPrefixFamily(space=family.space, measure_fn=family.measure_fn,
-                              label=family.label, name=family.name, built=tuple(prefix))
 
+    # one oracle run per term serves the oracle's status and every verdict
     bl_results = [bl_distance(mu_n, candidate) for mu_n in prefix]
     bl_values = tuple(res.value for res in bl_results)
-    window_start = n_terms - n_terms // 4 + 1
-    oracle_status = _oracle_status(bl_values, window_start, tol)
+    oracle_status, _ = _window_rule(("bl",), (bl_values,), ((tol, 10.0 * tol),),
+                                    window_start)
 
     # witnesses from the two largest oracle gaps in the window
     tail = sorted(range(window_start, n_terms + 1),
@@ -521,12 +531,9 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     # every battery build of this report validates through one draw and memo
     spec = spec or BatterySpec()
     draws = ValidationDraws()
-    scalar_battery = Battery(space=family.space, target=None,
-                             scalar_members=(_scalar_members(family.space, spec, seed, draws)
-                                             + tuple(witness_members)),
-                             vector_members=())
-    scalar_verdict = certify(built, candidate, scalar_battery, n_terms, tol,
-                             _bl_values=bl_values)
+    scalars = _scalar_members(family.space, spec, seed, draws) + tuple(witness_members)
+    scalar_verdict = _verdict(family, prefix, candidate, scalars, bl_values, tol,
+                              window_start)
 
     vector_verdicts = []
     for target in targets:
@@ -537,10 +544,8 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                                                      [m.form] * target.dim),
                          bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
             for m in witness_members)
-        vec_battery = Battery(space=family.space, target=target, scalar_members=(),
-                              vector_members=vectors + lifted)
-        verdict = certify(built, candidate, vec_battery, n_terms, tol,
-                          _bl_values=bl_values)
+        verdict = _verdict(family, prefix, candidate, vectors + lifted, bl_values, tol,
+                           window_start)
         vector_verdicts.append((target.family.name, verdict))
 
     return EquivalenceReport(family_name=family.name, label_kind=family.label.kind,
@@ -584,9 +589,6 @@ def distribution_convergence_report(elements: Sequence[RandomElement],
                            measure_fn=lambda n: laws[n - 1],
                            name="random-elements")
     verdict = certify(family, limit_element.law, battery, n_terms, tol)
-    tails = tuple(
-        gap_value(m.function.target,
-                  expectation(elements[n_terms - 1], m.function)
-                  - expectation(limit_element, m.function))
-        for m in battery.vector_members)
+    # a vector member's last gap is its expectation gap at the last term
+    tails = tuple(gaps[-1] for gaps in verdict.gaps[len(battery.scalar_members):])
     return DistributionReport(verdict=verdict, expectation_tails=tails)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carrier import CompactSpace, Point
+from .carrier import CompactSpace, Point, point_from_json
 from .errors import DomainError, UnsupportedError
 
 
@@ -60,14 +60,6 @@ def _point_json(p: Point):
     if isinstance(p, (int, np.integer)):
         return int(p)
     return [float(x) for x in p]
-
-
-def _point_from_json(p) -> Point:
-    if isinstance(p, (int, np.integer)):
-        return int(p)
-    if isinstance(p, (list, tuple)):
-        return tuple(float(x) for x in p)
-    raise DomainError(f"not a point: {p!r}")
 
 
 @dataclass(frozen=True)
@@ -311,8 +303,12 @@ class Step(Form):
         return {"kind": "step", "axis": self.axis, "threshold": self.threshold}
 
 
-def form_from_json(node: dict) -> Form:
-    """Parse an expression tree from its JSON dict encoding."""
+def form_from_json(node: dict, space: CompactSpace) -> Form:
+    """Parse an expression tree from its JSON dict encoding on ``space``.
+
+    Anchor points are decoded by ``point_from_json``, so they must lie in
+    the carrier, and finite-carrier anchors may be given by label.
+    """
     if not isinstance(node, dict) or "kind" not in node:
         raise DomainError("function node must be a dict with a 'kind'")
     kind = node["kind"]
@@ -322,19 +318,20 @@ def form_from_json(node: dict) -> Form:
         if kind == "coord":
             return Coord(int(node["axis"]))
         if kind == "dist":
-            return DistTo(_point_from_json(node["point"]))
+            return DistTo(point_from_json(space, node["point"]))
         if kind == "tent":
-            return Tent(_point_from_json(node["point"]), float(node["radius"]))
+            return Tent(point_from_json(space, node["point"]), float(node["radius"]))
         if kind == "mcshane":
-            return McShane(tuple(_point_from_json(a) for a in node["anchors"]),
+            return McShane(tuple(point_from_json(space, a) for a in node["anchors"]),
                            tuple(float(v) for v in node["values"]),
                            float(node["lip"]))
         if kind == "clamp":
-            return Clamp(float(node["lo"]), float(node["hi"]), form_from_json(node["child"]))
+            return Clamp(float(node["lo"]), float(node["hi"]),
+                         form_from_json(node["child"], space))
         if kind == "sum":
-            return Sum(tuple(form_from_json(c) for c in node["children"]))
+            return Sum(tuple(form_from_json(c, space) for c in node["children"]))
         if kind == "scale":
-            return Scale(float(node["factor"]), form_from_json(node["child"]))
+            return Scale(float(node["factor"]), form_from_json(node["child"], space))
         if kind == "step":
             return Step(int(node["axis"]), float(node["threshold"]))
     except KeyError as exc:
@@ -357,8 +354,8 @@ class ValidationDraws:
     sample sets, so a battery build can draw them (and the distances
     between paired samples) once instead of once per form.  The draws are
     keyed by (carrier, seed, sample count), so equal carriers share them
-    and unequal ones never do; at most ``MAX_SHAPES`` are held.  The
-    arrays are read-only, so a form cannot alter what the next one sees.
+    and unequal ones never do.  The arrays are read-only, so a form
+    cannot alter what the next one sees.
 
     A form that passes on a draw is remembered with its key, and
     :func:`validate_metadata` skips an equal form on the same key: forms
@@ -367,8 +364,6 @@ class ValidationDraws:
     as long as the owner, one battery build, report or CLI command, so
     nothing is cached across commands.
     """
-
-    MAX_SHAPES = 4
 
     def __init__(self):
         self._draws: dict = {}
@@ -381,8 +376,6 @@ class ValidationDraws:
     def _draw(self, space: CompactSpace, seed: int, samples: int):
         key = (space, seed, samples)
         if key not in self._draws:
-            if len(self._draws) >= self.MAX_SHAPES:
-                del self._draws[next(iter(self._draws))]
             self._draws[key] = _draw_validation_samples(space, seed, samples)
         return self._draws[key]
 

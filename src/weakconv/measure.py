@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .carrier import CompactSpace, MeasurableSet, Point, ball_set
+from .carrier import CompactSpace, MeasurableSet, Point, ball_set, point_from_json
 from .errors import CapacityError, DomainError, UnsupportedError
 
 MAX_BL_SUPPORT = 200
@@ -132,19 +132,6 @@ def finite_measure(space: CompactSpace, atoms: Sequence[Tuple[Point, float]]) ->
 
 def dirac(space: CompactSpace, point: Point, weight: float = 1.0) -> FiniteMeasure:
     return finite_measure(space, [(point, weight)])
-
-
-def point_from_json(space: CompactSpace, p) -> Point:
-    """Decode a JSON point: coordinates for cubes, index or label otherwise."""
-    if space.kind == "cube":
-        if not isinstance(p, (list, tuple)) or len(p) != space.dim:
-            raise DomainError(f"cube point must be a list of {space.dim} coordinates")
-        return tuple(float(x) for x in p)
-    if isinstance(p, str):
-        if p not in space.labels:
-            raise DomainError(f"unknown point label {p!r}")
-        return space.labels.index(p)
-    return int(p)
 
 
 def measure_from_json(space: CompactSpace, node: dict) -> FiniteMeasure:
@@ -458,24 +445,6 @@ class MeasureFamily:
 
     def prefix(self, count: int) -> List[FiniteMeasure]:
         return [self.measure(n) for n in range(1, count + 1)]
-
-
-@dataclass(frozen=True)
-class BuiltPrefixFamily(MeasureFamily):
-    """A family whose first terms are already built.
-
-    ``prefix`` slices the built terms instead of rebuilding them, so one
-    build can serve several certifications; ``measure`` still builds
-    from ``measure_fn``, which keeps single-term rechecks independent of
-    the built list.
-    """
-
-    built: tuple = ()
-
-    def prefix(self, count: int) -> List[FiniteMeasure]:
-        if count <= len(self.built):
-            return list(self.built[:count])
-        return super().prefix(count)
 
 
 def _inverse_cdf_draws(law: FiniteMeasure, seed: int, count: int) -> np.ndarray:

@@ -19,23 +19,21 @@ convergence in every seminorm level, which is what the equivalence
 report checks numerically.
 
 A Schauder base is a nonsingular set of D vectors; expansion coefficients
-are recovered by a dense LU factorisation with partial pivoting, and the
+are recovered by a dense solve (LU with partial pivoting), and the
 coordinate functionals are the biorthogonal rows.  Levels and coordinate
 functionals are 1-indexed throughout, matching the usual math convention.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import DomainError, UnsupportedError
 
-# relative pivot threshold below which a base matrix counts as singular
+# relative size of R's smallest diagonal entry below which a base counts as singular
 _RANK_TOL = 1e-10
 
 
@@ -122,21 +120,19 @@ _FAMILY_BUILDERS = {
 
 
 class SchauderBase:
-    """D independent vectors with cached LU solve for expansions."""
+    """D independent vectors; expansions are dense solves against them."""
 
     def __init__(self, vectors: np.ndarray):
         mat = np.asarray(vectors, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DomainError("a base needs exactly D vectors of dimension D")
+        if not np.all(np.isfinite(mat)):
+            raise DomainError("base vectors must be finite")
         self.matrix = mat.copy()  # column j is base vector x_{j+1}
-        with warnings.catch_warnings():
-            # singularity is detected below via the pivot magnitudes
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(self.matrix)
-        pivots = np.abs(np.diag(lu))
-        if pivots.min() < _RANK_TOL * max(pivots.max(), 1e-300):
+        # the diagonal of R in a QR factorisation gauges the rank
+        diag = np.abs(np.diag(np.linalg.qr(self.matrix, mode="r")))
+        if diag.min() < _RANK_TOL * max(diag.max(), 1e-300):
             raise DomainError("base vectors are numerically dependent")
-        self._lu = (lu, piv)
 
     @property
     def dim(self) -> int:
@@ -152,11 +148,11 @@ class SchauderBase:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DomainError("vector dimension does not match the base")
-        return lu_solve(self._lu, x.T).T
+        return np.linalg.solve(self.matrix, x.T).T
 
     def functional_matrix(self) -> np.ndarray:
         """Rows are the biorthogonal coordinate functionals."""
-        return lu_solve(self._lu, np.eye(self.dim))
+        return np.linalg.solve(self.matrix, np.eye(self.dim))
 
 
 def coordinate_base(dim: int) -> SchauderBase:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from weakconv import DomainError, UnsupportedError, convergence, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
-                                  Status, VectorMember, _battery_gaps, _vector_members,
+                                  Status, VectorMember, _battery_gaps, _scalar_members,
+                                  _vector_members,
                                   bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
@@ -166,7 +168,7 @@ class TestBatchedGapsExact:
         batteries += [generate_battery(fam.space, t, seed=idx) for t in suite_targets()]
         prefix = fam.prefix(DEFAULT_PREFIX)
         for battery in batteries:
-            verdict = certify(fam, limit, battery, _bl_values=(0.0,) * DEFAULT_PREFIX)
+            verdict = certify(fam, limit, battery)
             assert verdict.gaps == per_term_gaps(battery, prefix, limit)
 
     def test_normalizing_path(self):
@@ -177,8 +179,7 @@ class TestBatchedGapsExact:
         fam = MeasureFamily(space=CUBE2, measure_fn=masses, name="wobbling")
         limit = finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
         battery = generate_battery(CUBE2, omega_space(3), seed=4)
-        verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True,
-                          _bl_values=(0.0,) * 16)
+        verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True)
         prefix = [normalize(mu) for mu in fam.prefix(16)]
         assert verdict.member_names[-1] == "total_mass"
         assert verdict.gaps[:-1] == per_term_gaps(battery, prefix, normalize(limit))
@@ -299,12 +300,6 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(fam, dirac(CUBE1, (0.5,)), probe_battery(CUBE1))
 
-    def test_precomputed_oracle_length_checked(self):
-        fam = constant_family(dirac(CUBE1, (0.5,)))
-        with pytest.raises(DomainError):
-            certify(fam, dirac(CUBE1, (0.5,)), probe_battery(CUBE1),
-                    n_terms=8, _bl_values=(0.0,) * 5)
-
     def test_verdict_serialisation(self):
         fam = scenario("alternating", {"space": CUBE1, "a": (0.0,), "b": (1.0,)})
         verdict = certify(fam, fam.label.reference, probe_battery(CUBE1),
@@ -394,6 +389,23 @@ class TestEquivalenceReport:
         assert len(calls) == 10 + sum(3 * t.dim for t in targets)
         assert len(checks) == len(set(calls)) < len(calls)
 
+    @pytest.mark.parametrize("name", ["split-2d", "cycle3-finite"])
+    def test_scalar_verdict_equals_public_certify(self, name):
+        entry = next(e for e in bundled_suite() if e.name == name)
+        fam, candidate = entry.family, entry.family.label.reference
+        rep = equivalence_report(fam, suite_targets(), seed=5)
+        assert rep.oracle_status == rep.scalar_verdict.status == entry.expected
+        # the same members: the scalar battery and the oracle's two witnesses
+        scalars = _scalar_members(fam.space, BatterySpec(), 5, ValidationDraws())
+        witnesses = []
+        for member_name in rep.scalar_verdict.member_names[len(scalars):]:
+            n = int(member_name[len("bl_witness[n="):-1])
+            member = bl_witness_function(fam.measure(n), candidate)
+            witnesses.append(dataclasses.replace(member, name=member_name))
+        assert len(witnesses) == 2
+        battery = Battery(fam.space, None, scalars + tuple(witnesses), ())
+        assert certify(fam, candidate, battery) == rep.scalar_verdict
+
     def test_unlabeled_rejected(self):
         fam = constant_family(dirac(CUBE1, (0.5,)))
         with pytest.raises(DomainError):
@@ -418,6 +430,10 @@ class TestRandomElements:
         assert rep.verdict.status == Status.CONVERGENT_EVIDENCE
         assert len(rep.expectation_tails) == 2
         assert all(t >= 0.0 for t in rep.expectation_tails)
+        for m, tail in zip(batt.vector_members, rep.expectation_tails):
+            g = m.function
+            assert tail == gap_value(g.target, expectation(elements[-1], g)
+                                     - expectation(limit, g))
 
     def test_too_few_elements(self):
         limit = RandomElement(dirac(CUBE1, (0.5,)), seed=0)

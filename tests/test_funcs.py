@@ -221,12 +221,6 @@ class TestSharedValidationDraws:
         validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7, draws=ValidationDraws())
         assert len(evaluated) == 2  # a new owner remembers nothing
 
-    def test_memo_is_bounded(self):
-        draws = ValidationDraws()
-        for seed in range(ValidationDraws.MAX_SHAPES + 3):
-            draws.get(CUBE1, seed, 100)
-        assert len(draws._draws) == ValidationDraws.MAX_SHAPES
-
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("form", [
@@ -239,22 +233,30 @@ class TestJsonRoundTrip:
         Step(axis=0, threshold=2.0 / 3.0),
     ])
     def test_round_trip(self, form):
-        again = form_from_json(form.to_json())
+        again = form_from_json(form.to_json(), CUBE2)
         assert again == form
 
     def test_round_trip_on_finite_points(self):
         form = Tent(1, 0.5)
-        assert form_from_json(form.to_json()) == form
+        assert form_from_json(form.to_json(), PAIR) == form
+
+    def test_finite_anchors_by_label(self):
+        node = {"kind": "mcshane", "anchors": ["b", 0], "values": [0.0, 1.0], "lip": 1.0}
+        assert form_from_json(node, PAIR) == McShane((1, 0), (0.0, 1.0), 1.0)
 
     @pytest.mark.parametrize("node", [
         {"kind": "nope"},
         {"kind": "tent", "point": [0.5]},           # missing radius
         {"kind": "clamp", "lo": 0.0, "hi": 1.0},    # missing child
         "tent",
+        {"kind": "tent", "point": [0.5, 0.5], "radius": 0.5},   # wrong dimension
+        {"kind": "dist", "point": [1.5]},                       # outside the cube
+        {"kind": "scale", "factor": 2.0,
+         "child": {"kind": "dist", "point": 0}},                # an index on a cube
     ])
     def test_bad_nodes_rejected(self, node):
         with pytest.raises(DomainError):
-            form_from_json(node)
+            form_from_json(node, CUBE1)
 
 
 class TestVectorFunctions:
@@ -284,5 +286,5 @@ class TestVectorFunctions:
     def test_json_round_trip(self):
         g = vector_function(CUBE1, banach_space(2), (Coord(0), Tent((0.1,), 1.0)))
         node = g.to_json()
-        forms = tuple(form_from_json(c) for c in node["coords"])
+        forms = tuple(form_from_json(c, CUBE1) for c in node["coords"])
         assert forms == g.forms

@@ -86,6 +86,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             point_from_json(PAIR, "z")
 
+    @pytest.mark.parametrize("space, p", [
+        (PAIR, 2), (PAIR, -1), (PAIR, [0.5]), (PAIR, 0.5),
+        (CUBE2, [0.5]), (CUBE2, [0.5, 0.5, 0.5]), (CUBE2, [0.5, 1.5]),
+        (CUBE2, [0.5, "x"]), (CUBE2, 0.5),
+    ])
+    def test_points_outside_the_carrier_rejected(self, space, p):
+        with pytest.raises(DomainError):
+            point_from_json(space, p)
+
 
 class TestMeasureOf:
     def test_box(self):

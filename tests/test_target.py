@@ -112,6 +112,15 @@ class TestSchauderBase:
         with pytest.raises(DomainError):
             SchauderBase(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize("vectors", [
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, 0.0], [np.inf, 1.0]],
+    ])
+    def test_zero_or_non_finite_base_rejected(self, vectors):
+        with pytest.raises(DomainError):
+            SchauderBase(np.array(vectors))
+
     def test_baseless_target_cannot_expand(self):
         space = banach_space(2, base=None)
         with pytest.raises(UnsupportedError):
