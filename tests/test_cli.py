@@ -308,6 +308,17 @@ class TestErrorPaths:
         })
         assert main(["certify", path]) == 64
 
+    def test_non_finite_base(self, tmp_path, capsys):
+        path = write(tmp_path, "base.json", {
+            "space": CUBE1,
+            "measure": measure(([0.5], 1.0)),
+            "function": {"coords": [{"kind": "coord", "axis": 0},
+                                    {"kind": "const", "value": 0.5}]},
+            "target": {"kind": "banach", "dim": 2, "family": "lp:2",
+                       "base": [[1.0, float("nan")], [0.0, 1.0]]},
+        })
+        assert main(["integrate", path]) == 64
+
     def test_scenario_run_with_empty_prefix(self, tmp_path, capsys):
         path = write(tmp_path, "alt.json", {
             "space": CUBE1,
@@ -354,6 +365,17 @@ class TestErrorPaths:
             "sequence": {"kind": "alternating", "params": {"a": 0, "b": 7}},
         })
         assert main(["certify", path]) == 64
+
+    def test_non_finite_base(self, tmp_path, capsys):
+        path = write(tmp_path, "base.json", {
+            "space": CUBE1,
+            "measure": measure(([0.5], 1.0)),
+            "function": {"coords": [{"kind": "coord", "axis": 0},
+                                    {"kind": "const", "value": 0.5}]},
+            "target": {"kind": "banach", "dim": 2, "family": "lp:2",
+                       "base": [[1.0, float("nan")], [0.0, 1.0]]},
+        })
+        assert main(["integrate", path]) == 64
 
     def test_scenario_run_with_empty_prefix(self, tmp_path, capsys):
         path = write(tmp_path, "alt.json", {

@@ -14,8 +14,7 @@ from weakconv import DomainError, UnsupportedError, convergence, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _battery_gaps, _scalar_members,
-                                  _vector_members,
-                                  bl_witness_function, certify,
+                                  _vector_members, bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
                                   generate_battery, integral_gap)
