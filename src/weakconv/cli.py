@@ -82,10 +82,21 @@ def _sequence_from_json(space, node) -> "MeasureFamily":
         elif key in ("law", "mu"):
             decoded[key] = measure_from_json(space, value)
         elif key in ("s0", "v"):
-            decoded[key] = [float(x) for x in value]
+            if not isinstance(value, list):
+                raise DomainError(f"sequence param {key!r} must be a list of numbers")
+            decoded[key] = [_convert(float, x, key) for x in value]
         else:
             decoded[key] = value
-    return scenario(node["kind"], decoded, seed=int(node.get("seed", 0)))
+    return scenario(node["kind"], decoded, seed=_convert(int, node.get("seed", 0), "seed"))
+
+
+def _convert(kind, value, key: str):
+    """``kind(value)``, with a malformed value reported as a ``DomainError``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from exc
 
 
 def _run_knob(args, doc: dict, key: str, default):
@@ -178,9 +189,9 @@ def cmd_certify(args) -> int:
     else:
         raise DomainError("no candidate limit: add a 'candidate' measure "
                           "or use a labeled sequence kind")
-    n_terms = int(_run_knob(args, doc, "n", DEFAULT_PREFIX))
-    tol = float(_run_knob(args, doc, "tol", DEFAULT_TOL))
-    seed = int(_run_knob(args, doc, "seed", 0))
+    n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
+    tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
+    seed = _convert(int, _run_knob(args, doc, "seed", 0), "seed")
     normalize = bool(args.normalize or _run_knob(args, doc, "normalize", False))
     targets = [target_from_json(t) for t in doc.get("targets", [])]
     battery = _battery_from_doc(space, doc, seed, targets)
@@ -210,9 +221,9 @@ def cmd_scenario_run(args) -> int:
     doc = _load_json(args.file)
     space = space_from_json(_need(doc, "space"))
     family = _sequence_from_json(space, _need(doc, "sequence"))
-    n_terms = int(_run_knob(args, doc, "n", DEFAULT_PREFIX))
-    tol = float(_run_knob(args, doc, "tol", DEFAULT_TOL))
-    seed = int(_run_knob(args, doc, "seed", 0))
+    n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
+    tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
+    seed = _convert(int, _run_knob(args, doc, "seed", 0), "seed")
     if "targets" in doc:
         targets = [target_from_json(t) for t in doc["targets"]]
     else:

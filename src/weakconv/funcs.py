@@ -334,8 +334,12 @@ def form_from_json(node: dict, space: CompactSpace) -> Form:
             return Scale(float(node["factor"]), form_from_json(node["child"], space))
         if kind == "step":
             return Step(int(node["axis"]), float(node["threshold"]))
+    except DomainError:
+        raise
     except KeyError as exc:
         raise DomainError(f"function node {kind!r} is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"function node {kind!r} has a malformed field: {exc}") from exc
     raise DomainError(f"unknown function node kind {kind!r}")
 
 

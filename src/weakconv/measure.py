@@ -14,7 +14,7 @@ the function values on the union support: any feasible assignment of
 values extends to the whole carrier by a clamped McShane extension, so
 nothing is lost by optimising over the support alone.  Its dual is a
 transport problem under the truncated metric min(rho, 2), solved by an
-in-house transport simplex; every result carries a checked primal-dual
+in-house network simplex; every result carries a checked primal-dual
 certificate.  Useful closed forms for tests:
 bl(delta_x, delta_y) = min(2, rho(x, y)), and the value never exceeds 2.
 
@@ -35,7 +35,7 @@ import numpy as np
 from .carrier import CompactSpace, MeasurableSet, Point, ball_set, point_from_json
 from .errors import CapacityError, DomainError, UnsupportedError
 
-MAX_BL_SUPPORT = 200
+MAX_BL_SUPPORT = 400
 _PROB_TOL = 1e-9
 _CERT_TOL = 1e-9      # BL certificate: gap, witness feasibility, marginals
 _PRICE_TOL = 1e-12    # a transport cell enters below this reduced cost
@@ -211,25 +211,10 @@ def _union_support(mu: FiniteMeasure, nu: FiniteMeasure):
     return support, d
 
 
-def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: list):
-    """Cheapest plan moving ``supply`` at atoms ``src`` onto ``demand`` at ``snk``.
-
-    Transport simplex on the spanning-tree basis, started from the
-    northwest corner.  Potentials u_i + v_j = c_ij come from a walk of the
-    tree.  The most negative reduced cost enters (Dantzig) until k + n
-    degenerate pivots in a row; from then on the smallest improving cell
-    enters (Bland).  Leaving ties go to the smallest cell, so the Bland
-    phase cannot cycle and no pivot cap is needed.  Returns the basic
-    cells {(i, j): amount} (i indexes ``src``, j ``snk``), the sink
-    potentials v and the pivot count.
-    """
-    k, n = len(src), len(snk)
-    if not (k and n):
-        return {}, np.zeros(n), 0
-    cost = cost[src][:, snk]
-    c = cost.tolist()
-    flow = {}                           # basic cell (i, j) -> amount
-    adj = [[] for _ in range(k + n)]    # tree: sources 0..k-1, sinks k..k+n-1
+def _northwest_corner(supply: list, demand: list) -> dict:
+    """The northwest-corner basis {(i, j): amount}, in sorted cell order."""
+    k, n = len(supply), len(demand)
+    flow = {}
     ra, rb = list(supply), list(demand)
     i = j = 0
     while i < k and j < n:
@@ -237,32 +222,103 @@ def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: lis
         ra[i] -= x
         rb[j] -= x
         flow[i, j] = x
-        adj[i].append(k + j)
-        adj[k + j].append(i)
         if j == n - 1 or (i < k - 1 and ra[i] <= rb[j]):
             i += 1
         else:
             j += 1
+    return flow
 
-    pivots = degenerate = 0             # degenerate stops resetting once at k + n
-    while True:
-        pot = [0.0] * (k + n)
-        parent, depth = [-1] * (k + n), [0] * (k + n)
-        order = [0]
+
+def _cheapest_cells(cost: np.ndarray, supply: list, demand: list) -> dict:
+    """The matrix-minimum basis: cells in (cost, index) order take what they can.
+
+    Each cell taken closes its row or its column, and the last one both, so
+    the k + n - 1 cells form a spanning tree.  A cell that exhausts its row
+    and its column at once closes only the row (only the column once one row
+    is left), and the line left open joins the tree through a later,
+    zero-flow cell.
+    """
+    k, n = cost.shape
+    ra, rb = list(supply), list(demand)
+    open_row, open_col = [True] * k, [True] * n
+    rows, cols = k, n
+    flow = {}
+    for e in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(e, n)
+        if open_row[i] and open_col[j]:
+            x = min(ra[i], rb[j])
+            ra[i] -= x
+            rb[j] -= x
+            flow[i, j] = x
+            if len(flow) == k + n - 1:
+                break
+            if rows > 1 and (ra[i] == 0.0 or cols == 1):
+                open_row[i] = False
+                rows -= 1
+            else:
+                open_col[j] = False
+                cols -= 1
+    return flow
+
+
+class _Basis:
+    """A spanning-tree transport basis rooted at source 0, kept across pivots.
+
+    Nodes are the sources 0..k-1 and the sinks k..k+n-1.  Every node keeps
+    its parent, its depth and its potential, with u_i + v_j = c_ij on each
+    basic cell.  A potential is always set by the walk formula
+    pot[x] = c - pot[parent[x]], so it equals a fresh walk of the tree from
+    source 0 bit for bit, however many pivots came before.
+    """
+
+    def __init__(self, cost: np.ndarray, flow: dict):
+        k, n = cost.shape
+        # row x of c lists node x's cell costs: c[i][j] for source i, c[k + j][i] for sink j
+        self.k, self.cost, self.c, self.flow = k, cost, cost.tolist() + cost.T.tolist(), flow
+        self.adj = [[] for _ in range(k + n)]
+        for i, j in flow:
+            self.adj[i].append(k + j)
+            self.adj[k + j].append(i)
+        self.parent, self.depth, self.pot = [-1] * (k + n), [0] * (k + n), [0.0] * (k + n)
+        self.reduced = np.empty_like(cost)
+        self._hang(0, -1)
+        self._price()
+
+    def _price(self) -> None:
+        k, pot, reduced = self.k, self.pot, self.reduced
+        np.subtract(self.cost, np.array(pot[:k])[:, None], out=reduced)
+        np.subtract(reduced, np.array(pot[k:]), out=reduced)
+
+    def _hang(self, x: int, y: int) -> None:
+        """Hang the subtree at x under y, or the whole tree at the root when y < 0."""
+        k, c, adj, parent, depth, pot = self.k, self.c, self.adj, self.parent, self.depth, self.pot
+        parent[x] = y
+        if y >= 0:
+            depth[x] = depth[y] + 1
+            pot[x] = c[y][x - (k if y < k else 0)] - pot[y]
+        order = [x]
         for node in order:
+            row, off, par = c[node], (k if node < k else 0), parent[node]
+            below, base = depth[node] + 1, pot[node]
             for nb in adj[node]:
-                if nb != parent[node]:
-                    parent[nb], depth[nb] = node, depth[node] + 1
-                    pot[nb] = (c[node][nb - k] if node < k else c[nb][node - k]) - pot[node]
+                if nb != par:
+                    parent[nb], depth[nb], pot[nb] = node, below, row[nb - off] - base
                     order.append(nb)
-        if len(flow) == k * n:          # one source or one sink: nothing can enter
-            break
-        reduced = (cost - np.array(pot[:k])[:, None] - np.array(pot[k:])).ravel()
-        improving = np.flatnonzero(reduced < -_PRICE_TOL)
-        if not improving.size:
-            break
-        i, j = divmod(int(improving[0] if degenerate >= k + n else reduced.argmin()), n)
 
+    def entering(self, bland: bool):
+        """The entering cell (i, j): the most negative reduced cost, or under
+        Bland's rule the smallest improving cell; None at an optimum."""
+        if bland:
+            improving = np.flatnonzero(self.reduced < -_PRICE_TOL)
+            e = int(improving[0]) if improving.size else -1
+        else:
+            e = int(self.reduced.argmin())
+            e = e if self.reduced.flat[e] < -_PRICE_TOL else -1
+        return divmod(e, self.reduced.shape[1]) if e >= 0 else None
+
+    def pivot(self, i: int, j: int) -> float:
+        """Bring (i, j) into the basis; return the amount moved round its cycle."""
+        k, parent, depth, flow, adj = self.k, self.parent, self.depth, self.flow, self.adj
         # the cycle closed by (i, j): tree path from its sink back to its source
         p, q = i, k + j
         up_p, up_q = [], []
@@ -275,12 +331,12 @@ def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: lis
                 q = parent[q]
         cells = [(x, parent[x] - k) if x < k else (parent[x], x - k)
                  for x in up_q + up_p[::-1]]
-        lose, gain = cells[0::2], cells[1::2]
-        leave = min(lose, key=lambda cell: (flow[cell], cell))
+        out = min(range(0, len(cells), 2), key=lambda t: (flow[cells[t]], cells[t]))
+        leave = cells[out]
         theta = flow[leave]
-        for cell in lose:
+        for cell in cells[0::2]:
             flow[cell] -= theta
-        for cell in gain:
+        for cell in cells[1::2]:
             flow[cell] += theta
         del flow[leave]
         flow[i, j] = theta
@@ -288,9 +344,45 @@ def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: lis
         adj[k + leave[1]].remove(leave[0])
         adj[i].append(k + j)
         adj[k + j].append(i)
-        pivots += 1
-        degenerate = degenerate + 1 if theta == 0.0 or degenerate >= k + n else 0
-    return flow, np.array(pot[k:]), pivots
+        # the cut-off subtree holds the sink of (i, j) when the leaving cell
+        # lies on the sink's side of the cycle, and its source otherwise
+        self._hang(*((k + j, i) if out < len(up_q) else (i, k + j)))
+        self._price()
+        return theta
+
+
+def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: list):
+    """Cheapest plan moving ``supply`` at atoms ``src`` onto ``demand`` at ``snk``.
+
+    Network simplex on a spanning-tree basis.  The northwest corner is
+    priced first and returned if nothing improves on it; otherwise the
+    simplex restarts from the cheapest cells.  A pivot re-hangs only the
+    subtree it cuts off; pricing stays one vectorised pass over all k x n
+    cells.  The most negative reduced cost enters (Dantzig) until k + n
+    degenerate pivots in a row; from then on the smallest improving cell
+    enters (Bland).  Leaving ties go to the smallest cell, so the Bland
+    phase cannot cycle and no pivot cap is needed.  Returns the basic
+    cells {(i, j): amount} in sorted order (i indexes ``src``, j
+    ``snk``), the sink potentials v of a walk from source 0 and the pivot
+    count.
+    """
+    k, n = len(src), len(snk)
+    if not (k and n):
+        return {}, np.zeros(n), 0
+    flow = _northwest_corner(supply, demand)
+    if k == 1 or n == 1:    # a forced plan: the walk from source 0 gives v_j = c_0j
+        return flow, cost[src[0], snk], 0
+    cost = cost[src][:, snk]
+    basis = _Basis(cost, flow)
+    pivots = 0
+    if basis.entering(bland=False) is not None:
+        basis = _Basis(cost, _cheapest_cells(cost, supply, demand))
+        degenerate = 0                  # stops resetting once at k + n
+        while (cell := basis.entering(bland=degenerate >= k + n)) is not None:
+            theta = basis.pivot(*cell)
+            pivots += 1
+            degenerate = degenerate + 1 if theta == 0.0 or degenerate >= k + n else 0
+    return dict(sorted(basis.flow.items())), np.array(basis.pot[k:]), pivots
 
 
 def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:

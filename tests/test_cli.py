@@ -335,52 +335,28 @@ class TestErrorPaths:
         code = main(["certify", path])
         assert code == 64
 
-    @pytest.mark.parametrize("space, function", [
-        (CUBE2, {"kind": "tent", "point": [0.5, 0.5, 0.5], "radius": 0.5}),
-        (CUBE2, {"kind": "tent", "point": [0.5], "radius": 0.5}),
-        (PAIR, {"kind": "dist", "point": 5}),
-    ])
-    def test_form_anchor_outside_the_carrier(self, tmp_path, capsys, space, function):
-        point = [0.5, 0.5] if space is CUBE2 else 0
-        path = write(tmp_path, "anchor.json", {
-            "space": space,
-            "measure": {"atoms": [{"point": point, "weight": 1.0}]},
-            "function": function,
-        })
-        assert main(["integrate", path]) == 64
-
-    def test_finite_anchor_by_label(self, tmp_path, capsys):
-        path = write(tmp_path, "label.json", {
-            "space": PAIR,
-            "measure": {"atoms": [{"point": "a", "weight": 1.0}]},
-            "function": {"kind": "tent", "point": "b", "radius": 2.0},
-        })
-        code, out = run(capsys, "integrate", path)
-        assert code == 0
-        assert "value = [0.5]" in out
-
-    def test_sequence_point_outside_the_carrier(self, tmp_path, capsys):
-        path = write(tmp_path, "alt.json", {
-            "space": PAIR,
-            "sequence": {"kind": "alternating", "params": {"a": 0, "b": 7}},
-        })
-        assert main(["certify", path]) == 64
-
-    def test_non_finite_base(self, tmp_path, capsys):
-        path = write(tmp_path, "base.json", {
+    def test_tent_radius_not_a_number(self, tmp_path, capsys):
+        path = write(tmp_path, "tent.json", {
             "space": CUBE1,
             "measure": measure(([0.5], 1.0)),
-            "function": {"coords": [{"kind": "coord", "axis": 0},
-                                    {"kind": "const", "value": 0.5}]},
-            "target": {"kind": "banach", "dim": 2, "family": "lp:2",
-                       "base": [[1.0, float("nan")], [0.0, 1.0]]},
+            "function": {"kind": "tent", "point": [0.5], "radius": "wide"},
         })
         assert main(["integrate", path]) == 64
+        assert "internal error" not in capsys.readouterr().err
 
-    def test_scenario_run_with_empty_prefix(self, tmp_path, capsys):
-        path = write(tmp_path, "alt.json", {
+    def test_drift_start_not_a_list(self, tmp_path, capsys):
+        path = write(tmp_path, "drift.json", {
+            "space": CUBE1,
+            "sequence": {"kind": "dirac_drift", "params": {"s0": 0.2, "v": [0.1]}},
+        })
+        assert main(["certify", path]) == 64
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_run_length_not_an_integer(self, tmp_path, capsys):
+        path = write(tmp_path, "run.json", {
             "space": CUBE1,
             "sequence": {"kind": "alternating", "params": {"a": [0.0], "b": [1.0]}},
+            "run": {"n": "many"},
         })
-        assert main(["scenario", "run", path, "--n", "0"]) == 64
-        assert "at least 8 terms" in capsys.readouterr().err
+        assert main(["certify", path]) == 64
+        assert "'n' must be an integer" in capsys.readouterr().err

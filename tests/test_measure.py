@@ -154,11 +154,12 @@ class TestBLDistance:
             bl_distance(mu, dirac(CUBE1, (0.5,)))
 
     def test_support_cap(self):
-        xs = np.linspace(0.0, 1.0, 101)
-        mu = finite_measure(CUBE1, [((x,), 1.0 / 101) for x in xs])
-        nu = finite_measure(CUBE1, [((x + 0.001,), 1.0 / 101) for x in xs[:-1]]
-                            + [((0.9995,), 1.0 / 101)])
-        with pytest.raises(CapacityError):
+        # one atom past the cap: mu on the even grid points, nu on the odd ones
+        xs = np.linspace(0.0, 1.0, MAX_BL_SUPPORT + 1)
+        even, odd = xs[0::2], xs[1::2]
+        mu = finite_measure(CUBE1, [((x,), 1.0 / len(even)) for x in even])
+        nu = finite_measure(CUBE1, [((x,), 1.0 / len(odd)) for x in odd])
+        with pytest.raises(CapacityError, match=f"union support {MAX_BL_SUPPORT + 1} "):
             bl_distance(mu, nu)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -363,6 +364,7 @@ class TestBLProperties:
         xs = np.array([p[0] for p in res.support])
         cdf_gap = np.abs(np.cumsum(signed_difference(res, mu, nu))[:-1]) @ np.diff(xs)
         assert abs(res.value - cdf_gap) <= 1e-12
+        assert res.iterations == 0  # the northwest corner is the monotone, optimal plan
 
     @given(st.integers(1, 8), st.integers(3, MAX_BL_SUPPORT), st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
