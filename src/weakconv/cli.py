@@ -13,7 +13,10 @@ Exit codes encode the verdict where there is one: 0 for the positive
 outcome (certified / convergent-evidence / selftest pass), 1 for the
 established negative (not certified / divergent / selftest failure), 2
 for inconclusive.  Malformed input and domain violations exit 64,
-capacity overruns 65, internal failures 70.
+capacity overruns 65, internal failures 70.  A reader that closes
+standard output early (``weakconv bl FILE --witness | head``) ends the
+command with exit 141, 128 + SIGPIPE, as a shell reports a process that
+SIGPIPE stopped; the rest of the output is discarded.
 
 Standard output is byte-deterministic for a fixed input and flag set;
 the wall-clock note goes to standard error.
@@ -22,7 +25,9 @@ the wall-clock note goes to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -40,6 +45,7 @@ from .target import target_from_json
 
 EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE = 0, 1, 2
 EX_DATAERR, EX_CAPACITY, EX_SOFTWARE = 64, 65, 70
+EX_PIPE = 141  # 128 + SIGPIPE
 
 _STATUS_EXIT = {Status.CONVERGENT_EVIDENCE: EX_OK, Status.DIVERGENT: EX_NEGATIVE,
                 Status.INCONCLUSIVE: EX_INCONCLUSIVE}
@@ -192,7 +198,9 @@ def cmd_certify(args) -> int:
     n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
     tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
     seed = _convert(int, _run_knob(args, doc, "seed", 0), "seed")
-    normalize = bool(args.normalize or _run_knob(args, doc, "normalize", False))
+    normalize = _run_knob(args, doc, "normalize", False)
+    if not isinstance(normalize, bool):
+        raise DomainError(f"'normalize' must be true or false, got {normalize!r}")
     targets = [target_from_json(t) for t in doc.get("targets", [])]
     battery = _battery_from_doc(space, doc, seed, targets)
 
@@ -256,7 +264,13 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    A subcommand names its function, which ``main`` looks up when it runs,
+    so a command rebound after the parser was built is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="weakconv",
         description="Certified weak convergence of atomic measures on "
@@ -268,24 +282,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="print the optimal test function on the support")
     p.add_argument("--out", help="write the result as JSON")
-    p.set_defaults(func=cmd_bl)
+    p.set_defaults(command_fn="cmd_bl")
 
     p = sub.add_parser("integrate", help="certified integral of a function")
     p.add_argument("file", help="JSON with 'space', 'measure', 'function' "
                                 "(and 'target' for vector functions)")
     p.add_argument("--out", help="write the certificate table as CSV")
-    p.set_defaults(func=cmd_integrate)
+    p.set_defaults(command_fn="cmd_integrate")
 
     p = sub.add_parser("certify", help="convergence verdict for a sequence")
     p.add_argument("file", help="JSON with 'space', 'sequence' and options")
     p.add_argument("--n", type=int, help="prefix length (default 64)")
     p.add_argument("--tol", type=float, help="tolerance (default 0.05)")
     p.add_argument("--seed", type=int, help="battery seed (default 0)")
-    p.add_argument("--normalize", action="store_true",
+    p.add_argument("--normalize", action="store_true", default=None,
                    help="admit finite measures by normalizing (the total-mass "
                         "gap joins the battery)")
     p.add_argument("--out", help="write the verdict as JSON")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(command_fn="cmd_certify")
 
     p = sub.add_parser("scenario", help="labeled scenario harnesses")
     ssub = p.add_subparsers(dest="scenario_command", required=True)
@@ -295,13 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--tol", type=float)
     r.add_argument("--seed", type=int)
     r.add_argument("--out", help="write the report as JSON")
-    r.set_defaults(func=cmd_scenario_run)
+    r.set_defaults(command_fn="cmd_scenario_run")
 
     p = sub.add_parser("selftest", help="invariant suites and bundled scenarios")
     p.add_argument("--quick", action="store_true",
                    help="skip the scenario agreement table")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(command_fn="cmd_selftest")
     return parser
 
 
@@ -309,7 +323,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.func(args)
+        code = globals()[args.command_fn](args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: stdout goes to devnull, so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EX_PIPE
     except (DomainError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EX_DATAERR

@@ -25,10 +25,19 @@ the constant vector (tol, ..., tol).  On Banach targets this is just the
 norm of that vector; monotonicity of the built-in families makes the
 calibration order-faithful.
 
-The gap sweep is batched.  The atoms of the whole prefix are
-concatenated, each member is evaluated once on them, and each term's
-integral is the dot product of that term's weights with its slice of
-the values; the limit's integral is taken once per member, and vector
+Each prefix is inspected once per distinct term.  Terms are keyed by
+their canonical atoms (carrier, point shape and dtype, point and weight
+bytes); canonical measures make equal terms byte-equal, so the periodic
+and constant scenarios solve the oracle once per phase, not once per
+index.  A missed match only costs time.
+
+The gap sweep is batched.  The atoms of the distinct terms are
+concatenated and each member is evaluated once on them.  Terms with the
+same atom count form a group, and one stacked ``matmul`` of the group's
+weights, shape (G, 1, a), with its values, (G, a, 1) or (G, a, D), gives
+every integral of the group: each stack runs the same dot product as a
+one-term ``weights @ values``.  The integrals are then expanded back to
+all N terms; the limit's integral is taken once per member, and vector
 gaps are scored for all terms in one call of the target's gap
 functional.  Every gap is bit-identical to the per-term route
 (``integral_gap``), which evaluates a member on one measure at a time
@@ -270,42 +279,95 @@ def _member_gap(member, mu_n: FiniteMeasure, mu: FiniteMeasure) -> float:
     return integral_gap(member.form, mu_n, mu)
 
 
-def _battery_gaps(members: Sequence, prefix: Sequence[FiniteMeasure],
-                  limit: FiniteMeasure) -> tuple:
+class _Prefix:
+    """A prefix of N terms, its distinct terms and their atoms grouped by count.
+
+    Term n is ``distinct[where[n - 1]]``.  ``points`` concatenates the
+    atoms of the distinct terms.  ``groups`` holds, for each atom count a,
+    the indices of the distinct terms with a atoms, their weights stacked
+    to shape (G, 1, a) and the rows of their atoms in ``points``, (G, a).
+    """
+
+    def __init__(self, terms: Sequence[FiniteMeasure]):
+        self.terms = list(terms)
+        index: dict = {}
+        self.distinct: List[FiniteMeasure] = []
+        where = []
+        for mu in self.terms:
+            key = (id(mu.space), mu.points.shape, mu.points.dtype.str,
+                   mu.points.tobytes(), mu.weights.tobytes())
+            t = index.setdefault(key, len(self.distinct))
+            if t == len(self.distinct):
+                self.distinct.append(mu)
+            where.append(t)
+        self.where = np.array(where, dtype=np.intp)
+        sizes = [mu.n_atoms for mu in self.distinct]
+        starts = np.cumsum([0] + sizes[:-1])
+        self.points = np.concatenate([mu.points for mu in self.distinct])
+        by_size: dict = {}
+        for t, size in enumerate(sizes):
+            by_size.setdefault(size, []).append(t)
+        self.groups = [(np.array(ts), np.stack([self.distinct[t].weights for t in ts])[:, None],
+                        starts[ts][:, None] + np.arange(size))
+                       for size, ts in by_size.items()]
+
+
+def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure) -> tuple:
     """Every member's gap series over the prefix, one member evaluation each.
 
-    Each term's integral is ``mu_n.weights @ vals[start:end]`` on that
-    term's slice of the member's values on the concatenated atoms: the
-    same operands, in the same order, as the per-term route, so every gap
-    equals ``integral_gap`` bit for bit.
+    A member is evaluated on the atoms of the distinct terms only.  The
+    integrals of one atom-count group are a stacked ``matmul``, (G, 1, a)
+    weights with (G, a, 1) or (G, a, D) values, whose every stack runs the
+    same dot product, on the same operands in the same order, as the
+    per-term ``mu.weights @ vals``; so every gap, expanded back to all N
+    terms, equals ``integral_gap`` bit for bit.
     """
     space = limit.space
-    points = np.concatenate([mu.points for mu in prefix])
-    ends = np.cumsum([mu.n_atoms for mu in prefix])
-    slices = [slice(end - mu.n_atoms, end) for mu, end in zip(prefix, ends)]
     gaps = []
     for member in members:
         if isinstance(member, VectorMember):
             g = member.function
-            vals, at_limit = g.evaluate(points), g.evaluate(limit.points)
+            vals, at_limit = g.evaluate(prefix.points), g.evaluate(limit.points)
         else:
-            vals = member.form.evaluate(space, points)
+            vals = member.form.evaluate(space, prefix.points)
             at_limit = member.form.evaluate(space, limit.points)
-        sums = np.array([mu.weights @ vals[part] for mu, part in zip(prefix, slices)])
+        cols = vals[:, None] if vals.ndim == 1 else vals
+        sums = np.empty((len(prefix.distinct), cols.shape[1]))
+        for rows, weights, atoms in prefix.groups:
+            sums[rows] = (weights @ cols[atoms])[:, 0]
+        sums = sums[prefix.where].reshape(prefix.where.shape + vals.shape[1:])
         diff = sums - limit.weights @ at_limit
         series = (gap_value(member.function.target, diff)
                   if isinstance(member, VectorMember) else np.abs(diff))
-        gaps.append(tuple(float(x) for x in series))
+        gaps.append(tuple(series.tolist()))
     return tuple(gaps)
 
 
-def _member_thresholds(member, tol: float) -> Tuple[float, float]:
-    """(tail threshold, divergence threshold) in the member's gap scale."""
-    if isinstance(member, VectorMember):
-        target = member.function.target
-        ones = np.ones(target.dim)
-        return gap_value(target, tol * ones), gap_value(target, 10.0 * tol * ones)
-    return tol, 10.0 * tol
+def _member_thresholds(members: Sequence, tol: float) -> tuple:
+    """(tail threshold, divergence threshold) per member, in its gap scale.
+
+    A vector member's pair is its target's gap functional on the constant
+    vectors tol and 10*tol, taken once per target.
+    """
+    by_target: dict = {}
+    out = []
+    for member in members:
+        if isinstance(member, VectorMember):
+            target = member.function.target
+            if id(target) not in by_target:
+                ones = np.ones(target.dim)
+                by_target[id(target)] = (gap_value(target, tol * ones),
+                                         gap_value(target, 10.0 * tol * ones))
+            out.append(by_target[id(target)])
+        else:
+            out.append((tol, 10.0 * tol))
+    return tuple(out)
+
+
+def _bl_results(prefix: _Prefix, limit: FiniteMeasure) -> list:
+    """The oracle's result for every term, solved once per distinct term."""
+    results = [bl_distance(mu, limit) for mu in prefix.distinct]
+    return [results[t] for t in prefix.where]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +456,7 @@ def _window_rule(names: Sequence[str], series: Sequence[Sequence[float]],
     return Status.INCONCLUSIVE, None
 
 
-def _verdict(family: MeasureFamily, prefix: Sequence[FiniteMeasure], limit: FiniteMeasure,
+def _verdict(family: MeasureFamily, prefix: _Prefix, limit: FiniteMeasure,
              members: Sequence, bl_values: Sequence[float], tol: float, window_start: int,
              mass: Optional[Tuple[tuple, float]] = None) -> Verdict:
     """Score every member over the prefix and decide: the one certification kernel.
@@ -406,7 +468,7 @@ def _verdict(family: MeasureFamily, prefix: Sequence[FiniteMeasure], limit: Fini
     """
     names = tuple(m.name for m in members)
     gaps = _battery_gaps(members, prefix, limit)
-    thresholds = tuple(_member_thresholds(m, tol) for m in members)
+    thresholds = _member_thresholds(members, tol)
     mass_gaps: tuple = ()
     if mass is not None:
         mass_gaps, mass_limit = mass
@@ -424,14 +486,14 @@ def _verdict(family: MeasureFamily, prefix: Sequence[FiniteMeasure], limit: Fini
             if idx == len(members):
                 fresh = abs(family.measure(n).total_mass - mass_limit)
             else:
-                fresh = _member_gap(members[idx], prefix[n - 1], limit)
+                fresh = _member_gap(members[idx], prefix.terms[n - 1], limit)
             if abs(fresh - gaps[idx][n - 1]) > _WITNESS_RECHECK_TOL:
                 raise RuntimeError("divergence witness failed recheck")
     elif oracle is not Status.CONVERGENT_EVIDENCE:
         status = Status.INCONCLUSIVE
 
-    return Verdict(status=status, n_terms=len(prefix), tol=tol, window_start=window_start,
-                   member_names=names, gaps=gaps, thresholds=thresholds,
+    return Verdict(status=status, n_terms=len(prefix.terms), tol=tol,
+                   window_start=window_start, member_names=names, gaps=gaps, thresholds=thresholds,
                    bl_values=tuple(bl_values), witness=witness, mass_gaps=mass_gaps)
 
 
@@ -457,7 +519,8 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     elif not (limit.is_probability and all(mu.is_probability for mu in prefix)):
         raise DomainError("certify needs probability measures "
                           "(or normalize_inputs=True)")
-    bl_values = tuple(bl_distance(mu_n, limit).value for mu_n in prefix)
+    prefix = _Prefix(prefix)
+    bl_values = tuple(res.value for res in _bl_results(prefix, limit))
     return _verdict(family, prefix, limit, battery.members, bl_values, tol,
                     window_start, mass)
 
@@ -509,12 +572,12 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     if not candidate.is_probability:
         raise DomainError("the reference measure must be a probability measure")
     window_start = _window_start(n_terms, tol)
-    prefix = family.prefix(n_terms)
-    if not all(mu.is_probability for mu in prefix):
+    prefix = _Prefix(family.prefix(n_terms))
+    if not all(mu.is_probability for mu in prefix.distinct):
         raise DomainError("equivalence scenarios must produce probability measures")
 
-    # one oracle run per term serves the oracle's status and every verdict
-    bl_results = [bl_distance(mu_n, candidate) for mu_n in prefix]
+    # one oracle run per distinct term serves the oracle's status and every verdict
+    bl_results = _bl_results(prefix, candidate)
     bl_values = tuple(res.value for res in bl_results)
     oracle_status, _ = _window_rule(("bl",), (bl_values,), ((tol, 10.0 * tol),),
                                     window_start)
@@ -524,7 +587,8 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                   key=lambda n: (-bl_values[n - 1], n))[:2]
     witness_members = []
     for n in sorted(tail):
-        member = bl_witness_function(prefix[n - 1], candidate, result=bl_results[n - 1])
+        member = bl_witness_function(prefix.terms[n - 1], candidate,
+                                     result=bl_results[n - 1])
         witness_members.append(ScalarMember(name=f"bl_witness[n={n}]", form=member.form,
                                             bound=member.bound, lip=member.lip))
 

@@ -395,6 +395,8 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int):
         dists = space.dist_matrix[np.asarray(pts, int), np.asarray(qts, int)]
     else:
         dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
+        # column-major, so the transpose CompactSpace.dist_to takes is contiguous
+        pts, qts = np.asfortranarray(pts), np.asfortranarray(qts)
     apart = dists > 1e-9
     for arr in (pts, qts, dists, apart):
         arr.setflags(write=False)

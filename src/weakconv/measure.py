@@ -49,8 +49,9 @@ _PRICE_TOL = 1e-12    # a transport cell enters below this reduced cost
 def _canonical_atoms(space: CompactSpace, points: np.ndarray,
                      weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort lexicographically, merge exact duplicates, drop zero weights."""
-    if len(weights) == 0:
-        return points, weights
+    if len(weights) <= 1:  # one atom is already sorted and merged
+        alive = weights > 0
+        return points[alive], weights[alive]
     if space.kind == "finite":
         order = np.argsort(points, kind="stable")
     else:
@@ -619,9 +620,15 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
         if not law.is_probability:
             raise DomainError("empirical sampling needs a probability law")
 
+        drawn = np.zeros(0, dtype=np.intp)
+
         def fn(n: int) -> FiniteMeasure:
-            idx = _inverse_cdf_draws(law, seed, n)
-            counts = np.bincount(idx, minlength=law.n_atoms) / n
+            # term n counts the first n draws; the draws are kept and grown by
+            # doubling, so a prefix of N terms costs O(N) draws, not O(N^2)
+            nonlocal drawn
+            if n > len(drawn):
+                drawn = _inverse_cdf_draws(law, seed, max(n, 2 * len(drawn)))
+            counts = np.bincount(drawn[:n], minlength=law.n_atoms) / n
             return FiniteMeasure(space=space, points=law.points[counts > 0],
                                  weights=counts[counts > 0])
 

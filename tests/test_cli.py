@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from weakconv.cli import main
@@ -179,6 +181,22 @@ class TestCertify:
         assert code == 0
         assert "window = 7..8" in out
 
+    @pytest.mark.parametrize("run_block,flags,normalize", [
+        ({"normalize": True}, (), True),                   # the run block is read
+        ({"normalize": False}, ("--normalize",), True),    # the flag still wins
+        ({}, (), False),                                   # neither: the default
+    ])
+    def test_normalize_knob(self, tmp_path, capsys, run_block, flags, normalize):
+        path = write(tmp_path, "split.json", {
+            "space": CUBE1,
+            "sequence": {"kind": "mass_split", "params": {"a": [0.1], "b": [0.9]}},
+            "run": run_block,
+        })
+        code, out = run(capsys, "certify", path, *flags)
+        assert code == 0
+        assert out.splitlines()[0].endswith(f"normalize={normalize}")
+        assert ("member total_mass" in out) is normalize
+
     def test_vector_battery_and_json_out(self, tmp_path, capsys):
         path = write(tmp_path, "vec.json", {
             "space": CUBE1,
@@ -239,6 +257,34 @@ class TestSelftest:
         assert proc.returncode == 0
         assert "selftest: OK" in proc.stdout
         assert "# wall-clock" in proc.stderr  # timing stays off stdout
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the command with exit 141."""
+
+    @pytest.mark.parametrize("atoms", [1, 150])
+    def test_closed_reader(self, tmp_path, atoms):
+        # 150 + 150 atoms print about 50 KB, so the pipe breaks inside a
+        # print; one atom each breaks it at the final flush
+        rng = np.random.default_rng(atoms)
+        path = write(tmp_path, "bl.json", {
+            "space": {"kind": "cube", "dim": 8},
+            "mu": {"atoms": [{"point": list(p), "weight": 1.0 / atoms}
+                             for p in rng.random((atoms, 8))]},
+            "nu": {"atoms": [{"point": list(p), "weight": 1.0 / atoms}
+                             for p in rng.random((atoms, 8))]},
+        })
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weakconv.cli", "bl", path, "--witness"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "error" not in proc.stderr
+        assert "# wall-clock" in proc.stderr
 
 
 class TestErrorPaths:
@@ -351,6 +397,15 @@ class TestErrorPaths:
         })
         assert main(["certify", path]) == 64
         assert "internal error" not in capsys.readouterr().err
+
+    def test_normalize_not_a_bool(self, tmp_path, capsys):
+        path = write(tmp_path, "run.json", {
+            "space": CUBE1,
+            "sequence": {"kind": "mass_split", "params": {"a": [0.1], "b": [0.9]}},
+            "run": {"normalize": "false"},
+        })
+        assert main(["certify", path]) == 64
+        assert "'normalize' must be true or false" in capsys.readouterr().err
 
     def test_run_length_not_an_integer(self, tmp_path, capsys):
         path = write(tmp_path, "run.json", {

@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 from weakconv import DomainError, UnsupportedError, convergence, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
-                                  Status, VectorMember, _battery_gaps, _scalar_members,
-                                  _vector_members, bl_witness_function, certify,
+                                  Status, VectorMember, _Prefix, _battery_gaps,
+                                  _scalar_members, _vector_members,
+                                  bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
                                   generate_battery, integral_gap)
 from weakconv.funcs import (Const, Coord, Tent, ValidationDraws, validate_metadata,
                             vector_function)
-from weakconv.measure import (MeasureFamily, RandomElement, bl_distance, dirac,
-                              finite_measure, normalize, scenario)
+from weakconv.measure import (FiniteMeasure, MeasureFamily, RandomElement, bl_distance,
+                              dirac, finite_measure, normalize, scenario)
 from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
                              omega_space)
@@ -126,7 +127,7 @@ def per_term_gaps(battery, prefix, limit):
 
 @st.composite
 def carrier_prefixes(draw):
-    """A carrier, a battery on it and a prefix whose terms differ in atom count."""
+    """A carrier, a battery on it and a prefix with repeated terms of mixed atom counts."""
     if draw(st.booleans()):
         space = unit_cube(draw(st.integers(1, 8)))
         point = st.lists(st.floats(0.0, 1.0), min_size=space.dim, max_size=space.dim)
@@ -147,7 +148,15 @@ def carrier_prefixes(draw):
         weights = draw(st.lists(weight, min_size=k, max_size=k))
         return finite_measure(space, [(space.point_at(r), w) for r, w in zip(rows, weights)])
 
-    prefix = [measure() for _ in range(draw(st.integers(1, 10)))]
+    # terms come from a small pool, so a prefix repeats terms, sometimes as
+    # equal copies rather than the same object, and mixes atom counts
+    pool = [measure() for _ in range(draw(st.integers(1, 4)))]
+    prefix = []
+    for t in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12)):
+        mu = pool[t]
+        if draw(st.booleans()):
+            mu = FiniteMeasure(space, mu.points.copy(), mu.weights.copy())
+        prefix.append(mu)
     target = draw(st.sampled_from(suite_targets()))
     spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
     battery = generate_battery(space, target=target, spec=spec,
@@ -187,8 +196,51 @@ class TestBatchedGapsExact:
     @settings(max_examples=30, deadline=None)
     def test_property_cube_and_finite(self, case):
         battery, prefix, limit = case
-        assert _battery_gaps(battery.members, prefix, limit) \
+        terms = _Prefix(prefix)
+        # equal terms share one distinct term, unequal ones never do
+        for mu, t in zip(prefix, terms.where):
+            assert mu == terms.distinct[t]
+        assert len({(mu.points.tobytes(), mu.weights.tobytes()) for mu in prefix}) \
+            == len(terms.distinct)
+        assert _battery_gaps(battery.members, terms, limit) \
             == per_term_gaps(battery, prefix, limit)
+
+
+class TestDistinctTerms:
+    """The oracle runs once per distinct term, and its values are the per-term ones."""
+
+    @pytest.mark.parametrize("idx", range(20))
+    def test_bl_values_equal_per_term_oracle(self, idx):
+        entry = bundled_suite()[idx]
+        fam, limit = entry.family, entry.family.label.reference
+        per_term = tuple(bl_distance(mu, limit).value for mu in fam.prefix(DEFAULT_PREFIX))
+        spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
+        battery = generate_battery(fam.space, None, dataclasses.replace(spec, vector_members=0),
+                                   seed=idx)
+        assert certify(fam, limit, battery).bl_values == per_term
+        rep = equivalence_report(fam, suite_targets(), seed=idx, spec=spec)
+        for verdict in (rep.scalar_verdict,) + tuple(v for _, v in rep.vector_verdicts):
+            assert verdict.bl_values == per_term
+
+    @pytest.mark.parametrize("name,period", [("alternating-1d", 2), ("cycle4-1d", 4)])
+    def test_one_oracle_call_per_distinct_term(self, monkeypatch, name, period):
+        entry = next(e for e in bundled_suite() if e.name == name)
+        fam, limit = entry.family, entry.family.label.reference
+        calls = []
+
+        def counted(mu, nu):
+            calls.append(mu)
+            return bl_distance(mu, nu)
+
+        monkeypatch.setattr(convergence, "bl_distance", counted)
+        spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
+        rep = equivalence_report(fam, suite_targets(), seed=3, spec=spec)
+        assert rep.oracle_status == Status.DIVERGENT
+        assert calls == fam.prefix(period)
+        calls.clear()
+        certify(fam, limit, generate_battery(fam.space, None,
+                                             BatterySpec(vector_members=0), seed=3))
+        assert calls == fam.prefix(period)
 
 
 class TestWitnessExtension:

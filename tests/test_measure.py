@@ -575,6 +575,14 @@ class TestScenarios:
             assert np.array_equal(RandomElement(law, seed=seed).sample(n),
                                   law.points[idx])
 
+    def test_empirical_terms_do_not_depend_on_access_order(self):
+        law = finite_measure(CUBE1, [((0.2,), 0.3), ((0.5,), 0.3), ((0.9,), 0.4)])
+        forward = scenario("empirical", {"space": CUBE1, "law": law}, seed=5)
+        backward = scenario("empirical", {"space": CUBE1, "law": law}, seed=5)
+        in_order = [forward.measure(n) for n in range(1, 101)]
+        for n in (100, 3, 64, 1, 65):
+            assert backward.measure(n) == in_order[n - 1]
+
     def test_indices_start_at_one(self):
         fam = scenario("constant", {"space": CUBE1, "mu": dirac(CUBE1, (0.5,))})
         with pytest.raises(DomainError):

@@ -9,6 +9,7 @@ basis the simplex keeps across pivots against a fresh walk of its tree.
 
 from __future__ import annotations
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,8 @@ import weakconv.measure as measure_module
 from test_measure import (assert_certified, cube_pairs, finite_pairs, linprog_transport,
                           pairwise, planar_space, random_pair, signed_difference, transport_lp)
 from weakconv.carrier import unit_cube
-from weakconv.measure import _cheapest_cells, _transport, bl_distance
+from weakconv.measure import (_Basis, _cheapest_cells, _northwest_corner, _transport,
+                              bl_distance)
 
 
 def solve(cost, supply, demand):
@@ -169,3 +171,36 @@ class TestAgainstScipy:
         res = bl_distance(mu, nu)
         ref = linprog_function_side(space, res, signed_difference(res, mu, nu))
         assert abs(res.value - ref) <= 1e-9
+
+
+class TestBlandPhase:
+    """Bland's rule from the first pivot, on ties that force degenerate pivots.
+
+    ``_transport`` turns to Bland's rule only after k + n degenerate pivots
+    in a row, which no small instance reaches, so the basis is driven here
+    with ``entering(bland=True)`` throughout.  Equal weights on a grid make
+    many cells cost the same and many starting cells carry no flow.
+    """
+
+    @pytest.mark.parametrize("start", ["northwest", "cheapest"])
+    @pytest.mark.parametrize("dim,side", [(1, 17), (2, 4), (2, 5)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_terminates_at_the_optimum(self, start, dim, side, seed):
+        grid = np.array(list(itertools.product(np.linspace(0.0, 1.0, side), repeat=dim)))
+        order = np.random.default_rng(seed).permutation(len(grid))
+        k = len(grid) // 2
+        src, snk = grid[order[:k]], grid[order[k:2 * k]]
+        cost = np.minimum(np.linalg.norm(src[:, None] - snk[None], axis=-1), 2.0)
+        weights = [1.0 / k] * k
+        flow = (_northwest_corner(weights, weights) if start == "northwest"
+                else _cheapest_cells(cost, weights, weights))
+        basis = _Basis(cost, flow)
+        pivots = degenerate = 0
+        while (cell := basis.entering(bland=True)) is not None:
+            degenerate += basis.pivot(*cell) == 0.0
+            pivots += 1
+            assert pivots <= k * k * k   # far past any of these runs: a cycle fails here
+        assert degenerate > 0
+        assert (basis.reduced >= -1e-12).all()
+        value = sum(x * cost[i, j] for (i, j), x in basis.flow.items())
+        assert abs(value - transport_lp(cost, weights, weights)) <= 1e-9
