@@ -35,6 +35,11 @@ MAX_CUBE_DIM = 8
 # Exhaustive triangle checks are only feasible on small finite carriers.
 _TRIPLE_SAMPLES = 10_000
 
+# Below this, a 1-D gap's square may underflow, so |x - a| and
+# sqrt((x - a)^2) can differ; dist_to then takes the square root.
+_TINY_GAP = 2.0 ** -500
+_TINY_ANCHOR = 2.0 ** -440
+
 
 # ---------------------------------------------------------------------------
 # carrier spaces
@@ -114,23 +119,58 @@ class CompactSpace:
     def dist_to(self, pts: np.ndarray, anchor: Point) -> np.ndarray:
         """Distances from each row of ``pts`` to a fixed anchor point.
 
-        On the cube the squared differences are laid out one contiguous row
-        per coordinate and summed row by row, which is several times faster
-        on large arrays than reducing a short last axis.  The order is the
-        one ``np.sum(..., axis=-1)`` uses (one after another below eight
-        terms, a pairwise tree at eight), so every distance is bit-identical
-        to that reduction up to ``MAX_CUBE_DIM``.
+        On the cube one coordinate column is subtracted, squared and added
+        at a time, so no d x N block is built; the columns are contiguous
+        when ``pts`` is column-major.  The squares are summed in the order
+        ``np.add.reduce`` takes over a last axis of d terms: one after
+        another below eight, and its pairwise tree
+        ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) at eight.  So
+        every distance is bit-identical to
+        ``np.sqrt(np.sum((pts - anchor) ** 2, axis=-1))`` up to
+        ``MAX_CUBE_DIM``.  In one dimension the distance is |x - a|, which
+        equals sqrt((x - a)^2) bit for bit unless the square underflows
+        (cube coordinates lie in [0, 1], so none overflows); when some
+        nonzero gap is below 2^-500 the whole array takes the square root
+        instead.  A single point (a 1-D ``pts``) gives a scalar.
         """
         if self.kind == "finite":
             return self.dist_matrix[np.asarray(pts, dtype=int), int(anchor)]
         pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1:
+            return self.dist_to(pts[None, :], anchor)[0]
         anchor = np.asarray(anchor, dtype=float)
-        sq = np.subtract(pts.T, anchor[:, None] if pts.ndim == 2 else anchor, order="C")
-        np.multiply(sq, sq, out=sq)
-        if len(sq) == 8:
-            return np.sqrt(((sq[0] + sq[1]) + (sq[2] + sq[3]))
-                           + ((sq[4] + sq[5]) + (sq[6] + sq[7])))
-        return np.sqrt(np.add.reduce(sq, axis=0))
+        cols = pts.T
+
+        def square_gap(k: int, out=None) -> np.ndarray:
+            out = np.subtract(cols[k], anchor[k], out=out)
+            return np.multiply(out, out, out=out)
+
+        if len(cols) == 1:
+            gap = np.subtract(cols[0], anchor[0])
+            np.abs(gap, out=gap)
+            # a nonzero difference of doubles at or above 2^-441 is a multiple
+            # of 2^-493, so gaps this small need an anchor below 2^-440
+            if abs(anchor[0]) < _TINY_ANCHOR and np.any((gap > 0.0) & (gap < _TINY_GAP)):
+                return np.sqrt(square_gap(0, out=gap), out=gap)
+            return gap
+        if len(cols) == 8:
+            left, tmp = square_gap(0), square_gap(1)
+            left += tmp
+            right = square_gap(2)
+            right += square_gap(3, out=tmp)
+            left += right
+            right = square_gap(4, out=right)
+            right += square_gap(5, out=tmp)
+            last = square_gap(6)
+            last += square_gap(7, out=tmp)
+            right += last
+            left += right
+            return np.sqrt(left, out=left)
+        total, tmp = square_gap(0), None
+        for k in range(1, len(cols)):
+            tmp = square_gap(k, out=tmp)
+            total += tmp
+        return np.sqrt(total, out=total)
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "finite":

@@ -93,7 +93,7 @@ def _sequence_from_json(space, node) -> "MeasureFamily":
             decoded[key] = [_convert(float, x, key) for x in value]
         else:
             decoded[key] = value
-    return scenario(node["kind"], decoded, seed=_convert(int, node.get("seed", 0), "seed"))
+    return scenario(node["kind"], decoded, seed=_seed(node.get("seed", 0)))
 
 
 def _convert(kind, value, key: str):
@@ -103,6 +103,14 @@ def _convert(kind, value, key: str):
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}") from exc
+
+
+def _seed(value) -> int:
+    """A seed: a non-negative integer, as every random stream needs."""
+    seed = _convert(int, value, "seed")
+    if seed < 0:
+        raise DomainError(f"'seed' must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _run_knob(args, doc: dict, key: str, default):
@@ -197,7 +205,7 @@ def cmd_certify(args) -> int:
                           "or use a labeled sequence kind")
     n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
     tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
-    seed = _convert(int, _run_knob(args, doc, "seed", 0), "seed")
+    seed = _seed(_run_knob(args, doc, "seed", 0))
     normalize = _run_knob(args, doc, "normalize", False)
     if not isinstance(normalize, bool):
         raise DomainError(f"'normalize' must be true or false, got {normalize!r}")
@@ -231,7 +239,7 @@ def cmd_scenario_run(args) -> int:
     family = _sequence_from_json(space, _need(doc, "sequence"))
     n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
     tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
-    seed = _convert(int, _run_knob(args, doc, "seed", 0), "seed")
+    seed = _seed(_run_knob(args, doc, "seed", 0))
     if "targets" in doc:
         targets = [target_from_json(t) for t in doc["targets"]]
     else:
@@ -254,7 +262,7 @@ def cmd_scenario_run(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = selftest(seed=args.seed, quick=args.quick)
+    report = selftest(seed=_seed(args.seed), quick=args.quick)
     print(report.render())
     return EX_OK if report.ok else EX_NEGATIVE
 

@@ -13,6 +13,11 @@ Certification compares, for each battery member f, the integral gap
                        tail stays within tol,
 * inconclusive         otherwise.
 
+A report draws a battery's scalar forms once from its seeded stream;
+each target's vector members resume the stream from the state after
+them.  Each distinct form is validated once per report or command (see
+``funcs.ValidationDraws``).
+
 One private kernel scores the members and applies this rule for
 ``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
 the oracle's own status is the same rule applied to its values.
@@ -32,10 +37,13 @@ and constant scenarios solve the oracle once per phase, not once per
 index.  A missed match only costs time.
 
 The gap sweep is batched.  The atoms of the distinct terms are
-concatenated and each member is evaluated once on them.  Terms with the
-same atom count form a group, and one stacked ``matmul`` of the group's
-weights, shape (G, 1, a), with its values, (G, a, 1) or (G, a, D), gives
-every integral of the group: each stack runs the same dot product as a
+concatenated, the limit's atoms follow them, and each member is
+evaluated once on all of them (a vector member evaluates each distinct
+coordinate-form object once).  Values are pointwise, so each part
+equals an evaluation of its own.  Terms with the same atom count form a
+group, and one stacked ``matmul`` of the group's weights, shape
+(G, 1, a), with its values, (G, a, 1) or (G, a, D), gives every
+integral of the group: each stack runs the same dot product as a
 one-term ``weights @ values``.  The integrals are then expanded back to
 all N terms; the limit's integral is taken once per member, and vector
 gaps are scored for all terms in one call of the target's gap
@@ -56,6 +64,7 @@ contains a member that sees it too.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -110,16 +119,38 @@ class BatterySpec:
 
     @staticmethod
     def from_json(node: dict) -> "BatterySpec":
-        known = {"tents", "distances", "mcshanes", "vector_members",
-                 "tent_radius", "mcshane_lip", "mcshane_anchors"}
-        bad = set(node) - known
+        """Decode a spec: counts are non-negative integers, ranges two finite numbers."""
+        if not isinstance(node, dict):
+            raise DomainError("battery spec must be a JSON object")
+        counts = {"tents", "distances", "mcshanes", "vector_members", "mcshane_anchors"}
+        ranges = {"tent_radius", "mcshane_lip"}
+        bad = set(node) - counts - ranges
         if bad:
             raise DomainError(f"unknown battery spec fields {sorted(bad)}")
-        kwargs = dict(node)
-        for key in ("tent_radius", "mcshane_lip"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(x) for x in kwargs[key])
+        kwargs = {}
+        for key, value in node.items():
+            if key in ranges:
+                if not (isinstance(value, (list, tuple)) and len(value) == 2
+                        and all(_finite_number(x) for x in value)):
+                    raise DomainError(f"battery {key!r} must be two finite numbers, "
+                                      f"got {value!r}")
+                kwargs[key] = (float(value[0]), float(value[1]))
+            else:
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise DomainError(f"battery {key!r} must be a non-negative integer, "
+                                      f"got {value!r}")
+                kwargs[key] = value
         return BatterySpec(**kwargs)
+
+
+def _finite_number(x) -> bool:
+    """A JSON number (not a bool) that is finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -179,13 +210,24 @@ def _draw_scalar_forms(space: CompactSpace, rng: np.random.Generator,
             for i in range(count)]
 
 
-def _scalar_members(space: CompactSpace, spec: BatterySpec, seed: int,
-                    draws: ValidationDraws) -> tuple:
-    """The scalar members of ``generate_battery(space, target, spec, seed)``,
-    which do not depend on the target, validated through ``draws``."""
+def _scalar_stream(space: CompactSpace, spec: BatterySpec, seed: int) -> tuple:
+    """The named scalar forms a battery draws first from its Philox stream,
+    and the stream's state after them, where the vector members start."""
     rng = np.random.Generator(np.random.Philox(key=seed))
+    return _draw_scalar_forms(space, rng, spec), rng.bit_generator.state
+
+
+def _scalar_members(space: CompactSpace, spec: BatterySpec, seed: int,
+                    draws: ValidationDraws, stream: Optional[tuple] = None) -> tuple:
+    """The scalar members of ``generate_battery(space, target, spec, seed)``,
+    which do not depend on the target, validated through ``draws``.
+
+    ``stream`` is ``_scalar_stream(space, spec, seed)`` when the caller
+    has drawn it already.
+    """
+    forms, _ = stream or _scalar_stream(space, spec, seed)
     members = []
-    for name, form in _draw_scalar_forms(space, rng, spec):
+    for name, form in forms:
         validate_metadata(space, form, seed=7, draws=draws)
         members.append(ScalarMember(name=name, form=form, bound=form.bound(space),
                                     lip=form.lipschitz(space)))
@@ -193,20 +235,26 @@ def _scalar_members(space: CompactSpace, spec: BatterySpec, seed: int,
 
 
 def _vector_members(space: CompactSpace, target: Optional[TargetSpace],
-                    spec: BatterySpec, seed: int, draws: ValidationDraws) -> tuple:
+                    spec: BatterySpec, seed: int, draws: ValidationDraws,
+                    stream: Optional[tuple] = None) -> tuple:
     """``generate_battery(space, target, spec, seed).vector_members``, validated
     through ``draws``.
 
-    The scalar forms are still drawn, so the stream and every vector member
-    stay the same, but they are not validated: callers that want only a
-    target's vector members would throw them away.
+    The vector members continue the stream after the scalar forms.  They
+    resume from the state in ``stream`` (``_scalar_stream(space, spec,
+    seed)``, which a report draws once for all its targets), or else
+    redraw the scalar forms to reach it; either way the scalar forms are
+    not validated here, since callers that want only a target's vector
+    members would throw them away.
     """
     if spec.vector_members == 0:
         return ()
     if target is None or target.base is None:
         raise UnsupportedError("vector members need a target with a base")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    _draw_scalar_forms(space, rng, spec)
+    _, state = stream or _scalar_stream(space, spec, seed)
+    bits = np.random.Philox(key=seed)
+    bits.state = state
+    rng = np.random.Generator(bits)
     shapes = ("tent", "mcshane", "dist")
     members = []
     for i in range(spec.vector_members):
@@ -315,7 +363,9 @@ class _Prefix:
 def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure) -> tuple:
     """Every member's gap series over the prefix, one member evaluation each.
 
-    A member is evaluated on the atoms of the distinct terms only.  The
+    A member is evaluated once, on the atoms of the distinct terms
+    followed by the limit's atoms; values are pointwise, so each part
+    equals an evaluation on its own.  The
     integrals of one atom-count group are a stacked ``matmul``, (G, 1, a)
     weights with (G, a, 1) or (G, a, D) values, whose every stack runs the
     same dot product, on the same operands in the same order, as the
@@ -323,14 +373,15 @@ def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure) -> t
     terms, equals ``integral_gap`` bit for bit.
     """
     space = limit.space
+    split = len(prefix.points)
+    points = np.concatenate([prefix.points, limit.points])
     gaps = []
     for member in members:
         if isinstance(member, VectorMember):
-            g = member.function
-            vals, at_limit = g.evaluate(prefix.points), g.evaluate(limit.points)
+            both = member.function.evaluate(points)
         else:
-            vals = member.form.evaluate(space, prefix.points)
-            at_limit = member.form.evaluate(space, limit.points)
+            both = member.form.evaluate(space, points)
+        vals, at_limit = both[:split], both[split:].copy()
         cols = vals[:, None] if vals.ndim == 1 else vals
         sums = np.empty((len(prefix.distinct), cols.shape[1]))
         for rows, weights, atoms in prefix.groups:
@@ -595,13 +646,14 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     # every battery build of this report validates through one draw and memo
     spec = spec or BatterySpec()
     draws = ValidationDraws()
-    scalars = _scalar_members(family.space, spec, seed, draws) + tuple(witness_members)
+    stream = _scalar_stream(family.space, spec, seed)  # shared by every target
+    scalars = _scalar_members(family.space, spec, seed, draws, stream) + tuple(witness_members)
     scalar_verdict = _verdict(family, prefix, candidate, scalars, bl_values, tol,
                               window_start)
 
     vector_verdicts = []
     for target in targets:
-        vectors = _vector_members(family.space, target, spec, seed, draws)
+        vectors = _vector_members(family.space, target, spec, seed, draws, stream)
         lifted = tuple(
             VectorMember(name=f"{m.name}:lift",
                          function=_lift_through_base(family.space, target,

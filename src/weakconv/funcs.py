@@ -37,7 +37,10 @@ class Form(ABC):
 
     @abstractmethod
     def evaluate(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
-        """Vectorised evaluation on a bulk point array."""
+        """Vectorised evaluation on a bulk point array.
+
+        Returns a new array, which the caller may overwrite.
+        """
 
     @abstractmethod
     def bound(self, space: CompactSpace) -> float:
@@ -54,6 +57,13 @@ class Form(ABC):
     def __call__(self, space: CompactSpace, point: Point) -> float:
         pts = space.points_array([point])
         return float(self.evaluate(space, pts)[0])
+
+
+def _scratch(values) -> Optional[np.ndarray]:
+    """``values`` if a ufunc may write its float64 result into it, else None."""
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.writeable:
+        return values
+    return None
 
 
 def _point_json(p: Point):
@@ -141,8 +151,12 @@ class Tent(Form):
             raise DomainError("tent radius must be positive")
 
     def evaluate(self, space, pts):
+        # max(0, 1 - d / r), in place on the fresh distance array
         d = space.dist_to(pts, self.center)
-        return np.maximum(0.0, 1.0 - d / self.radius)
+        out = _scratch(d)
+        d = np.true_divide(d, self.radius, out=out)
+        d = np.subtract(1.0, d, out=out)
+        return np.maximum(0.0, d, out=out)
 
     def bound(self, space):
         return 1.0
@@ -175,10 +189,14 @@ class McShane(Form):
             raise DomainError("mcshane Lipschitz constant must be nonnegative")
 
     def evaluate(self, space, pts):
+        # min over anchors of value + lip * d, each column built in place
         out = None
         for value, anchor in zip(self.values, self.anchors):
-            col = value + self.lip * space.dist_to(pts, anchor)
-            out = col if out is None else np.minimum(out, col)
+            col = space.dist_to(pts, anchor)
+            buf = _scratch(col)
+            col = np.multiply(self.lip, col, out=buf)
+            col = np.add(value, col, out=buf)
+            out = col if out is None else np.minimum(out, col, out=_scratch(out))
         return out
 
     def bound(self, space):
@@ -211,7 +229,8 @@ class Clamp(Form):
         return self.child.continuous
 
     def evaluate(self, space, pts):
-        return np.clip(self.child.evaluate(space, pts), self.lo, self.hi)
+        vals = self.child.evaluate(space, pts)
+        return np.clip(vals, self.lo, self.hi, out=_scratch(vals))
 
     def bound(self, space):
         return max(abs(self.lo), abs(self.hi))
@@ -355,8 +374,9 @@ class ValidationDraws:
     """Seeded validation samples drawn once per carrier, and the forms that passed.
 
     Every form validated on one carrier with one seed sees the same two
-    sample sets, so a battery build can draw them (and the distances
-    between paired samples) once instead of once per form.  The draws are
+    sample sets, so a battery build can draw them (with the distances
+    between paired samples, and on a finite carrier the distinct points
+    and pairs among them) once instead of once per form.  The draws are
     keyed by (carrier, seed, sample count), so equal carriers share them
     and unequal ones never do.  The arrays are read-only, so a form
     cannot alter what the next one sees.
@@ -375,32 +395,88 @@ class ValidationDraws:
 
     def get(self, space: CompactSpace, seed: int, samples: int):
         """The two sample sets and the distance between each pair of samples."""
-        return self._draw(space, seed, samples)[:3]
+        draw = self._draw(space, seed, samples)
+        return draw.pts, draw.qts, draw.dists
 
-    def _draw(self, space: CompactSpace, seed: int, samples: int):
+    def _draw(self, space: CompactSpace, seed: int, samples: int) -> "_Samples":
         key = (space, seed, samples)
         if key not in self._draws:
             self._draws[key] = _draw_validation_samples(space, seed, samples)
         return self._draws[key]
 
 
-def _draw_validation_samples(space: CompactSpace, seed: int, samples: int):
-    """The two seeded sample sets every form on this carrier is checked on,
-    the distance between each pair of samples and the mask of pairs far
-    enough apart to bound a Lipschitz ratio."""
+class _Samples:
+    """One validation draw, laid out for the checks of :func:`validate_metadata`.
+
+    ``pts`` and ``qts`` are the two sample sets and ``dists`` the distance
+    of each pair (pts[i], qts[i]).  A form is evaluated on ``points``; on
+    the cube that is ``pts``, and the Lipschitz check evaluates it on
+    ``qts`` too.  On a finite carrier ``points`` holds each sampled point
+    once, sorted; the bound check reads the values at ``bound_rows`` (the
+    points of ``pts``), and the Lipschitz check reads the pairs
+    (``p_rows[i]``, ``q_rows[i]``) of distinct sampled pairs, at distance
+    ``pair_dists[i]``.  ``apart`` masks the pairs far enough apart to bound
+    a Lipschitz ratio; it is None when every pair is.
+    """
+
+    def __init__(self, pts, qts, dists, points, bound_rows, p_rows, q_rows, pair_dists):
+        self.pts, self.qts, self.dists = pts, qts, dists
+        self.points, self.bound_rows = points, bound_rows
+        self.p_rows, self.q_rows, self.pair_dists = p_rows, q_rows, pair_dists
+        apart = pair_dists > 1e-9
+        self.apart = None if apart.all() else apart
+        for arr in (pts, qts, dists, points, bound_rows, p_rows, q_rows, pair_dists, apart):
+            if arr is not None:
+                arr.setflags(write=False)
+        # scratch of the Lipschitz check, reused by every form on this draw
+        self._diff, self._rhs = np.empty(len(pair_dists)), np.empty(len(pair_dists))
+        self._hit = np.empty(len(pair_dists), dtype=bool)
+
+    def lipschitz_violated(self, left: np.ndarray, right: np.ndarray, lip: float) -> bool:
+        """any(|left - right| > lip * pair_dists * slack + 1e-12) over the pairs apart,
+        with the operations of that expression in its order."""
+        rhs = np.multiply(lip, self.pair_dists, out=self._rhs)
+        np.multiply(rhs, _METADATA_SLACK, out=rhs)
+        np.add(rhs, 1e-12, out=rhs)
+        diff = np.subtract(left, right, out=self._diff)
+        np.abs(diff, out=diff)
+        hit = np.greater(diff, rhs, out=self._hit)
+        if self.apart is not None:
+            hit &= self.apart
+        return bool(hit.any())
+
+
+def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _Samples:
+    """The two seeded sample sets every form on this carrier is checked on.
+
+    On the cube the samples are stored column-major, so each coordinate
+    column that ``CompactSpace.dist_to`` reads is contiguous.  On a finite
+    carrier (at most 64 points) the distinct sampled points and the
+    distinct pairs are kept as well: a form's values there depend only on
+    the point, so checking each distinct point and pair once decides
+    exactly what checking all samples does.  Pairs too close to bound a
+    Lipschitz ratio are dropped, as the dense check masks them.
+    """
     rng = np.random.default_rng(seed)
     pts = space.sample_points(rng, samples)
     qts = space.sample_points(rng, samples)
-    if space.kind == "finite":
-        dists = space.dist_matrix[np.asarray(pts, int), np.asarray(qts, int)]
-    else:
+    if space.kind != "finite":
         dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
-        # column-major, so the transpose CompactSpace.dist_to takes is contiguous
         pts, qts = np.asfortranarray(pts), np.asfortranarray(qts)
-    apart = dists > 1e-9
-    for arr in (pts, qts, dists, apart):
-        arr.setflags(write=False)
-    return pts, qts, dists, apart
+        return _Samples(pts, qts, dists, pts, None, None, None, dists)
+    dists = space.dist_matrix[pts, qts]
+    points, rows = np.unique(np.concatenate([pts, qts]), return_inverse=True)
+    pairs = np.unique(rows[:samples] * len(points) + rows[samples:])
+    p_rows, q_rows = np.divmod(pairs, len(points))
+    pair_dists = space.dist_matrix[points[p_rows], points[q_rows]]
+    apart = pair_dists > 1e-9
+    return _Samples(pts, qts, dists, points, np.unique(rows[:samples]),
+                    p_rows[apart], q_rows[apart], pair_dists[apart])
+
+
+def _exceeds(vals: np.ndarray, cap: float) -> bool:
+    """any(|vals| > cap), read off the extremes; NaN values count for neither."""
+    return vals.size > 0 and bool(np.fmax.reduce(vals) > cap or np.fmin.reduce(vals) < -cap)
 
 
 def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
@@ -410,14 +486,20 @@ def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
 
     The bounds are computed, not fitted, so a failure here means a bug in
     the bound propagation rather than bad luck.  Raises ``DomainError``.
-    ``draws`` lends samples drawn for an earlier form; they are exactly
-    the samples a fresh ``default_rng(seed)`` would give.  A form equal
-    to one that already passed on ``draws`` with the same carrier, seed
-    and sample count returns at once.
+    Every sample of ``pts`` must keep |f| within the bound, and every pair
+    (pts[i], qts[i]) farther apart than 1e-9 must keep the Lipschitz
+    ratio, each with 1% slack.  On a finite carrier the form is evaluated
+    once, on the distinct sampled points, and the checks read exactly the
+    distinct points and pairs of the samples, so they pass or fail as a
+    check of every sample would.  ``draws`` lends samples drawn for an
+    earlier form; they are exactly the samples a fresh
+    ``default_rng(seed)`` would give.  A form equal to one that already
+    passed on ``draws`` with the same carrier, seed and sample count
+    returns at once.
     """
     key = None
     if draws is None:
-        pts, qts, dists, apart = _draw_validation_samples(space, seed, samples)
+        draw = _draw_validation_samples(space, seed, samples)
     else:
         try:
             key = (space, seed, samples, form)
@@ -425,15 +507,19 @@ def validate_metadata(space: CompactSpace, form: Form, seed: int = 0,
                 return
         except TypeError:  # an unhashable form is checked every time
             key = None
-        pts, qts, dists, apart = draws._draw(space, seed, samples)
-    vals = form.evaluate(space, pts)
+        draw = draws._draw(space, seed, samples)
+    vals = form.evaluate(space, draw.points)
     b = form.bound(space)
-    if np.any(np.abs(vals) > b * _METADATA_SLACK + 1e-12):
+    at_pts = vals if draw.bound_rows is None else vals[draw.bound_rows]
+    if _exceeds(at_pts, b * _METADATA_SLACK + 1e-12):
         raise DomainError(f"declared bound {b} violated by {form.kind} form")
     lip = form.lipschitz(space)
     if math.isfinite(lip):
-        wals = form.evaluate(space, qts)
-        if np.any((np.abs(vals - wals) > lip * dists * _METADATA_SLACK + 1e-12) & apart):
+        if draw.p_rows is None:
+            left, right = vals, form.evaluate(space, draw.qts)
+        else:
+            left, right = vals[draw.p_rows], vals[draw.q_rows]
+        if draw.lipschitz_violated(left, right, lip):
             raise DomainError(f"declared Lipschitz constant {lip} violated by {form.kind} form")
     if key is not None:
         draws._passed.add(key)
@@ -467,8 +553,16 @@ class VectorFunction:
         return np.array([f.lipschitz(self.space) for f in self.forms])
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Values as an array of shape ``(n_points, target.dim)``."""
-        return np.stack([f.evaluate(self.space, pts) for f in self.forms], axis=-1)
+        """Values as an array of shape ``(n_points, target.dim)``.
+
+        A form object that fills several coordinates (a lifted scalar
+        repeats one form in each) is evaluated once.
+        """
+        done: dict = {}
+        for f in self.forms:
+            if id(f) not in done:
+                done[id(f)] = f.evaluate(self.space, pts)
+        return np.stack([done[id(f)] for f in self.forms], axis=-1)
 
     def at_point(self, point: Point) -> np.ndarray:
         return self.evaluate(self.space.points_array([point]))[0]

@@ -607,10 +607,10 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
         a, b_pt = params["a"], params["b"]
         if space.distance(a, b_pt) <= 0:
             raise DomainError("alternating needs two distinct points")
-        candidate = dirac(space, a)
+        candidate, other = dirac(space, a), dirac(space, b_pt)
 
         def fn(n: int) -> FiniteMeasure:
-            return dirac(space, a if n % 2 == 1 else b_pt)
+            return candidate if n % 2 == 1 else other
 
         return MeasureFamily(space, fn, FamilyLabel("diverges", candidate),
                              name="alternating")
@@ -652,10 +652,11 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
             for q in pts[i + 1:]:
                 if space.distance(p, q) <= 0:
                     raise DomainError("position_cycle points must be distinct")
-        candidate = dirac(space, pts[0])
+        phases = [dirac(space, p) for p in pts]
+        candidate = phases[0]
 
         def fn(n: int) -> FiniteMeasure:
-            return dirac(space, pts[(n - 1) % len(pts)])
+            return phases[(n - 1) % len(phases)]
 
         return MeasureFamily(space, fn, FamilyLabel("diverges", candidate),
                              name=f"position_cycle[k={len(pts)}]")
@@ -671,10 +672,10 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
         def mix(w: float) -> FiniteMeasure:
             return finite_measure(space, [(a, w), (b_pt, 1.0 - w)])
 
-        candidate = mix(w_hi)  # the odd-parity phase
+        candidate, other = mix(w_hi), mix(1.0 - w_hi)  # the odd and even phases
 
         def fn(n: int) -> FiniteMeasure:
-            return mix(w_hi if n % 2 == 1 else 1.0 - w_hi)
+            return candidate if n % 2 == 1 else other
 
         return MeasureFamily(space, fn, FamilyLabel("diverges", candidate),
                              name="oscillating_mixture")

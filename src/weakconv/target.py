@@ -293,7 +293,7 @@ def target_from_json(node: dict) -> TargetSpace:
         kind = node["kind"]
         dim = int(node["dim"])
         family = node["family"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad target spec: {exc}") from exc
     if family not in _FAMILY_BUILDERS:
         raise DomainError(f"unknown seminorm family {family!r}")

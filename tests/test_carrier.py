@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,66 @@ class TestDistTo:
             diff = pts - np.asarray(anchor)
             assert np.array_equal(space.dist_to(pts, anchor),
                                   np.sqrt(np.sum(diff * diff, axis=-1)))
+
+
+def block_dist_to(pts, anchor):
+    """The cube kernel as it was: one d x N block of squared gaps, then the sum.
+
+    Kept as the reference the row-wise kernel must equal bit for bit.
+    """
+    pts = np.asarray(pts, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    sq = np.subtract(pts.T, anchor[:, None] if pts.ndim == 2 else anchor, order="C")
+    np.multiply(sq, sq, out=sq)
+    if len(sq) == 8:
+        return np.sqrt(((sq[0] + sq[1]) + (sq[2] + sq[3]))
+                       + ((sq[4] + sq[5]) + (sq[6] + sq[7])))
+    return np.sqrt(np.add.reduce(sq, axis=0))
+
+
+# 1-D gaps around 2^-500, the threshold of the kernel's |x - a| shortcut
+_tiny = st.sampled_from([0.0, 2.0 ** -1074, 2.0 ** -600, 2.0 ** -520, 2.0 ** -511,
+                         2.0 ** -501, 2.0 ** -500, 2.0 ** -499, 2.0 ** -480,
+                         2.0 ** -441, 2.0 ** -440, 2.0 ** -439, 2.0 ** -400])
+
+
+@st.composite
+def kernel_cases(draw):
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    pts = np.array(draw(st.lists(st.lists(_unit, min_size=d, max_size=d),
+                                 min_size=n, max_size=n)))
+    anchor = np.array(draw(st.lists(_unit, min_size=d, max_size=d)))
+    if draw(st.booleans()):  # the anchor is one of the sample points
+        anchor = pts[draw(st.integers(0, n - 1))].copy()
+    if d == 1 and draw(st.booleans()):  # gaps on both sides of 2^-500
+        anchor = np.array([draw(_tiny)])
+        pts[:, 0] = [anchor[0] + draw(_tiny) for _ in range(n)]
+    if draw(st.booleans()):
+        pts = np.asfortranarray(pts)
+    return unit_cube(d), pts, tuple(float(a) for a in anchor)
+
+
+class TestRowKernel:
+    @given(kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_row_kernel_equals_the_block_kernel_bit_for_bit(self, case):
+        space, pts, anchor = case
+        got, ref = space.dist_to(pts, anchor), block_dist_to(pts, anchor)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # the sign of zero included
+        one, ref_one = space.dist_to(pts[0], anchor), block_dist_to(pts[0], anchor)
+        assert type(one) is type(ref_one)
+        assert np.asarray(one).tobytes() == np.asarray(ref_one).tobytes()
+
+    def test_tiny_one_dimensional_gaps_take_the_square_root(self):
+        # the square of this gap is subnormal, so its root is not the gap
+        gap = 0.7 * 2.0 ** -520
+        assert math.sqrt(gap * gap) != gap
+        pts = np.array([[gap], [0.5], [0.0]])
+        got = unit_cube(1).dist_to(pts, (0.0,))
+        assert got.tobytes() == block_dist_to(pts, (0.0,)).tobytes()
+        assert got[0] == math.sqrt(gap * gap) and got[1] == 0.5
 
 
 class TestMetricAxioms:

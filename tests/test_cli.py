@@ -415,3 +415,47 @@ class TestErrorPaths:
         })
         assert main(["certify", path]) == 64
         assert "'n' must be an integer" in capsys.readouterr().err
+
+
+DRIFT = {"kind": "dirac_drift", "params": {"s0": [0.2], "v": [0.5]}}
+
+
+class TestMalformedBatteryTargetAndSeed:
+    """Each of these exits 64 with a message, never 70 and never silently."""
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"battery": {"tent_radius": "wide"}}, "'tent_radius' must be two finite numbers"),
+        ({"battery": {"tent_radius": [0.5]}}, "'tent_radius' must be two finite numbers"),
+        ({"battery": {"mcshane_lip": [0.5, float("inf")]}},
+         "'mcshane_lip' must be two finite numbers"),
+        ({"battery": {"tents": "four"}}, "'tents' must be a non-negative integer"),
+        ({"battery": {"tents": -1}}, "'tents' must be a non-negative integer"),
+        ({"battery": {"distances": True}}, "'distances' must be a non-negative integer"),
+        ({"battery": [4]}, "battery spec must be a JSON object"),
+        ({"targets": [{"kind": "banach", "dim": "two", "family": "lp:2"}]},
+         "bad target spec"),
+        ({"run": {"seed": -5}}, "'seed' must be a non-negative integer"),
+    ])
+    def test_certify_file(self, tmp_path, capsys, extra, message):
+        path = write(tmp_path, "drift.json", {"space": CUBE1, "sequence": DRIFT, **extra})
+        assert main(["certify", path]) == 64
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
+    def test_scenario_run_negative_seed_flag(self, tmp_path, capsys):
+        path = write(tmp_path, "drift.json", {"space": CUBE1, "sequence": DRIFT})
+        assert main(["scenario", "run", path, "--seed", "-3"]) == 64
+        assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+
+    def test_empirical_sequence_negative_seed(self, tmp_path, capsys):
+        law = {"atoms": [{"point": [0.4], "weight": 0.5}, {"point": [0.6], "weight": 0.5}]}
+        path = write(tmp_path, "emp.json", {
+            "space": CUBE1,
+            "sequence": {"kind": "empirical", "seed": -2, "params": {"law": law}},
+        })
+        assert main(["certify", path]) == 64
+        assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+
+    def test_selftest_negative_seed(self, capsys):
+        assert main(["selftest", "--quick", "--seed", "-1"]) == 64
+        assert "'seed' must be a non-negative integer" in capsys.readouterr().err

@@ -14,7 +14,8 @@ from weakconv import DomainError, UnsupportedError, convergence, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _Prefix, _battery_gaps,
-                                  _scalar_members, _vector_members,
+                                  _lift_through_base, _scalar_members, _scalar_stream,
+                                  _vector_members,
                                   bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
@@ -94,6 +95,29 @@ class TestBatteryGeneration:
         assert [m.function.to_json() for m in alone] == [m.function.to_json() for m in full]
         assert [(m.name, m.bounds, m.lips) for m in alone] \
             == [(m.name, m.bounds, m.lips) for m in full]
+
+    @pytest.mark.parametrize("space", [CUBE1, CUBE2, finite_space(("a", "b", "c"),
+                                                                  1.0 - np.eye(3))])
+    def test_resumed_vector_members_equal_a_fresh_draw(self, space):
+        # one stream serves every target in turn, as in a report
+        spec, seed = BatterySpec(), 11
+        stream = _scalar_stream(space, spec, seed)
+        for target in suite_targets():
+            # the fresh draw, spelled out: the scalar forms, then each member's
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            convergence._draw_scalar_forms(space, rng, spec)
+            shapes = ("tent", "mcshane", "dist")
+            fresh = [_lift_through_base(space, target, [
+                convergence._random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
+                for k in range(target.dim)]) for i in range(spec.vector_members)]
+            resumed = _vector_members(space, target, spec, seed, ValidationDraws(), stream)
+            redrawn = _vector_members(space, target, spec, seed, ValidationDraws())
+            assert len(resumed) == len(redrawn) == len(fresh) == spec.vector_members
+            for a, b, g in zip(resumed, redrawn, fresh):
+                assert a.function.forms == b.function.forms == g.forms
+                assert (a.name, a.bounds, a.lips) == (b.name, b.bounds, b.lips)
+        scalars = _scalar_members(space, spec, seed, ValidationDraws(), stream)
+        assert scalars == _scalar_members(space, spec, seed, ValidationDraws())
 
     def test_works_on_finite_spaces(self):
         from weakconv.carrier import finite_space
@@ -204,6 +228,39 @@ class TestBatchedGapsExact:
             == len(terms.distinct)
         assert _battery_gaps(battery.members, terms, limit) \
             == per_term_gaps(battery, prefix, limit)
+
+
+class TestRepeatedCoordinateForms:
+    """A lifted scalar repeats one form in every coordinate; the sweep stays exact."""
+
+    @pytest.mark.parametrize("target", [omega_space(4), banach_space(2, p=2),
+                                        cumulative_l1_space(3, base=np.triu(np.ones((3, 3))))])
+    @pytest.mark.parametrize("idx", [0, 10, 14, 16])
+    def test_gaps_equal_per_term_integrals(self, target, idx):
+        entry = bundled_suite()[idx]
+        fam, limit = entry.family, entry.family.label.reference
+        space = fam.space
+        scalars = generate_battery(space, None, BatterySpec(vector_members=0),
+                                   seed=idx).scalar_members
+        members = tuple(
+            VectorMember(name=m.name, bounds=(m.bound,) * target.dim,
+                         lips=(m.lip,) * target.dim,
+                         function=_lift_through_base(space, target, [m.form] * target.dim))
+            for m in scalars)
+        prefix = fam.prefix(16)
+        gaps = _battery_gaps(members, _Prefix(prefix), limit)
+
+        def integral(g, mu):
+            # each coordinate form evaluated on its own, repeats included
+            vals = np.stack([f.evaluate(space, mu.points) for f in g.forms], axis=-1)
+            return mu.weights @ vals
+
+        for member, series in zip(members, gaps):
+            g = member.function
+            want = tuple(gap_value(target, integral(g, mu) - integral(g, limit))
+                         for mu in prefix)
+            assert series == want
+            assert series == tuple(integral_gap(g, mu, limit) for mu in prefix)
 
 
 class TestDistinctTerms:

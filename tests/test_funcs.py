@@ -288,3 +288,182 @@ class TestVectorFunctions:
         node = g.to_json()
         forms = tuple(form_from_json(c, CUBE1) for c in node["coords"])
         assert forms == g.forms
+
+
+def dense_validate(space, form, seed=7, samples=10_000):
+    """The check as a plain dense route: every form on all 10,000 + 10,000 samples.
+
+    The reference the distinct-point route of ``validate_metadata`` must
+    agree with, pass for pass and message for message.
+    """
+    rng = np.random.default_rng(seed)
+    pts = space.sample_points(rng, samples)
+    qts = space.sample_points(rng, samples)
+    dists = space.dist_matrix[pts, qts]
+    vals = form.evaluate(space, pts)
+    b = form.bound(space)
+    if np.any(np.abs(vals) > b * 1.01 + 1e-12):
+        raise DomainError(f"declared bound {b} violated by {form.kind} form")
+    lip = form.lipschitz(space)
+    if math.isfinite(lip):
+        wals = form.evaluate(space, qts)
+        if np.any((np.abs(vals - wals) > lip * dists * 1.01 + 1e-12) & (dists > 1e-9)):
+            raise DomainError(f"declared Lipschitz constant {lip} violated by {form.kind} form")
+
+
+class Declared(Form):
+    """A child form under declared (B, L) metadata, which may lie."""
+
+    kind = "declared"
+
+    def __init__(self, child, b, lip):
+        self.child, self.b, self.lip = child, b, lip
+
+    def evaluate(self, space, pts):
+        return self.child.evaluate(space, pts)
+
+    def bound(self, space):
+        return self.b
+
+    def lipschitz(self, space):
+        return self.lip
+
+    def to_json(self):
+        return {}
+
+
+def plane_space(n, seed):
+    plane = np.random.default_rng(seed).random((n, 2)) * 3.0
+    return finite_space(tuple(range(n)), np.linalg.norm(plane[:, None] - plane[None], axis=-1))
+
+
+def outcome(check, space, form):
+    try:
+        check(space, form)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestFiniteCarrierRoute:
+    """On a finite carrier each distinct sampled point and pair is checked once."""
+
+    SPACES = {"pair": PAIR,
+              "three": finite_space(("a", "b", "c"), np.array([[0.0, 1.0, 2.0],
+                                                               [1.0, 0.0, 1.5],
+                                                               [2.0, 1.5, 0.0]])),
+              "sixty-four": plane_space(64, 3)}
+
+    @pytest.mark.parametrize("name", SPACES)
+    def test_raises_for_exactly_the_liars_the_dense_route_raises_for(self, name):
+        space = self.SPACES[name]
+        n = space.n_points
+        children = [Tent(0, 0.7), Clamp(-1.0, 1.0, DistTo(n - 1)),
+                    McShane((0, n - 1), (0.4, -0.3), 1.3), Scale(-2.0, DistTo(1))]
+        rng = np.random.default_rng(7)
+        pts, qts = space.sample_points(rng, 10_000), space.sample_points(rng, 10_000)
+        dists = space.dist_matrix[pts, qts]
+        apart = dists > 1e-9
+        seen = set()
+        for child in children:
+            vals, wals = child.evaluate(space, pts), child.evaluate(space, qts)
+            top = float(np.max(np.abs(vals)))
+            steep = float(np.max(np.abs(vals - wals)[apart] / dists[apart]))
+            # declared constants on both sides of what the samples reveal
+            for b in (0.0, 0.5 * top, (top - 1e-12) / 1.01 * (1 - 1e-12),
+                      (top - 1e-12) / 1.01 * (1 + 1e-12), top, 2.0 * top):
+                for lip in (0.0, 0.5 * steep, steep / 1.01 * (1 - 1e-9),
+                            steep / 1.01 * (1 + 1e-9), steep, math.inf):
+                    form = Declared(child, b, lip)
+                    want = outcome(dense_validate, space, form)
+                    seen.add(None if want is None else want.split()[1])
+                    assert outcome(lambda s, f: validate_metadata(s, f, seed=7),
+                                   space, form) == want
+                    draws = ValidationDraws()
+                    assert outcome(lambda s, f: validate_metadata(s, f, seed=7, draws=draws),
+                                   space, form) == want
+        assert seen == {None, "bound", "Lipschitz"}
+
+    @pytest.mark.parametrize("name", SPACES)
+    def test_a_form_is_evaluated_once_on_the_distinct_points(self, name):
+        space = self.SPACES[name]
+        seen = []
+
+        class Counted(Tent):
+            def evaluate(self, space, pts):
+                seen.append(np.array(pts))
+                return super().evaluate(space, pts)
+
+        validate_metadata(space, Counted(0, 0.5), seed=7, draws=ValidationDraws())
+        assert len(seen) == 1
+        rng = np.random.default_rng(7)
+        sampled = np.concatenate([space.sample_points(rng, 10_000) for _ in range(2)])
+        assert np.array_equal(seen[0], np.unique(sampled))
+
+
+def spiky_space():
+    """A 'carrier' whose distances to point 0 are the awkward floats."""
+    col = np.array([0.0, -0.0, np.nan, np.inf, 1e308, 5e-324, 0.3])
+    m = np.zeros((len(col), len(col)))
+    m[:, 0] = m[0, :] = col
+    return finite_space(tuple(range(len(col))), m, validate=False)
+
+
+class TestInPlaceKernels:
+    """The in-place kernels equal their old expressions, on ±0, NaN and overflow."""
+
+    SPACE = spiky_space()
+    PTS = np.arange(7)
+
+    @pytest.mark.parametrize("radius", [1e-300, 0.5, 1.0, math.inf])
+    def test_tent(self, radius):
+        with np.errstate(all="ignore"):
+            got = Tent(0, radius).evaluate(self.SPACE, self.PTS)
+            d = self.SPACE.dist_to(self.PTS, 0)
+            want = np.maximum(0.0, 1.0 - d / radius)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values,lip", [((-0.0,), 0.0), ((-0.0, 0.0), 1.0),
+                                            ((0.5, -0.0), 1e308), ((-1e308, 1.0), 2.0)])
+    def test_mcshane(self, values, lip):
+        anchors = (0, 6)[:len(values)]
+        with np.errstate(all="ignore"):
+            got = McShane(anchors, values, lip).evaluate(self.SPACE, self.PTS)
+            want = None
+            for value, anchor in zip(values, anchors):
+                col = value + lip * self.SPACE.dist_to(self.PTS, anchor)
+                want = col if want is None else np.minimum(want, col)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lo,hi,factor", [(-1.0, 1.0, -1.0), (-0.0, 0.0, 1.0),
+                                              (-0.0, 0.0, -1.0), (-1.0, 1.0, 1e308)])
+    def test_clamp(self, lo, hi, factor):
+        child = Scale(factor, DistTo(0))
+        with np.errstate(all="ignore"):
+            got = Clamp(lo, hi, child).evaluate(self.SPACE, self.PTS)
+            want = np.clip(child.evaluate(self.SPACE, self.PTS), lo, hi)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_single_cube_point_gives_a_scalar(self):
+        point = np.array([0.25, 0.5])
+        for form in (Tent((0.5, 0.5), 0.5), McShane(((0.0, 0.0),), (0.1,), 1.0),
+                     Clamp(-0.2, 0.2, DistTo((1.0, 1.0)))):
+            got = form.evaluate(CUBE2, point)
+            assert np.ndim(got) == 0
+            assert got == form.evaluate(CUBE2, point[None, :])[0]
+
+    def test_a_vector_function_evaluates_a_repeated_form_once(self):
+        calls = []
+
+        class Counted(Tent):
+            def evaluate(self, space, pts):
+                calls.append(self)
+                return super().evaluate(space, pts)
+
+        form = Counted((0.5,), 0.5)
+        g = vector_function(CUBE1, omega_space(4), (form,) * 4, validate=False)
+        pts = CUBE1.points_array([(0.1,), (0.5,), (0.9,)])
+        vals = g.evaluate(pts)
+        assert len(calls) == 1
+        assert np.array_equal(vals, np.stack([Tent((0.5,), 0.5).evaluate(CUBE1, pts)] * 4,
+                                             axis=-1))
