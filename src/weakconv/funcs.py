@@ -464,14 +464,17 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _S
         dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
         pts, qts = np.asfortranarray(pts), np.asfortranarray(qts)
         return _Samples(pts, qts, dists, pts, None, None, None, dists)
+    n = space.n_points
     dists = space.dist_matrix[pts, qts]
-    points, rows = np.unique(np.concatenate([pts, qts]), return_inverse=True)
-    pairs = np.unique(rows[:samples] * len(points) + rows[samples:])
-    p_rows, q_rows = np.divmod(pairs, len(points))
-    pair_dists = space.dist_matrix[points[p_rows], points[q_rows]]
+    in_pts = np.bincount(pts, minlength=n) > 0
+    points = np.flatnonzero(in_pts | (np.bincount(qts, minlength=n) > 0))
+    row = np.zeros(n, dtype=np.intp)
+    row[points] = np.arange(len(points))
+    p, q = np.divmod(np.flatnonzero(np.bincount(pts * n + qts, minlength=n * n)), n)
+    pair_dists = space.dist_matrix[p, q]
     apart = pair_dists > 1e-9
-    return _Samples(pts, qts, dists, points, np.unique(rows[:samples]),
-                    p_rows[apart], q_rows[apart], pair_dists[apart])
+    return _Samples(pts, qts, dists, points, row[np.flatnonzero(in_pts)],
+                    row[p[apart]], row[q[apart]], pair_dists[apart])
 
 
 def _exceeds(vals: np.ndarray, cap: float) -> bool:
