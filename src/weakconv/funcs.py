@@ -398,7 +398,7 @@ class ValidationDraws:
         draw = self._draw(space, seed, samples)
         return draw.pts, draw.qts, draw.dists
 
-    def _draw(self, space: CompactSpace, seed: int, samples: int) -> "_Samples":
+    def _draw(self, space: CompactSpace, seed: int, samples: int) -> _Samples:
         key = (space, seed, samples)
         if key not in self._draws:
             self._draws[key] = _draw_validation_samples(space, seed, samples)
