@@ -122,9 +122,7 @@ class CompactSpace:
         On the cube one coordinate column is subtracted, squared and added
         at a time, so no d x N block is built; the columns are contiguous
         when ``pts`` is column-major.  The squares are summed in the order
-        ``np.add.reduce`` takes over a last axis of d terms: one after
-        another below eight, and its pairwise tree
-        ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) at eight.  So
+        ``np.add.reduce`` takes over a last axis (``sum_in_reduce_order``), so
         every distance is bit-identical to
         ``np.sqrt(np.sum((pts - anchor) ** 2, axis=-1))`` up to
         ``MAX_CUBE_DIM``.  In one dimension the distance is |x - a|, which
@@ -153,29 +151,41 @@ class CompactSpace:
             if abs(anchor[0]) < _TINY_ANCHOR and np.any((gap > 0.0) & (gap < _TINY_GAP)):
                 return np.sqrt(square_gap(0, out=gap), out=gap)
             return gap
-        if len(cols) == 8:
-            left, tmp = square_gap(0), square_gap(1)
-            left += tmp
-            right = square_gap(2)
-            right += square_gap(3, out=tmp)
-            left += right
-            right = square_gap(4, out=right)
-            right += square_gap(5, out=tmp)
-            last = square_gap(6)
-            last += square_gap(7, out=tmp)
-            right += last
-            left += right
-            return np.sqrt(left, out=left)
-        total, tmp = square_gap(0), None
-        for k in range(1, len(cols)):
-            tmp = square_gap(k, out=tmp)
-            total += tmp
+        total = sum_in_reduce_order(square_gap, len(cols))
         return np.sqrt(total, out=total)
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "finite":
             return rng.integers(0, self.n_points, size=n)
         return rng.random((n, self.dim))
+
+
+def sum_in_reduce_order(square_gap, d: int) -> np.ndarray:
+    """square_gap(0) + ... + square_gap(d - 1), added as ``np.add.reduce`` adds
+    a last axis of d terms: one after another below eight, and by its
+    pairwise tree ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) at eight.
+
+    ``square_gap(k, out=None)`` returns the k-th term, written into
+    ``out`` when one is given; the sum is built in the arrays it returns.
+    """
+    if d == 8:
+        left, tmp = square_gap(0), square_gap(1)
+        left += tmp
+        right = square_gap(2)
+        right += square_gap(3, out=tmp)
+        left += right
+        right = square_gap(4, out=right)
+        right += square_gap(5, out=tmp)
+        last = square_gap(6)
+        last += square_gap(7, out=tmp)
+        right += last
+        left += right
+        return left
+    total, tmp = square_gap(0), None
+    for k in range(1, d):
+        tmp = square_gap(k, out=tmp)
+        total += tmp
+    return total
 
 
 def unit_cube(dim: int) -> CompactSpace:

@@ -40,7 +40,7 @@ from .errors import CapacityError, DomainError, UnsupportedError
 from .funcs import ValidationDraws, form_from_json, vector_function
 from .integral import integrability_report, integrate
 from .measure import bl_distance, measure_from_json, scenario
-from .suite import selftest, suite_targets
+from .suite import AGREEMENT_SEED_OFFSET, bundled_suite, selftest, suite_targets
 from .target import target_from_json
 
 EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE = 0, 1, 2
@@ -105,11 +105,18 @@ def _convert(kind, value, key: str):
                           f"got {value!r}") from exc
 
 
-def _seed(value) -> int:
-    """A seed: a non-negative integer, as every random stream needs."""
+def _seed(value, derived: int = 0) -> int:
+    """A seed: a non-negative integer, as every random stream needs.
+
+    A command keys Philox streams with seeds up to ``seed + derived``,
+    and a Philox key lies below 2**128.
+    """
     seed = _convert(int, value, "seed")
     if seed < 0:
         raise DomainError(f"'seed' must be a non-negative integer, got {value!r}")
+    if seed + derived >= 2 ** 128:
+        bound = f"2**128 - {derived}" if derived else "2**128"
+        raise DomainError(f"'seed' must be below {bound}, got {value!r}")
     return seed
 
 
@@ -205,11 +212,12 @@ def cmd_certify(args) -> int:
                           "or use a labeled sequence kind")
     n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
     tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
-    seed = _seed(_run_knob(args, doc, "seed", 0))
+    targets = [target_from_json(t) for t in doc.get("targets", [])]
+    # target k's vector members are keyed by seed + 1 + k
+    seed = _seed(_run_knob(args, doc, "seed", 0), derived=len(targets))
     normalize = _run_knob(args, doc, "normalize", False)
     if not isinstance(normalize, bool):
         raise DomainError(f"'normalize' must be true or false, got {normalize!r}")
-    targets = [target_from_json(t) for t in doc.get("targets", [])]
     battery = _battery_from_doc(space, doc, seed, targets)
 
     verdict = certify(family, candidate, battery, n_terms=n_terms, tol=tol,
@@ -219,11 +227,10 @@ def cmd_certify(args) -> int:
     print(f"sequence = {family.name}")
     print(f"status = {verdict.status.value}")
     print(f"window = {verdict.window_start}..{n_terms}")
-    tail = max(verdict.bl_values[verdict.window_start - 1:])
-    print(f"bl_tail_max = {tail!r}")
-    for name, series, (lo, hi) in zip(verdict.member_names, verdict.gaps,
+    print(f"bl_tail_max = {max(verdict.window_bl)!r}")
+    for name, series, (lo, hi) in zip(verdict.member_names, verdict.window_gaps,
                                       verdict.thresholds):
-        gap = max(series[verdict.window_start - 1:])
+        gap = max(series)
         print(f"member {name}: tail_max={gap!r} thresholds=({lo!r}, {hi!r})")
     if verdict.witness is not None:
         w = verdict.witness
@@ -262,7 +269,9 @@ def cmd_scenario_run(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = selftest(seed=_seed(args.seed), quick=args.quick)
+    # scenario i of the agreement table is keyed by seed + AGREEMENT_SEED_OFFSET + i
+    derived = 0 if args.quick else AGREEMENT_SEED_OFFSET + len(bundled_suite()) - 1
+    report = selftest(seed=_seed(args.seed, derived), quick=args.quick)
     print(report.render())
     return EX_OK if report.ok else EX_NEGATIVE
 

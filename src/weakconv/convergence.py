@@ -36,18 +36,27 @@ bytes); canonical measures make equal terms byte-equal, so the periodic
 and constant scenarios solve the oracle once per phase, not once per
 index.  A missed match only costs time.
 
-The gap sweep is batched.  The atoms of the distinct terms are
-concatenated, the limit's atoms follow them, and each member is
+Certification is window-first.  The rule reads only the window, so the
+oracle solves, and the members score, only the distinct terms that
+indices window_start..N reference; the status, the oracle's status,
+the report's oracle witnesses and the divergence recheck come from
+those values.  The earlier terms are solved and scored the first time
+a full series (``Verdict.gaps``, ``Verdict.bl_values``) is read, once
+for every verdict of a report.  The oracle's input checks run on every
+term at once, so a bad term raises at the call.
+
+The gap sweep is batched.  The atoms of the distinct terms being scored
+are concatenated, the limit's atoms follow them, and each member is
 evaluated once on all of them (a vector member evaluates each distinct
 coordinate-form object once).  Values are pointwise, so each part
 equals an evaluation of its own.  Terms with the same atom count form a
 group, and one stacked ``matmul`` of the group's weights, shape
 (G, 1, a), with its values, (G, a, 1) or (G, a, D), gives every
 integral of the group: each stack runs the same dot product as a
-one-term ``weights @ values``.  The integrals are then expanded back to
-all N terms; the limit's integral is taken once per member, and vector
-gaps are scored for all terms in one call of the target's gap
-functional.  Every gap is bit-identical to the per-term route
+one-term ``weights @ values``.  The limit's integral is taken once per
+member, vector gaps are scored for all those terms in one call of the
+target's gap functional, and the gaps are then expanded to the indices
+that reference each term.  Every gap is bit-identical to the per-term route
 (``integral_gap``), which evaluates a member on one measure at a time
 and integrates the limit afresh.  That per-term route is kept as the
 independent recheck of a divergence witness: the two gaps that decide a
@@ -75,7 +84,7 @@ from .errors import DomainError, UnsupportedError
 from .funcs import (Clamp, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
                     VectorFunction, validate_metadata)
 from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
-                      bl_distance, normalize)
+                      bl_distance, check_bl_inputs, normalize)
 from .target import TargetSpace, gap_value
 from .integral import atomic_oracle
 
@@ -328,12 +337,10 @@ def _member_gap(member, mu_n: FiniteMeasure, mu: FiniteMeasure) -> float:
 
 
 class _Prefix:
-    """A prefix of N terms, its distinct terms and their atoms grouped by count.
+    """A prefix of N terms and its distinct terms.
 
-    Term n is ``distinct[where[n - 1]]``.  ``points`` concatenates the
-    atoms of the distinct terms.  ``groups`` holds, for each atom count a,
-    the indices of the distinct terms with a atoms, their weights stacked
-    to shape (G, 1, a) and the rows of their atoms in ``points``, (G, a).
+    Term n is ``distinct[where[n - 1]]``; distinct terms are numbered in
+    the order they first appear.
     """
 
     def __init__(self, terms: Sequence[FiniteMeasure]):
@@ -349,49 +356,48 @@ class _Prefix:
                 self.distinct.append(mu)
             where.append(t)
         self.where = np.array(where, dtype=np.intp)
-        sizes = [mu.n_atoms for mu in self.distinct]
-        starts = np.cumsum([0] + sizes[:-1])
-        self.points = np.concatenate([mu.points for mu in self.distinct])
-        by_size: dict = {}
-        for t, size in enumerate(sizes):
-            by_size.setdefault(size, []).append(t)
-        self.groups = [(np.array(ts), np.stack([self.distinct[t].weights for t in ts])[:, None],
-                        starts[ts][:, None] + np.arange(size))
-                       for size, ts in by_size.items()]
 
 
-def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure) -> tuple:
-    """Every member's gap series over the prefix, one member evaluation each.
+def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure,
+                  ts: np.ndarray) -> np.ndarray:
+    """Every member's gap on the distinct terms ``ts``, one member evaluation each.
 
-    A member is evaluated once, on the atoms of the distinct terms
-    followed by the limit's atoms; values are pointwise, so each part
-    equals an evaluation on its own.  The
-    integrals of one atom-count group are a stacked ``matmul``, (G, 1, a)
-    weights with (G, a, 1) or (G, a, D) values, whose every stack runs the
-    same dot product, on the same operands in the same order, as the
-    per-term ``mu.weights @ vals``; so every gap, expanded back to all N
-    terms, equals ``integral_gap`` bit for bit.
+    Returns one row per member and one column per term of ``ts``.  A
+    member is evaluated once, on the atoms of those terms followed by the
+    limit's atoms; values are pointwise, so each part equals an evaluation
+    on its own.  Terms with the same atom count form a group, and the
+    integrals of a group are a stacked ``matmul``, (G, 1, a) weights with
+    (G, a, 1) or (G, a, D) values, whose every stack runs the same dot
+    product, on the same operands in the same order, as the per-term
+    ``mu.weights @ vals``; so every gap equals ``integral_gap`` bit for
+    bit, whichever terms are scored together.
     """
-    space = limit.space
-    split = len(prefix.points)
-    points = np.concatenate([prefix.points, limit.points])
-    gaps = []
-    for member in members:
+    terms = [prefix.distinct[t] for t in ts]
+    sizes = [mu.n_atoms for mu in terms]
+    split = sum(sizes)
+    starts = np.cumsum([0] + sizes[:-1])
+    points = np.concatenate([mu.points for mu in terms] + [limit.points])
+    by_size: dict = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(i)
+    groups = [(np.array(rows), np.stack([terms[i].weights for i in rows])[:, None],
+               starts[rows][:, None] + np.arange(size))
+              for size, rows in by_size.items()]
+    gaps = np.empty((len(members), len(terms)))
+    for k, member in enumerate(members):
         if isinstance(member, VectorMember):
             both = member.function.evaluate(points)
         else:
-            both = member.form.evaluate(space, points)
+            both = member.form.evaluate(limit.space, points)
         vals, at_limit = both[:split], both[split:].copy()
         cols = vals[:, None] if vals.ndim == 1 else vals
-        sums = np.empty((len(prefix.distinct), cols.shape[1]))
-        for rows, weights, atoms in prefix.groups:
+        sums = np.empty((len(terms), cols.shape[1]))
+        for rows, weights, atoms in groups:
             sums[rows] = (weights @ cols[atoms])[:, 0]
-        sums = sums[prefix.where].reshape(prefix.where.shape + vals.shape[1:])
-        diff = sums - limit.weights @ at_limit
-        series = (gap_value(member.function.target, diff)
-                  if isinstance(member, VectorMember) else np.abs(diff))
-        gaps.append(tuple(series.tolist()))
-    return tuple(gaps)
+        diff = (sums if vals.ndim > 1 else sums[:, 0]) - limit.weights @ at_limit
+        gaps[k] = (gap_value(member.function.target, diff)
+                   if isinstance(member, VectorMember) else np.abs(diff))
+    return gaps
 
 
 def _member_thresholds(members: Sequence, tol: float) -> tuple:
@@ -415,10 +421,66 @@ def _member_thresholds(members: Sequence, tol: float) -> tuple:
     return tuple(out)
 
 
-def _bl_results(prefix: _Prefix, limit: FiniteMeasure) -> list:
-    """The oracle's result for every term, solved once per distinct term."""
-    results = [bl_distance(mu, limit) for mu in prefix.distinct]
-    return [results[t] for t in prefix.where]
+def _bl_results(prefix: _Prefix, limit: FiniteMeasure, ts: np.ndarray) -> list:
+    """The oracle's result on each distinct term of ``ts``."""
+    return [bl_distance(prefix.distinct[t], limit) for t in ts.tolist()]
+
+
+class _Scores:
+    """One report's oracle results and member gaps over a prefix, window first.
+
+    Every distinct term is checked as the oracle checks its inputs; the
+    distinct terms that indices window_start..N reference are solved at
+    once and scored for each verdict's members by ``score``.  The other
+    terms are solved and scored, for every verdict scored so far, the
+    first time a full series is read (``complete``); a certificate
+    failure among them shows there.  Every verdict of a report is scored
+    before any series is read.
+    """
+
+    def __init__(self, prefix: _Prefix, limit: FiniteMeasure, window_start: int):
+        for mu in prefix.distinct:
+            check_bl_inputs(mu, limit)
+        self.prefix, self.limit, self.window_start = prefix, limit, window_start
+        self.window = np.unique(prefix.where[window_start - 1:])
+        self.early = np.setdiff1d(np.arange(len(prefix.distinct)), self.window)
+        self.results: list = [None] * len(prefix.distinct)
+        for t, res in zip(self.window.tolist(), _bl_results(prefix, limit, self.window)):
+            self.results[t] = res
+        self.window_results = [self.results[t] for t in prefix.where[window_start - 1:]]
+        self.window_bl = tuple(res.value for res in self.window_results)
+        self.slots: list = []  # (members, gaps per distinct term) per verdict
+        self.completed = False
+
+    def score(self, members: Sequence) -> Tuple[int, tuple]:
+        """A verdict's slot and its members' gaps at indices window_start..N."""
+        gaps = np.full((len(members), len(self.results)), np.nan)
+        gaps[:, self.window] = _battery_gaps(members, self.prefix, self.limit, self.window)
+        self.slots.append((members, gaps))
+        window = gaps[:, self.prefix.where[self.window_start - 1:]]
+        return len(self.slots) - 1, tuple(map(tuple, window.tolist()))
+
+    def complete(self) -> None:
+        """Solve and score the terms before the window, once for the report."""
+        if self.completed:
+            return
+        for t, res in zip(self.early.tolist(), _bl_results(self.prefix, self.limit, self.early)):
+            self.results[t] = res
+        if self.early.size:
+            for members, gaps in self.slots:
+                gaps[:, self.early] = _battery_gaps(members, self.prefix, self.limit,
+                                                    self.early)
+        self.completed = True
+
+    def series(self, slot: int) -> tuple:
+        """A verdict's gaps per member at indices 1..N."""
+        self.complete()
+        return tuple(map(tuple, self.slots[slot][1][:, self.prefix.where].tolist()))
+
+    def bl_values(self) -> tuple:
+        """The oracle's values at indices 1..N."""
+        self.complete()
+        return tuple(self.results[t].value for t in self.prefix.where.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -440,18 +502,59 @@ class DivergenceWitness:
     gap: float
 
 
-@dataclass(frozen=True)
+_VERDICT_FIELDS = ("status", "n_terms", "tol", "window_start", "member_names", "gaps",
+                   "thresholds", "bl_values", "witness", "mass_gaps")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Verdict:
+    """A certification verdict, decided from the window window_start..N.
+
+    ``window_gaps`` and ``window_bl`` hold the values the verdict reads:
+    each member's gaps and the oracle's values over the window.  ``gaps``
+    and ``bl_values`` hold indices 1..N; the terms before the window are
+    solved and scored the first time one of them is read, once for every
+    verdict of the report.  Equality, hashing and ``repr`` go by the
+    fields in ``_VERDICT_FIELDS``, the full series included.
+    """
+
     status: Status
     n_terms: int
     tol: float
     window_start: int  # first index of the last-quarter window
     member_names: tuple
-    gaps: tuple              # one tuple of gaps per member, indices 1..N
     thresholds: tuple        # (tail, divergence) per member
-    bl_values: tuple
-    witness: Optional[DivergenceWitness] = None
-    mass_gaps: tuple = ()    # only present on the normalizing path
+    window_gaps: tuple       # one tuple of gaps per member, indices window_start..N
+    window_bl: tuple         # the oracle's values, indices window_start..N
+    witness: Optional[DivergenceWitness]
+    mass_gaps: tuple         # only present on the normalizing path
+    _scores: "_Scores"
+    _slot: int
+
+    @property
+    def gaps(self) -> tuple:
+        """One tuple of gaps per member, indices 1..N."""
+        mass = (self.mass_gaps,) if self.mass_gaps else ()
+        return self._scores.series(self._slot) + mass
+
+    @property
+    def bl_values(self) -> tuple:
+        """The oracle's values, indices 1..N."""
+        return self._scores.bl_values()
+
+    def _fields(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in _VERDICT_FIELDS)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"Verdict({', '.join(f'{name}={value!r}' for name, value in self._fields())})"
 
     def to_json(self) -> dict:
         out = {
@@ -460,7 +563,7 @@ class Verdict:
             "tol": self.tol,
             "window_start": self.window_start,
             "members": list(self.member_names),
-            "bl_tail_max": max(self.bl_values[self.window_start - 1:]) if self.bl_values else None,
+            "bl_tail_max": max(self.window_bl),
             "witness": None,
         }
         if self.witness is not None:
@@ -470,10 +573,10 @@ class Verdict:
 
     def csv_rows(self, scenario_name: str = "") -> List[str]:
         rows = []
+        bl_values = self.bl_values
         for name, gaps in zip(self.member_names, self.gaps):
             for n, gap in enumerate(gaps, start=1):
-                bl = self.bl_values[n - 1] if self.bl_values else ""
-                rows.append(f"{scenario_name},{name},{n},{gap!r},{bl!r}")
+                rows.append(f"{scenario_name},{name},{n},{gap!r},{bl_values[n - 1]!r}")
         return rows
 
 
@@ -491,44 +594,47 @@ def _window_rule(names: Sequence[str], series: Sequence[Sequence[float]],
                  window_start: int) -> Tuple[Status, Optional[DivergenceWitness]]:
     """The decision rule over the window, for members and the oracle alike.
 
-    The first series over its divergence threshold at two window indices
-    is divergent, with those indices as the witness; every series within
-    its tail threshold over the window is convergent evidence; anything
-    else is inconclusive.
+    Each series holds its values at indices window_start..N.  The first
+    series over its divergence threshold at two window indices is
+    divergent, with those indices as the witness; every series within its
+    tail threshold over the window is convergent evidence; anything else
+    is inconclusive.
     """
     for name, gaps, (_, hi) in zip(names, series, thresholds):
-        exceed = [n for n in range(window_start, len(gaps) + 1) if gaps[n - 1] > hi]
+        exceed = [i for i, gap in enumerate(gaps) if gap > hi]
         if len(exceed) >= 2:
-            n1, n2 = exceed[0], exceed[1]
+            i1, i2 = exceed[0], exceed[1]
             return Status.DIVERGENT, DivergenceWitness(
-                member=name, n1=n1, n2=n2, gap=min(gaps[n1 - 1], gaps[n2 - 1]))
-    if all(max(gaps[window_start - 1:]) <= lo for gaps, (lo, _) in zip(series, thresholds)):
+                member=name, n1=window_start + i1, n2=window_start + i2,
+                gap=min(gaps[i1], gaps[i2]))
+    if all(max(gaps) <= lo for gaps, (lo, _) in zip(series, thresholds)):
         return Status.CONVERGENT_EVIDENCE, None
     return Status.INCONCLUSIVE, None
 
 
-def _verdict(family: MeasureFamily, prefix: _Prefix, limit: FiniteMeasure,
-             members: Sequence, bl_values: Sequence[float], tol: float, window_start: int,
+def _verdict(family: MeasureFamily, scores: _Scores, members: Sequence, tol: float,
              mass: Optional[Tuple[tuple, float]] = None) -> Verdict:
-    """Score every member over the prefix and decide: the one certification kernel.
+    """Score the members over the window and decide: the one certification kernel.
 
-    ``bl_values`` are the oracle's values on the prefix.  ``mass`` is
-    (total-mass gaps, limit mass) on the normalizing path, where the
-    prefix and limit are the normalized copies; the mass gaps then join
-    the battery as the member ``total_mass``.
+    ``scores`` holds the report's prefix, limit and oracle results.
+    ``mass`` is (total-mass gaps, limit mass) on the normalizing path,
+    where the prefix and limit are the normalized copies; the mass gaps
+    then join the battery as the member ``total_mass``.
     """
+    window_start = scores.window_start
     names = tuple(m.name for m in members)
-    gaps = _battery_gaps(members, prefix, limit)
+    slot, window_gaps = scores.score(members)
     thresholds = _member_thresholds(members, tol)
     mass_gaps: tuple = ()
     if mass is not None:
         mass_gaps, mass_limit = mass
         names += ("total_mass",)
-        gaps += (mass_gaps,)
+        window_gaps += (mass_gaps[window_start - 1:],)
         thresholds += ((tol, 10.0 * tol),)
 
-    status, witness = _window_rule(names, gaps, thresholds, window_start)
-    oracle, _ = _window_rule(("bl",), (bl_values,), ((tol, 10.0 * tol),), window_start)
+    status, witness = _window_rule(names, window_gaps, thresholds, window_start)
+    oracle, _ = _window_rule(("bl",), (scores.window_bl,), ((tol, 10.0 * tol),),
+                             window_start)
     if witness is not None:
         # the witness must be reproducible from scratch, not an artefact
         # of the batched sweep above, so it is recomputed by the per-term route
@@ -537,15 +643,16 @@ def _verdict(family: MeasureFamily, prefix: _Prefix, limit: FiniteMeasure,
             if idx == len(members):
                 fresh = abs(family.measure(n).total_mass - mass_limit)
             else:
-                fresh = _member_gap(members[idx], prefix.terms[n - 1], limit)
-            if abs(fresh - gaps[idx][n - 1]) > _WITNESS_RECHECK_TOL:
+                fresh = _member_gap(members[idx], scores.prefix.terms[n - 1], scores.limit)
+            if abs(fresh - window_gaps[idx][n - window_start]) > _WITNESS_RECHECK_TOL:
                 raise RuntimeError("divergence witness failed recheck")
     elif oracle is not Status.CONVERGENT_EVIDENCE:
         status = Status.INCONCLUSIVE
 
-    return Verdict(status=status, n_terms=len(prefix.terms), tol=tol,
-                   window_start=window_start, member_names=names, gaps=gaps, thresholds=thresholds,
-                   bl_values=tuple(bl_values), witness=witness, mass_gaps=mass_gaps)
+    return Verdict(status=status, n_terms=len(scores.prefix.terms), tol=tol,
+                   window_start=window_start, member_names=names, thresholds=thresholds,
+                   window_gaps=window_gaps, window_bl=scores.window_bl, witness=witness,
+                   mass_gaps=mass_gaps, _scores=scores, _slot=slot)
 
 
 def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
@@ -570,10 +677,8 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     elif not (limit.is_probability and all(mu.is_probability for mu in prefix)):
         raise DomainError("certify needs probability measures "
                           "(or normalize_inputs=True)")
-    prefix = _Prefix(prefix)
-    bl_values = tuple(res.value for res in _bl_results(prefix, limit))
-    return _verdict(family, prefix, limit, battery.members, bl_values, tol,
-                    window_start, mass)
+    scores = _Scores(_Prefix(prefix), limit, window_start)
+    return _verdict(family, scores, battery.members, tol, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +733,17 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
         raise DomainError("equivalence scenarios must produce probability measures")
 
     # one oracle run per distinct term serves the oracle's status and every verdict
-    bl_results = _bl_results(prefix, candidate)
-    bl_values = tuple(res.value for res in bl_results)
-    oracle_status, _ = _window_rule(("bl",), (bl_values,), ((tol, 10.0 * tol),),
+    scores = _Scores(prefix, candidate, window_start)
+    oracle_status, _ = _window_rule(("bl",), (scores.window_bl,), ((tol, 10.0 * tol),),
                                     window_start)
 
     # witnesses from the two largest oracle gaps in the window
     tail = sorted(range(window_start, n_terms + 1),
-                  key=lambda n: (-bl_values[n - 1], n))[:2]
+                  key=lambda n: (-scores.window_bl[n - window_start], n))[:2]
     witness_members = []
     for n in sorted(tail):
         member = bl_witness_function(prefix.terms[n - 1], candidate,
-                                     result=bl_results[n - 1])
+                                     result=scores.window_results[n - window_start])
         witness_members.append(ScalarMember(name=f"bl_witness[n={n}]", form=member.form,
                                             bound=member.bound, lip=member.lip))
 
@@ -648,8 +752,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     draws = ValidationDraws()
     stream = _scalar_stream(family.space, spec, seed)  # shared by every target
     scalars = _scalar_members(family.space, spec, seed, draws, stream) + tuple(witness_members)
-    scalar_verdict = _verdict(family, prefix, candidate, scalars, bl_values, tol,
-                              window_start)
+    scalar_verdict = _verdict(family, scores, scalars, tol)
 
     vector_verdicts = []
     for target in targets:
@@ -660,8 +763,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                                                      [m.form] * target.dim),
                          bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
             for m in witness_members)
-        verdict = _verdict(family, prefix, candidate, vectors + lifted, bl_values, tol,
-                           window_start)
+        verdict = _verdict(family, scores, vectors + lifted, tol)
         vector_verdicts.append((target.family.name, verdict))
 
     return EquivalenceReport(family_name=family.name, label_kind=family.label.kind,
@@ -706,5 +808,5 @@ def distribution_convergence_report(elements: Sequence[RandomElement],
                            name="random-elements")
     verdict = certify(family, limit_element.law, battery, n_terms, tol)
     # a vector member's last gap is its expectation gap at the last term
-    tails = tuple(gaps[-1] for gaps in verdict.gaps[len(battery.scalar_members):])
+    tails = tuple(gaps[-1] for gaps in verdict.window_gaps[len(battery.scalar_members):])
     return DistributionReport(verdict=verdict, expectation_tails=tails)

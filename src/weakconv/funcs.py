@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carrier import CompactSpace, Point, point_from_json
+from .carrier import CompactSpace, Point, point_from_json, sum_in_reduce_order
 from .errors import DomainError, UnsupportedError
 
 
@@ -450,7 +450,10 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _S
     """The two seeded sample sets every form on this carrier is checked on.
 
     On the cube the samples are stored column-major, so each coordinate
-    column that ``CompactSpace.dist_to`` reads is contiguous.  On a finite
+    column that ``CompactSpace.dist_to`` reads is contiguous, and the
+    distance of each pair is taken from those columns: subtracted, squared
+    and added in ``np.add.reduce``'s order, bit for bit the row norms
+    ``np.linalg.norm(pts - qts, axis=1)`` of the row-major draw.  On a finite
     carrier (at most 64 points) the distinct sampled points and the
     distinct pairs are kept as well: a form's values there depend only on
     the point, so checking each distinct point and pair once decides
@@ -461,8 +464,14 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _S
     pts = space.sample_points(rng, samples)
     qts = space.sample_points(rng, samples)
     if space.kind != "finite":
-        dists = np.linalg.norm(np.asarray(pts) - np.asarray(qts), axis=1)
         pts, qts = np.asfortranarray(pts), np.asfortranarray(qts)
+
+        def square_gap(k: int, out=None) -> np.ndarray:
+            out = np.subtract(pts[:, k], qts[:, k], out=out)
+            return np.multiply(out, out, out=out)
+
+        dists = sum_in_reduce_order(square_gap, space.dim)
+        np.sqrt(dists, out=dists)
         return _Samples(pts, qts, dists, pts, None, None, None, dists)
     n = space.n_points
     dists = space.dist_matrix[pts, qts]

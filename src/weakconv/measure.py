@@ -109,7 +109,50 @@ class FiniteMeasure:
 
 
 def finite_measure(space: CompactSpace, atoms: Sequence[Tuple[Point, float]]) -> FiniteMeasure:
-    """Build a measure from (point, weight) pairs; weights must be >= 0."""
+    """Build a measure from (point, weight) pairs; weights must be >= 0.
+
+    All weights are checked with one array test and all points with
+    another.  When a check fails, the atoms are checked again one at a
+    time, so the error names the first offending atom.
+    """
+    atoms = list(atoms)
+    arrays = _checked_arrays(space, atoms)
+    if arrays is None:
+        arrays = _checked_atoms(space, atoms)
+    points, weights = _canonical_atoms(space, *arrays)
+    return FiniteMeasure(space=space, points=points, weights=weights)
+
+
+def _checked_arrays(space: CompactSpace, atoms: list) -> Optional[tuple]:
+    """The atoms' points and weights as arrays if every atom passes the
+    checks of ``_checked_atoms``, else None."""
+    if not atoms:
+        return None
+    try:
+        wts = [float(w) for _, w in atoms]
+        pts = [p for p, _ in atoms]
+        # a finite sum has no NaN or infinite term, so min sees every weight
+        if not (math.isfinite(sum(wts)) and min(wts) >= 0):
+            return None
+        if space.kind == "finite":
+            # what CompactSpace.contains accepts: integer indices in range
+            if not (all(issubclass(t, (int, np.integer)) for t in set(map(type, pts)))
+                    and min(pts) >= 0 and max(pts) < space.n_points):
+                return None
+            points = np.asarray(pts, dtype=int)
+        else:
+            points = np.asarray(pts, dtype=float)
+            # NaN fails both comparisons, as it fails CompactSpace.contains
+            if not (points.ndim == 2 and points.shape[1] == space.dim
+                    and points.min() >= 0.0 and points.max() <= 1.0):
+                return None
+    except (TypeError, ValueError, OverflowError):  # _checked_atoms raises it at its atom
+        return None
+    return points, np.array(wts)
+
+
+def _checked_atoms(space: CompactSpace, atoms: list) -> tuple:
+    """The atoms' points and weights as arrays, checked one atom at a time."""
     pts: list = []
     wts: list = []
     for point, weight in atoms:
@@ -121,14 +164,9 @@ def finite_measure(space: CompactSpace, atoms: Sequence[Tuple[Point, float]]) ->
         pts.append(point)
         wts.append(w)
     if pts:
-        points = space.points_array(pts)
-        weights = np.asarray(wts, dtype=float)
-    else:
-        shape = (0,) if space.kind == "finite" else (0, space.dim)
-        points = np.zeros(shape, dtype=int if space.kind == "finite" else float)
-        weights = np.zeros(0)
-    points, weights = _canonical_atoms(space, points, weights)
-    return FiniteMeasure(space=space, points=points, weights=weights)
+        return space.points_array(pts), np.asarray(wts, dtype=float)
+    shape = (0,) if space.kind == "finite" else (0, space.dim)
+    return np.zeros(shape, dtype=int if space.kind == "finite" else float), np.zeros(0)
 
 
 def dirac(space: CompactSpace, point: Point, weight: float = 1.0) -> FiniteMeasure:
@@ -447,6 +485,23 @@ def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
     return BLResult(value=value, support=tuple(support),
                     witness_values=tuple(sign * fi for fi in witness),
                     iterations=pivots)
+
+
+def check_bl_inputs(mu: FiniteMeasure, nu: FiniteMeasure) -> None:
+    """Raise what ``bl_distance(mu, nu)`` raises before it solves, if anything.
+
+    A caller that solves later checks here first, so a bad input fails
+    when it is handed over; only a certificate failure waits for the solve.
+    """
+    if mu.space != nu.space:
+        raise DomainError("measures live on different carriers")
+    if not (mu.is_probability and nu.is_probability):
+        raise DomainError("bl_distance is defined for probability measures; "
+                          "normalize first")
+    if mu.n_atoms + nu.n_atoms > MAX_BL_SUPPORT:  # else the union is within the cap
+        m = len(_union_support(mu, nu)[0])
+        if m > MAX_BL_SUPPORT:
+            raise CapacityError(f"union support {m} exceeds the cap {MAX_BL_SUPPORT}")
 
 
 # ---------------------------------------------------------------------------

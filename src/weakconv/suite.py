@@ -169,6 +169,9 @@ class AgreementReport:
         }
 
 
+AGREEMENT_SEED_OFFSET = 1000  # scenario i's battery seed is seed + 1000 + i
+
+
 def scenario_agreement(n_terms: int = SUITE_PREFIX, tol: float = SUITE_TOL,
                        seed: int = 0, targets=None) -> AgreementReport:
     """Run the full oracle/battery comparison on every bundled scenario."""
@@ -176,7 +179,7 @@ def scenario_agreement(n_terms: int = SUITE_PREFIX, tol: float = SUITE_TOL,
     rows = []
     for idx, entry in enumerate(bundled_suite()):
         report = equivalence_report(entry.family, targets, n_terms=n_terms,
-                                    tol=tol, seed=seed + 1000 + idx)
+                                    tol=tol, seed=seed + AGREEMENT_SEED_OFFSET + idx)
         rows.append(AgreementRow(
             name=entry.name, label=entry.family.label.kind, expected=entry.expected,
             oracle=report.oracle_status, scalar=report.scalar_verdict.status,

@@ -291,7 +291,10 @@ def cumulative_l1_space(dim: int, base="coordinate") -> TargetSpace:
 def target_from_json(node: dict) -> TargetSpace:
     try:
         kind = node["kind"]
-        dim = int(node["dim"])
+        raw_dim = node["dim"]
+        if isinstance(raw_dim, bool) or (isinstance(raw_dim, float) and not raw_dim.is_integer()):
+            raise ValueError(f"'dim' must be an integer, got {raw_dim!r}")
+        dim = int(raw_dim)
         family = node["family"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad target spec: {exc}") from exc

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from weakconv import convergence
 from weakconv.cli import main
+from weakconv.measure import bl_distance
 
 CUBE1 = {"kind": "cube", "dim": 1}
 CUBE2 = {"kind": "cube", "dim": 2}
@@ -459,3 +461,94 @@ class TestMalformedBatteryTargetAndSeed:
     def test_selftest_negative_seed(self, capsys):
         assert main(["selftest", "--quick", "--seed", "-1"]) == 64
         assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+
+
+SEED_CAP = 2**128  # Philox keys lie below it
+
+
+class TestSeedBound:
+    """A seed whose derived stream keys reach 2**128 exits 64, naming the bound."""
+
+    def test_run_seed_at_the_key_bound(self, tmp_path, capsys):
+        path = write(tmp_path, "drift.json", {"space": CUBE1, "sequence": DRIFT,
+                                              "run": {"seed": SEED_CAP}})
+        assert main(["certify", path]) == 64
+        err = capsys.readouterr().err
+        assert f"'seed' must be below 2**128, got {SEED_CAP}" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("targets", [0, 1, 2])
+    def test_certify_leaves_room_for_each_target(self, tmp_path, capsys, targets):
+        doc = {"space": CUBE1, "sequence": DRIFT,
+               "targets": [{"kind": "frechet", "family": "omega_max", "dim": 2}] * targets}
+        below = write(tmp_path, "below.json", {**doc, "run": {"seed": SEED_CAP - 1 - targets}})
+        assert main(["certify", below]) == 0
+        at = write(tmp_path, "at.json", {**doc, "run": {"seed": SEED_CAP - targets}})
+        assert main(["certify", at, "--n", "8"]) == 64
+        bound = f"2**128 - {targets}" if targets else "2**128"
+        assert f"'seed' must be below {bound}" in capsys.readouterr().err
+
+    def test_empirical_sequence_seed(self, tmp_path, capsys):
+        law = {"atoms": [{"point": [0.4], "weight": 0.5}, {"point": [0.6], "weight": 0.5}]}
+
+        def doc(seed):
+            return {"space": CUBE1,
+                    "sequence": {"kind": "empirical", "seed": seed, "params": {"law": law}}}
+
+        assert main(["certify", write(tmp_path, "below.json", doc(SEED_CAP - 1))]) in (0, 2)
+        assert main(["certify", write(tmp_path, "at.json", doc(SEED_CAP))]) == 64
+        assert "'seed' must be below 2**128" in capsys.readouterr().err
+
+    def test_scenario_run_seed_flag(self, tmp_path, capsys):
+        path = write(tmp_path, "drift.json", {"space": CUBE1, "sequence": DRIFT})
+        assert main(["scenario", "run", path, "--seed", str(SEED_CAP - 1)]) == 0
+        assert main(["scenario", "run", path, "--seed", str(SEED_CAP)]) == 64
+        assert "'seed' must be below 2**128" in capsys.readouterr().err
+
+    def test_selftest_leaves_room_for_the_agreement_table(self, capsys):
+        last = SEED_CAP - 1020  # scenario 19 is keyed by seed + 1019
+        assert main(["selftest", "--seed", str(last + 1)]) == 64
+        assert "'seed' must be below 2**128 - 1019" in capsys.readouterr().err
+        assert main(["selftest", "--seed", str(last)]) == 0
+        assert main(["selftest", "--quick", "--seed", str(SEED_CAP - 1)]) == 0
+        assert main(["selftest", "--quick", "--seed", str(SEED_CAP)]) == 64
+
+
+class TestTargetDimension:
+    @pytest.mark.parametrize("dim", [2.7, True, 2.5, float("nan")])
+    def test_fractional_or_bool_dim_exits_64(self, tmp_path, capsys, dim):
+        path = write(tmp_path, "drift.json", {
+            "space": CUBE1, "sequence": DRIFT,
+            "targets": [{"kind": "frechet", "family": "omega_max", "dim": dim}]})
+        assert main(["certify", path]) == 64
+        err = capsys.readouterr().err
+        assert f"bad target spec: 'dim' must be an integer, got {dim!r}" in err
+
+    def test_integral_float_dim_still_runs(self, tmp_path):
+        path = write(tmp_path, "drift.json", {
+            "space": CUBE1, "sequence": DRIFT,
+            "targets": [{"kind": "frechet", "family": "omega_max", "dim": 2.0}]})
+        assert main(["certify", path]) == 0
+
+
+class TestCertifySolvesTheWindowOnly:
+    def test_empirical_8_cube(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(5)
+        law = {"atoms": [{"point": list(rng.random(8)), "weight": 0.125} for _ in range(8)]}
+        path = write(tmp_path, "emp8.json", {
+            "space": {"kind": "cube", "dim": 8},
+            "sequence": {"kind": "empirical", "seed": 3, "params": {"law": law}}})
+        code, expected = run(capsys, "certify", path)
+        calls = []
+
+        def counted(mu, nu):
+            calls.append(mu)
+            return bl_distance(mu, nu)
+
+        monkeypatch.setattr(convergence, "bl_distance", counted)
+        assert run(capsys, "certify", path) == (code, expected)
+        keys = {(mu.points.tobytes(), mu.weights.tobytes()) for mu in calls}
+        assert len(keys) == len(calls) == 16  # terms 49..64, each a distinct law
+        window = [line for line in expected.splitlines() if line.startswith("window")]
+        assert window == ["window = 49..64"]
+

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weakconv import DomainError, UnsupportedError, convergence, funcs
+from weakconv import CapacityError, DomainError, UnsupportedError, convergence, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _Prefix, _battery_gaps,
@@ -22,8 +22,8 @@ from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMe
                                   generate_battery, integral_gap)
 from weakconv.funcs import (Const, Coord, Tent, ValidationDraws, validate_metadata,
                             vector_function)
-from weakconv.measure import (FiniteMeasure, MeasureFamily, RandomElement, bl_distance,
-                              dirac, finite_measure, normalize, scenario)
+from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, RandomElement,
+                              bl_distance, dirac, finite_measure, normalize, scenario)
 from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
                              omega_space)
@@ -34,6 +34,40 @@ CUBE2 = unit_cube(2)
 
 def constant_family(mu):
     return MeasureFamily(space=mu.space, measure_fn=lambda n: mu, name="const")
+
+
+@pytest.fixture
+def bl_calls(monkeypatch):
+    """The first argument of every oracle call the certification makes."""
+    calls = []
+
+    def counted(mu, nu):
+        calls.append(mu)
+        return bl_distance(mu, nu)
+
+    monkeypatch.setattr(convergence, "bl_distance", counted)
+    return calls
+
+
+def distinct_terms(prefix, start=1):
+    """The distinct terms that indices start..N reference, in order of first appearance."""
+    def key(mu):
+        return mu.points.tobytes(), mu.weights.tobytes()
+
+    referenced = {key(mu) for mu in prefix[start - 1:]}
+    out, seen = [], set()
+    for mu in prefix:
+        if key(mu) not in seen:
+            seen.add(key(mu))
+            if key(mu) in referenced:
+                out.append(mu)
+    return out
+
+
+def all_term_gaps(members, terms, limit):
+    """``_battery_gaps`` on every distinct term of ``terms``, expanded to its N terms."""
+    ts = np.arange(len(terms.distinct))
+    return tuple(map(tuple, _battery_gaps(members, terms, limit, ts)[:, terms.where].tolist()))
 
 
 def probe_battery(space):
@@ -226,7 +260,7 @@ class TestBatchedGapsExact:
             assert mu == terms.distinct[t]
         assert len({(mu.points.tobytes(), mu.weights.tobytes()) for mu in prefix}) \
             == len(terms.distinct)
-        assert _battery_gaps(battery.members, terms, limit) \
+        assert all_term_gaps(battery.members, terms, limit) \
             == per_term_gaps(battery, prefix, limit)
 
 
@@ -248,7 +282,7 @@ class TestRepeatedCoordinateForms:
                          function=_lift_through_base(space, target, [m.form] * target.dim))
             for m in scalars)
         prefix = fam.prefix(16)
-        gaps = _battery_gaps(members, _Prefix(prefix), limit)
+        gaps = all_term_gaps(members, _Prefix(prefix), limit)
 
         def integral(g, mu):
             # each coordinate form evaluated on its own, repeats included
@@ -280,24 +314,190 @@ class TestDistinctTerms:
             assert verdict.bl_values == per_term
 
     @pytest.mark.parametrize("name,period", [("alternating-1d", 2), ("cycle4-1d", 4)])
-    def test_one_oracle_call_per_distinct_term(self, monkeypatch, name, period):
+    def test_one_oracle_call_per_distinct_term(self, bl_calls, name, period):
         entry = next(e for e in bundled_suite() if e.name == name)
         fam, limit = entry.family, entry.family.label.reference
-        calls = []
-
-        def counted(mu, nu):
-            calls.append(mu)
-            return bl_distance(mu, nu)
-
-        monkeypatch.setattr(convergence, "bl_distance", counted)
+        per_term = tuple(bl_distance(mu, limit).value for mu in fam.prefix(DEFAULT_PREFIX))
         spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
         rep = equivalence_report(fam, suite_targets(), seed=3, spec=spec)
         assert rep.oracle_status == Status.DIVERGENT
-        assert calls == fam.prefix(period)
-        calls.clear()
-        certify(fam, limit, generate_battery(fam.space, None,
-                                             BatterySpec(vector_members=0), seed=3))
-        assert calls == fam.prefix(period)
+        # every phase recurs in the window, so the window solves them all
+        assert bl_calls == fam.prefix(period)
+        bl_calls.clear()
+        for verdict in verdicts_of(rep):
+            assert verdict.bl_values == per_term
+        assert bl_calls == []  # and the completion has nothing left to solve
+        verdict = certify(fam, limit, generate_battery(fam.space, None,
+                                                       BatterySpec(vector_members=0), seed=3))
+        assert bl_calls == fam.prefix(period)
+        assert verdict.bl_values == per_term
+        assert bl_calls == fam.prefix(period)
+
+
+def verdicts_of(report):
+    return (report.scalar_verdict,) + tuple(v for _, v in report.vector_verdicts)
+
+
+def report_members(fam, report, targets, seed):
+    """The members of each verdict of ``report``, rebuilt from the battery
+    seed and the names of the oracle's witnesses."""
+    candidate = fam.label.reference
+    scalars = _scalar_members(fam.space, BatterySpec(), seed, ValidationDraws())
+    witnesses = tuple(
+        dataclasses.replace(bl_witness_function(fam.measure(int(name[len("bl_witness[n="):-1])),
+                                                candidate), name=name)
+        for name in report.scalar_verdict.member_names[len(scalars):])
+    members = [scalars + witnesses]
+    for target in targets:
+        lifted = tuple(
+            VectorMember(name=f"{m.name}:lift", bounds=(1.0,) * target.dim,
+                         lips=(1.0,) * target.dim,
+                         function=_lift_through_base(fam.space, target, [m.form] * target.dim))
+            for m in witnesses)
+        members.append(_vector_members(fam.space, target, BatterySpec(), seed,
+                                       ValidationDraws()) + lifted)
+    return members
+
+
+def assert_eager_series(verdict, members, prefix, limit, name="s"):
+    """The full series of ``verdict`` equal the per-term route's, and its window is theirs."""
+    per_term_bl = tuple(bl_distance(mu, limit).value for mu in prefix)
+    battery = Battery(limit.space, None, tuple(members), ())
+    gaps = per_term_gaps(battery, prefix, limit) + ((verdict.mass_gaps,) if verdict.mass_gaps else ())
+    assert verdict.member_names[:len(members)] == tuple(m.name for m in members)
+    assert verdict.gaps == gaps
+    assert verdict.bl_values == per_term_bl
+    assert verdict.csv_rows(name) == [f"{name},{member},{n},{gap!r},{per_term_bl[n - 1]!r}"
+                                      for member, series in zip(verdict.member_names, gaps)
+                                      for n, gap in enumerate(series, start=1)]
+    start = verdict.window_start
+    assert verdict.window_gaps == tuple(series[start - 1:] for series in gaps)
+    assert verdict.window_bl == per_term_bl[start - 1:]
+
+
+class TestWindowFirst:
+    """The oracle solves, and the battery scores, the window's distinct terms
+    before the verdict; the earlier terms wait for the first full read."""
+
+    @pytest.mark.parametrize("idx", range(20))
+    def test_bundled_reports(self, bl_calls, idx):
+        entry = bundled_suite()[idx]
+        fam, limit = entry.family, entry.family.label.reference
+        targets, seed = suite_targets(), 1000 + idx
+        rep = equivalence_report(fam, targets, seed=seed)
+        prefix = fam.prefix(DEFAULT_PREFIX)
+        start = rep.scalar_verdict.window_start
+        window = distinct_terms(prefix, start)
+        assert bl_calls == window
+        members = report_members(fam, rep, targets, seed)  # solves its witnesses afresh
+        bl_calls.clear()
+        for verdict, verdict_members in zip(verdicts_of(rep), members):
+            assert_eager_series(verdict, verdict_members, prefix, limit, entry.name)
+        # one completion for the report: each earlier distinct term solved once
+        assert bl_calls == [mu for mu in distinct_terms(prefix) if mu not in window]
+
+    @pytest.mark.parametrize("idx", range(20))
+    def test_bundled_certify(self, bl_calls, idx):
+        entry = bundled_suite()[idx]
+        fam, limit = entry.family, entry.family.label.reference
+        battery = generate_battery(fam.space, suite_targets()[idx % 3], seed=1000 + idx)
+        verdict = certify(fam, limit, battery)
+        prefix = fam.prefix(DEFAULT_PREFIX)
+        assert bl_calls == distinct_terms(prefix, verdict.window_start)
+        doc = verdict.to_json()  # reads the window only
+        assert bl_calls == distinct_terms(prefix, verdict.window_start)
+        assert_eager_series(verdict, battery.members, prefix, limit, entry.name)
+        assert doc == verdict.to_json()
+        assert len(bl_calls) == len(distinct_terms(prefix))
+
+    def test_normalizing_certify(self, bl_calls):
+        def masses(n):
+            return finite_measure(CUBE2, [((0.5, 0.1 / n), 1.0 + 1.0 / n),
+                                          ((0.2, 0.9), 0.5 + (n % 3) / 7.0)][: 1 + n % 2])
+
+        fam = MeasureFamily(space=CUBE2, measure_fn=masses, name="wobbling")
+        limit = finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
+        battery = generate_battery(CUBE2, omega_space(3), seed=4)
+        verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True)
+        prefix = [normalize(mu) for mu in fam.prefix(16)]
+        assert bl_calls == distinct_terms(prefix, verdict.window_start)
+        assert verdict.member_names[-1] == "total_mass"
+        assert verdict.window_gaps[-1] == verdict.mass_gaps[verdict.window_start - 1:]
+        assert_eager_series(verdict, battery.members, prefix, normalize(limit), "wobbling")
+        window = distinct_terms(prefix, verdict.window_start)
+        assert bl_calls == window + [mu for mu in distinct_terms(prefix) if mu not in window]
+
+    def test_one_completion_for_four_verdicts(self, bl_calls):
+        entry = next(e for e in bundled_suite() if e.name == "drift-geometric-1d")
+        fam, limit = entry.family, entry.family.label.reference
+        rep = equivalence_report(fam, suite_targets(), seed=3)
+        verdicts = verdicts_of(rep)
+        assert len(verdicts) == 4
+        prefix = fam.prefix(DEFAULT_PREFIX)
+        window = distinct_terms(prefix, rep.scalar_verdict.window_start)
+        assert bl_calls == window
+        per_term = tuple(bl_distance(mu, limit).value for mu in prefix)
+        for verdict in verdicts:
+            assert verdict.bl_values == per_term
+        early = [mu for mu in distinct_terms(prefix) if mu not in window]
+        assert len(early) == 48 and bl_calls == window + early
+
+    def test_window_reads_do_not_complete(self, bl_calls):
+        entry = next(e for e in bundled_suite() if e.name == "split-2d")
+        fam, limit = entry.family, entry.family.label.reference
+        elements = [RandomElement(mu) for mu in fam.prefix(DEFAULT_PREFIX)]
+        battery = generate_battery(fam.space, banach_space(2, p=2), seed=3)
+        rep = distribution_convergence_report(elements, RandomElement(limit), battery)
+        assert len(bl_calls) == 16 and rep.verdict.to_json()["status"] == rep.verdict.status.value
+        assert len(bl_calls) == 16
+        assert rep.expectation_tails == tuple(g[-1] for g in rep.verdict.gaps[10:])
+        assert len(bl_calls) == DEFAULT_PREFIX
+
+    @staticmethod
+    def family_with_bad_term(case):
+        """A labeled family on CUBE1 whose term 2 or 3 fails an input check, and its limit."""
+        limit = dirac(CUBE1, (0.5,))
+        if case == "non-probability":
+            bad_n, bad = 2, finite_measure(CUBE1, [((0.5,), 0.5)])
+        elif case == "other-carrier":  # a finite carrier of the same size, farther apart
+            near, far = (finite_space("ab", [[0.0, d], [d, 0.0]]) for d in (1.0, 2.0))
+            limit, bad_n, bad = dirac(near, 0), 2, dirac(far, 0)
+        elif case == "other-dimension":
+            bad_n, bad = 2, dirac(CUBE2, (0.5, 0.5))
+        else:  # its union support with the limit is 402 points
+            limit = finite_measure(CUBE1, [((0.001,), 0.5), ((0.0035,), 0.5)])
+            bad_n, bad = 3, finite_measure(CUBE1, [((i / 400,), 1 / 400) for i in range(400)])
+        fam = MeasureFamily(limit.space, lambda n: bad if n == bad_n else limit,
+                            FamilyLabel("converges_to", limit))
+        return fam, limit
+
+    @pytest.mark.parametrize("case,error,at_certify,at_report", [
+        ("non-probability", DomainError,
+         "certify needs probability measures (or normalize_inputs=True)",
+         "equivalence scenarios must produce probability measures"),
+        ("other-carrier", DomainError,
+         "measures live on different carriers", "measures live on different carriers"),
+        ("over-the-cap", CapacityError,
+         "union support 402 exceeds the cap 400", "union support 402 exceeds the cap 400"),
+    ])
+    def test_bad_terms_raise_at_the_call(self, bl_calls, case, error, at_certify, at_report):
+        fam, limit = self.family_with_bad_term(case)
+        with pytest.raises(error) as got:
+            certify(fam, limit, probe_battery(limit.space), n_terms=8)
+        assert str(got.value) == at_certify
+        with pytest.raises(error) as got:
+            equivalence_report(fam, (), n_terms=8)
+        assert str(got.value) == at_report
+        assert bl_calls == []  # checked before any solve
+
+    def test_a_term_on_another_cube_dimension_is_a_domain_error(self, bl_calls):
+        # the eager sweep failed here on numpy's concatenation, a bare ValueError
+        fam, limit = self.family_with_bad_term("other-dimension")
+        for call in (lambda: certify(fam, limit, probe_battery(CUBE1), n_terms=8),
+                     lambda: equivalence_report(fam, (), n_terms=8)):
+            with pytest.raises(DomainError, match="measures live on different carriers"):
+                call()
+        assert bl_calls == []
 
 
 class TestWitnessExtension:

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from weakconv import DomainError
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
-                            Step, Sum, Tent, ValidationDraws, form_from_json,
-                            validate_metadata, vector_function)
+                            Step, Sum, Tent, ValidationDraws, _draw_validation_samples,
+                            form_from_json, validate_metadata, vector_function)
 from weakconv.target import banach_space, omega_space
 
 CUBE1 = unit_cube(1)
@@ -467,3 +469,27 @@ class TestInPlaceKernels:
         assert len(calls) == 1
         assert np.array_equal(vals, np.stack([Tent((0.5,), 0.5).evaluate(CUBE1, pts)] * 4,
                                              axis=-1))
+
+
+class TestValidationDrawDistances:
+    """The cube draw's pair distances are the row norms of the row-major draw."""
+
+    @staticmethod
+    def assert_row_norms(d, seed, samples):
+        draw = _draw_validation_samples(unit_cube(d), seed, samples)
+        rng = np.random.default_rng(seed)
+        pts, qts = rng.random((samples, d)), rng.random((samples, d))
+        assert np.array_equal(draw.pts, pts) and np.array_equal(draw.qts, qts)
+        ref = np.linalg.norm(pts - qts, axis=1)
+        assert draw.dists.dtype == ref.dtype and draw.dists.shape == ref.shape
+        assert draw.dists.tobytes() == ref.tobytes()
+
+    @given(st.integers(1, 8), st.integers(0, 2**64 - 1), st.integers(1, 400))
+    @settings(deadline=None)
+    def test_bit_for_bit(self, d, seed, samples):
+        self.assert_row_norms(d, seed, samples)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_for_bit_at_the_validation_size(self, d):
+        self.assert_row_norms(d, 7, 10_000)
+

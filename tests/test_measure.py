@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -96,6 +98,98 @@ class TestConstruction:
             point_from_json(space, p)
 
 
+def per_atom_finite_measure(space, atoms):
+    """Reference: the measure built with every atom checked on its own."""
+    pts: list = []
+    wts: list = []
+    for point, weight in atoms:
+        w = float(weight)
+        if not math.isfinite(w) or w < 0:
+            raise DomainError(f"atom weight must be finite and nonnegative, got {weight}")
+        if not space.contains(point):
+            raise DomainError(f"atom {point!r} lies outside the carrier")
+        pts.append(point)
+        wts.append(w)
+    if pts:
+        points = space.points_array(pts)
+        weights = np.asarray(wts, dtype=float)
+    else:
+        shape = (0,) if space.kind == "finite" else (0, space.dim)
+        points = np.zeros(shape, dtype=int if space.kind == "finite" else float)
+        weights = np.zeros(0)
+    points, weights = measure_module._canonical_atoms(space, points, weights)
+    return measure_module.FiniteMeasure(space=space, points=points, weights=weights)
+
+
+def construction_outcome(build, space, atoms):
+    """The built measure's arrays, bytes and dtypes, or the exception's type and text."""
+    try:
+        mu = build(space, atoms)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return (mu.space is space, mu.points.dtype, mu.points.shape, mu.points.tobytes(),
+            mu.weights.dtype, mu.weights.tobytes())
+
+
+_ODD_NUMBERS = st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.5, 1.5, True, False, np.float32(0.25),
+                                np.int64(1), np.uint8(0), float("nan"), float("inf"),
+                                -float("inf"), "0.5", "x", None, 10**400, [0.5]])
+
+
+@st.composite
+def atom_lists(draw):
+    """A carrier and a list of (point, weight) pairs, valid or broken in one place or many."""
+    if draw(st.booleans()):
+        space = draw(st.sampled_from([CUBE1, CUBE2, unit_cube(3)]))
+        coord = st.one_of(st.floats(0.0, 1.0), _ODD_NUMBERS)
+        good = st.tuples(*[st.floats(0.0, 1.0)] * space.dim)
+        odd = st.one_of(st.lists(coord, min_size=space.dim, max_size=space.dim).map(tuple),
+                        st.lists(st.floats(0.0, 1.0), max_size=4),  # wrong dimension
+                        st.lists(st.floats(0.0, 1.0), min_size=space.dim,
+                                 max_size=space.dim).map(np.array),
+                        st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+                                 min_size=space.dim, max_size=space.dim),  # ragged, nested
+                        coord)
+    else:
+        space = draw(st.sampled_from([PAIR, PLANE]))
+        good = st.integers(0, space.n_points - 1)
+        odd = st.one_of(st.integers(-2, space.n_points + 1), st.booleans(),
+                        st.integers(-2, space.n_points + 1).map(np.int64),
+                        st.integers(0, space.n_points).map(np.uint8),
+                        st.just(np.uint64(2**64 - 1)), st.just(2**70),
+                        st.floats(0.0, 3.0), st.just("a"), st.just((0,)), st.just(np.array(1)))
+    weight = st.one_of(st.floats(0.0, 2.0), _ODD_NUMBERS)
+    broken = draw(st.sampled_from(["none", "some", "all"]))
+    if broken == "none":
+        atom = st.tuples(good, st.floats(0.0, 2.0))
+    elif broken == "some":
+        atom = st.one_of(st.tuples(good, st.floats(0.0, 2.0)), st.tuples(odd, weight),
+                         st.tuples(good, weight), st.just((0.5,)))
+    else:
+        atom = st.tuples(odd, weight)
+    return space, draw(st.lists(atom, max_size=6))
+
+
+class TestArrayChecks:
+    """finite_measure checks all atoms at once, as the per-atom route would."""
+
+    @given(atom_lists())
+    @settings(deadline=None)
+    @example((CUBE2, []))
+    @example((PAIR, []))
+    @example((CUBE1, [((0.5,), 1.0), ((float("nan"),), "x")]))
+    @example((PAIR, [(True, 0.5), (np.int64(0), -0.0)]))
+    def test_same_measure_or_same_error_as_per_atom_checks(self, case):
+        space, atoms = case
+        assert construction_outcome(finite_measure, space, atoms) \
+            == construction_outcome(per_atom_finite_measure, space, atoms)
+
+    def test_first_offending_atom_is_named(self):
+        atoms = [((0.5,), 1.0), ((2.0,), 0.5), ((0.25,), -1.0)]
+        with pytest.raises(DomainError, match=r"atom \(2\.0,\) lies outside the carrier"):
+            finite_measure(CUBE1, atoms)
+
+
 class TestMeasureOf:
     def test_box(self):
         mu = finite_measure(CUBE1, [((0.1,), 0.3), ((0.6,), 0.7)])
@@ -152,6 +246,27 @@ class TestBLDistance:
         mu = finite_measure(CUBE1, [((0.5,), 0.5)])
         with pytest.raises(DomainError):
             bl_distance(mu, dirac(CUBE1, (0.5,)))
+
+    @pytest.mark.parametrize("case", ["other-carrier", "non-probability", "over-the-cap",
+                                      "fine", "fine-past-the-atom-sum"])
+    def test_input_checks_raise_what_the_oracle_raises(self, case):
+        xs = np.linspace(0.0, 1.0, MAX_BL_SUPPORT + 1)
+        spread = finite_measure(CUBE1, [((x,), 1.0 / len(xs)) for x in xs[:-1]])
+        mu, nu = {
+            "other-carrier": (dirac(CUBE1, (0.5,)), dirac(CUBE2, (0.5, 0.5))),
+            "non-probability": (dirac(CUBE1, (0.5,)), dirac(CUBE1, (0.5,), 0.5)),
+            "over-the-cap": (spread, dirac(CUBE1, (1.0,))),
+            "fine": (dirac(PAIR, 0), dirac(PAIR, 1)),
+            "fine-past-the-atom-sum": (spread, spread),  # 800 atoms, 400 in the union
+        }[case]
+        try:
+            bl_distance(mu, nu)
+        except (DomainError, CapacityError) as want:
+            with pytest.raises(type(want)) as got:
+                measure_module.check_bl_inputs(mu, nu)
+            assert str(got.value) == str(want)
+        else:
+            assert measure_module.check_bl_inputs(mu, nu) is None
 
     def test_support_cap(self):
         # one atom past the cap: mu on the even grid points, nu on the odd ones
