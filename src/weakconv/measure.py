@@ -142,7 +142,7 @@ def _checked_arrays(space: CompactSpace, atoms: list) -> Optional[tuple]:
             points = np.asarray(pts, dtype=int)
         else:
             points = np.asarray(pts, dtype=float)
-            # NaN fails both comparisons, as it fails CompactSpace.contains
+            # a NaN coordinate makes min and max NaN, which fails both tests
             if not (points.ndim == 2 and points.shape[1] == space.dim
                     and points.min() >= 0.0 and points.max() <= 1.0):
                 return None

@@ -262,6 +262,13 @@ class TestBatchedGapsExact:
             == len(terms.distinct)
         assert all_term_gaps(battery.members, terms, limit) \
             == per_term_gaps(battery, prefix, limit)
+        # scoring the terms apart, as the window and the completion do, changes no bit
+        ts = np.arange(len(terms.distinct))
+        whole = _battery_gaps(battery.members, terms, limit, ts)
+        for part in (ts[::2], ts[1::2]):
+            if part.size:
+                assert _battery_gaps(battery.members, terms, limit, part).tolist() \
+                    == whole[:, part].tolist()
 
 
 class TestRepeatedCoordinateForms:

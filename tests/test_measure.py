@@ -158,7 +158,7 @@ def atom_lists(draw):
                         st.integers(0, space.n_points).map(np.uint8),
                         st.just(np.uint64(2**64 - 1)), st.just(2**70),
                         st.floats(0.0, 3.0), st.just("a"), st.just((0,)), st.just(np.array(1)))
-    weight = st.one_of(st.floats(0.0, 2.0), _ODD_NUMBERS)
+    weight = st.one_of(st.floats(0.0, 2.0), st.floats(), _ODD_NUMBERS)  # NaN and +-inf too
     broken = draw(st.sampled_from(["none", "some", "all"]))
     if broken == "none":
         atom = st.tuples(good, st.floats(0.0, 2.0))
@@ -179,6 +179,9 @@ class TestArrayChecks:
     @example((PAIR, []))
     @example((CUBE1, [((0.5,), 1.0), ((float("nan"),), "x")]))
     @example((PAIR, [(True, 0.5), (np.int64(0), -0.0)]))
+    @example((CUBE1, [((0.5,), 1.0), ((0.25,), float("nan"))]))
+    @example((CUBE1, [((0.5,), 1.0), ((0.25,), float("inf"))]))
+    @example((PAIR, [(0, 1e308), (1, 1e308)]))  # finite weights whose sum overflows
     def test_same_measure_or_same_error_as_per_atom_checks(self, case):
         space, atoms = case
         assert construction_outcome(finite_measure, space, atoms) \
