@@ -313,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="tolerance (default 0.05)")
     p.add_argument("--seed", type=int, help="battery seed (default 0)")
     p.add_argument("--normalize", action="store_true", default=None,
-                   help="admit finite measures by normalizing (the total-mass "
-                        "gap joins the battery)")
+                   help="admit finite measures (the constant 1 joins the "
+                        "battery as total_mass)")
     p.add_argument("--out", help="write the verdict as JSON")
     p.set_defaults(command_fn="cmd_certify")
 

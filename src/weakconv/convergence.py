@@ -81,10 +81,10 @@ import numpy as np
 
 from .carrier import CompactSpace
 from .errors import DomainError, UnsupportedError
-from .funcs import (Clamp, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
+from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
                     VectorFunction, validate_metadata)
 from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
-                      bl_distance, check_bl_inputs, normalize)
+                      bl_distance, check_bl_inputs)
 from .target import TargetSpace, gap_value
 from .integral import atomic_oracle
 
@@ -503,7 +503,7 @@ class DivergenceWitness:
 
 
 _VERDICT_FIELDS = ("status", "n_terms", "tol", "window_start", "member_names", "gaps",
-                   "thresholds", "bl_values", "witness", "mass_gaps")
+                   "thresholds", "bl_values", "witness")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -527,15 +527,13 @@ class Verdict:
     window_gaps: tuple       # one tuple of gaps per member, indices window_start..N
     window_bl: tuple         # the oracle's values, indices window_start..N
     witness: Optional[DivergenceWitness]
-    mass_gaps: tuple         # only present on the normalizing path
     _scores: "_Scores"
     _slot: int
 
     @property
     def gaps(self) -> tuple:
         """One tuple of gaps per member, indices 1..N."""
-        mass = (self.mass_gaps,) if self.mass_gaps else ()
-        return self._scores.series(self._slot) + mass
+        return self._scores.series(self._slot)
 
     @property
     def bl_values(self) -> tuple:
@@ -612,26 +610,15 @@ def _window_rule(names: Sequence[str], series: Sequence[Sequence[float]],
     return Status.INCONCLUSIVE, None
 
 
-def _verdict(family: MeasureFamily, scores: _Scores, members: Sequence, tol: float,
-             mass: Optional[Tuple[tuple, float]] = None) -> Verdict:
+def _verdict(scores: _Scores, members: Sequence, tol: float) -> Verdict:
     """Score the members over the window and decide: the one certification kernel.
 
     ``scores`` holds the report's prefix, limit and oracle results.
-    ``mass`` is (total-mass gaps, limit mass) on the normalizing path,
-    where the prefix and limit are the normalized copies; the mass gaps
-    then join the battery as the member ``total_mass``.
     """
     window_start = scores.window_start
     names = tuple(m.name for m in members)
     slot, window_gaps = scores.score(members)
     thresholds = _member_thresholds(members, tol)
-    mass_gaps: tuple = ()
-    if mass is not None:
-        mass_gaps, mass_limit = mass
-        names += ("total_mass",)
-        window_gaps += (mass_gaps[window_start - 1:],)
-        thresholds += ((tol, 10.0 * tol),)
-
     status, witness = _window_rule(names, window_gaps, thresholds, window_start)
     oracle, _ = _window_rule(("bl",), (scores.window_bl,), ((tol, 10.0 * tol),),
                              window_start)
@@ -640,10 +627,7 @@ def _verdict(family: MeasureFamily, scores: _Scores, members: Sequence, tol: flo
         # of the batched sweep above, so it is recomputed by the per-term route
         idx = names.index(witness.member)
         for n in (witness.n1, witness.n2):
-            if idx == len(members):
-                fresh = abs(family.measure(n).total_mass - mass_limit)
-            else:
-                fresh = _member_gap(members[idx], scores.prefix.terms[n - 1], scores.limit)
+            fresh = _member_gap(members[idx], scores.prefix.terms[n - 1], scores.limit)
             if abs(fresh - window_gaps[idx][n - window_start]) > _WITNESS_RECHECK_TOL:
                 raise RuntimeError("divergence witness failed recheck")
     elif oracle is not Status.CONVERGENT_EVIDENCE:
@@ -652,7 +636,7 @@ def _verdict(family: MeasureFamily, scores: _Scores, members: Sequence, tol: flo
     return Verdict(status=status, n_terms=len(scores.prefix.terms), tol=tol,
                    window_start=window_start, member_names=names, thresholds=thresholds,
                    window_gaps=window_gaps, window_bl=scores.window_bl, witness=witness,
-                   mass_gaps=mass_gaps, _scores=scores, _slot=slot)
+                   _scores=scores, _slot=slot)
 
 
 def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
@@ -661,24 +645,21 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     """Certify (or refute) weak convergence of a measure sequence.
 
     Works on probability measures; with ``normalize_inputs`` finite
-    measures are admitted, their total-mass gap joins the battery as an
-    extra member (mass convergence is necessary: the constant function 1
-    is bounded continuous), and the remaining checks run on normalized
-    copies.
+    measures are admitted as they are.  BL metrizes weak convergence of
+    finite measures too, so the oracle and the battery read the raw
+    terms, and the constant function 1 joins the battery as the member
+    ``total_mass`` (mass convergence is necessary: 1 is bounded and
+    continuous).
     """
     window_start = _window_start(n_terms, tol)
     prefix = family.prefix(n_terms)
-    mass = None
+    members = battery.members
     if normalize_inputs:
-        mass = (tuple(abs(mu.total_mass - limit.total_mass) for mu in prefix),
-                limit.total_mass)
-        prefix = [normalize(mu) for mu in prefix]
-        limit = normalize(limit)
+        members += (ScalarMember("total_mass", Const(1.0), bound=1.0, lip=0.0),)
     elif not (limit.is_probability and all(mu.is_probability for mu in prefix)):
         raise DomainError("certify needs probability measures "
                           "(or normalize_inputs=True)")
-    scores = _Scores(_Prefix(prefix), limit, window_start)
-    return _verdict(family, scores, battery.members, tol, mass)
+    return _verdict(_Scores(_Prefix(prefix), limit, window_start), members, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +733,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     draws = ValidationDraws()
     stream = _scalar_stream(family.space, spec, seed)  # shared by every target
     scalars = _scalar_members(family.space, spec, seed, draws, stream) + tuple(witness_members)
-    scalar_verdict = _verdict(family, scores, scalars, tol)
+    scalar_verdict = _verdict(scores, scalars, tol)
 
     vector_verdicts = []
     for target in targets:
@@ -763,7 +744,7 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                                                      [m.form] * target.dim),
                          bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
             for m in witness_members)
-        verdict = _verdict(family, scores, vectors + lifted, tol)
+        verdict = _verdict(scores, vectors + lifted, tol)
         vector_verdicts.append((target.family.name, verdict))
 
     return EquivalenceReport(family_name=family.name, label_kind=family.label.kind,

@@ -5,7 +5,7 @@ compact carrier.  Atoms are kept in a canonical form (lexicographically
 sorted, duplicates merged, zero weights dropped), which makes equality,
 serialisation and support bookkeeping deterministic.
 
-The bounded-Lipschitz (Dudley) distance between probability measures,
+The bounded-Lipschitz (Dudley) distance between finite measures,
 
     bl(mu, nu) = sup { integral f d(mu - nu) : |f| <= 1, Lip(f) <= 1 },
 
@@ -13,9 +13,10 @@ restricts, for atomic measures, to an exact finite linear program over
 the function values on the union support: any feasible assignment of
 values extends to the whole carrier by a clamped McShane extension, so
 nothing is lost by optimising over the support alone.  Its dual is a
-transport problem under the truncated metric min(rho, 2), solved by an
-in-house network simplex; every result carries a checked primal-dual
-certificate.  Useful closed forms for tests:
+transport problem under the truncated metric min(rho, 2), with one
+ground node at distance 1 from every atom taking up any difference of
+the total masses, solved by an in-house network simplex; every result
+carries a checked primal-dual certificate.  Useful closed forms for tests:
 bl(delta_x, delta_y) = min(2, rho(x, y)), and the value never exceeds 2.
 
 Tightness witnesses search closed balls centered at the atom nearest the
@@ -38,6 +39,7 @@ from .errors import CapacityError, DomainError, UnsupportedError
 MAX_BL_SUPPORT = 400
 _PROB_TOL = 1e-9
 _CERT_TOL = 1e-9      # BL certificate: gap, witness feasibility, marginals
+_ROUNDING = float(np.finfo(float).eps)  # per atom, for a mass difference within rounding
 _PRICE_TOL = 1e-12    # a transport cell enters below this reduced cost
 
 
@@ -174,16 +176,17 @@ def dirac(space: CompactSpace, point: Point, weight: float = 1.0) -> FiniteMeasu
 
 
 def measure_from_json(space: CompactSpace, node: dict) -> FiniteMeasure:
-    if not isinstance(node, dict) or "atoms" not in node:
+    if not (isinstance(node, dict) and isinstance(node.get("atoms"), list)):
         raise DomainError("measure JSON needs an 'atoms' list")
     atoms = []
     for entry in node["atoms"]:
+        if not (isinstance(entry, dict) and "point" in entry and "weight" in entry):
+            raise DomainError(f"bad atom entry {entry!r}")
         try:
-            p = entry["point"]
-            w = entry["weight"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"bad atom entry {entry!r}") from exc
-        atoms.append((point_from_json(space, p), float(w)))
+            weight = float(entry["weight"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"atom weight must be a number, got {entry['weight']!r}") from exc
+        atoms.append((point_from_json(space, entry["point"]), weight))
     return finite_measure(space, atoms)
 
 
@@ -425,28 +428,27 @@ def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: lis
 
 
 def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
-    """Exact bounded-Lipschitz distance between atomic probability measures.
+    """Exact bounded-Lipschitz distance between atomic finite measures.
 
-    For probability measures BL is the Wasserstein-1 distance under the
-    truncated metric c = min(rho, 2) (Dudley, Real Analysis and
-    Probability, 11.8): a transport problem from the atoms where mu - nu
-    is positive to those where it is negative.  The witness is the
+    BL is the Wasserstein-1 distance under the truncated metric
+    c = min(rho, 2) (Dudley, Real Analysis and Probability, 11.8) once the
+    masses agree: a transport problem from the atoms where mu - nu is
+    positive to those where it is negative.  The witness is the
     c-transform of the sink potentials over the whole union support,
-    centred into [-1, 1].  A result is returned only once its certificate
-    holds within 1e-9: a nonnegative plan with the right marginals, a
-    witness with |f| <= 1 and |f_i - f_j| <= rho_ij, and equal primal and
-    dual values.  No plan can match unequal total masses, so their
-    imbalance (at most 2e-9) widens the marginal and gap tolerances.
+    centred into [-1, 1].  When the masses differ by more than rounding,
+    the excess mu(X) - nu(X) moves to (or from) one ground node g at
+    cost 1 from every atom (Hanin 1992; Piccoli & Rossi 2014), which makes
+    the transport exact for finite measures; the witness is then the
+    c-transform minus its value at g.  A result is returned only once its
+    certificate holds: a nonnegative plan with the right marginals and
+    equal primal and dual values within 1e-9 * max(1, mu(X), nu(X)), and
+    a witness with |f| <= 1 and |f_i - f_j| <= rho_ij within 1e-9.
     """
-    if mu.space != nu.space:
-        raise DomainError("measures live on different carriers")
-    if not (mu.is_probability and nu.is_probability):
-        raise DomainError("bl_distance is defined for probability measures; "
-                          "normalize first")
+    check_bl_inputs(mu, nu)
     support, d = _union_support(mu, nu)
     m = len(support)
-    if m > MAX_BL_SUPPORT:
-        raise CapacityError(f"union support {m} exceeds the cap {MAX_BL_SUPPORT}")
+    if not m:
+        return BLResult(value=0.0, support=(), witness_values=(), iterations=0)
 
     # canonical orientation for exact symmetry: flip so the first nonzero
     # weight difference is positive, and flip the witness back afterwards
@@ -462,9 +464,18 @@ def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
         diff = pts[:, None] - pts
         rho = np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0]
     cost = np.minimum(rho, 2.0)
+    # masses that agree up to the rounding of the sum need no ground node
+    masses, excess = (mu.total_mass, nu.total_mass), sum(d)
+    ground = abs(excess) > m * _ROUNDING * sum(masses)
+    if ground:  # node m: a sink for a positive excess, a source for a negative one
+        cost = np.pad(cost, (0, 1), constant_values=1.0)
+        cost[m, m] = 0.0
+        nodes, amounts = (snk, demand) if excess > 0 else (src, supply)
+        nodes.append(m)
+        amounts.append(abs(excess))
     plan, v, pivots = _transport(cost, src, snk, supply, demand)
     f = (cost[:, snk] - v).min(axis=1) if snk else np.zeros(m)
-    f -= (f.max() + f.min()) / 2.0
+    f = f[:m] - f[m] if ground else f - (f.max() + f.min()) / 2.0
     witness = f.tolist()
 
     value = 0.0
@@ -473,13 +484,13 @@ def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
         out[i] += x
         into[j] += x
         value += x * float(cost[src[i], snk[j]])
-    slack = _CERT_TOL + abs(sum(d))
+    tol = _CERT_TOL * max(1.0, *masses)
     failed = [name for name, bad in (
         ("negative plan", min(plan.values(), default=0.0) < 0.0),
-        ("marginals", sum(abs(x - y) for x, y in zip(out + into, supply + demand)) > slack),
+        ("marginals", sum(abs(x - y) for x, y in zip(out + into, supply + demand)) > tol),
         ("witness bound", max(map(abs, witness)) > 1.0 + _CERT_TOL),
         ("witness Lipschitz", (np.abs(f[:, None] - f) - rho).max() > _CERT_TOL),
-        ("duality gap", abs(sum(x * y for x, y in zip(d, witness)) - value) > slack)) if bad]
+        ("duality gap", abs(sum(x * y for x, y in zip(d, witness)) - value) > tol)) if bad]
     if failed:
         raise RuntimeError(f"BL certificate failed: {', '.join(failed)}")
     return BLResult(value=value, support=tuple(support),
@@ -495,9 +506,8 @@ def check_bl_inputs(mu: FiniteMeasure, nu: FiniteMeasure) -> None:
     """
     if mu.space != nu.space:
         raise DomainError("measures live on different carriers")
-    if not (mu.is_probability and nu.is_probability):
-        raise DomainError("bl_distance is defined for probability measures; "
-                          "normalize first")
+    if not math.isfinite(mu.total_mass + nu.total_mass):
+        raise DomainError("the two total masses must have a finite sum")
     if mu.n_atoms + nu.n_atoms > MAX_BL_SUPPORT:  # else the union is within the cap
         m = len(_union_support(mu, nu)[0])
         if m > MAX_BL_SUPPORT:

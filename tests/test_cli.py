@@ -71,6 +71,44 @@ class TestBL:
                        "witness (0.0,) -> 0.25\nwitness (0.5,) -> -0.25\n"
                        "witness (1.0,) -> 0.25\n")
 
+    def test_finite_masses_off_by_8e_10(self, tmp_path, capsys):
+        path = write(tmp_path, "bl.json", {
+            "space": CUBE1,
+            "mu": measure(([0.4], 1.0)),
+            "nu": measure(([0.4], 1 - 8e-10)),
+        })
+        code, out = run(capsys, "bl", path)
+        assert code == 0
+        assert "value = 7.999999551699943e-10\n" in out
+
+    @pytest.mark.parametrize("mu,nu,value", [
+        ({"atoms": []}, {"atoms": []}, 0.0),
+        ({"atoms": []}, measure(([0.1, 0.2], 0.25), ([0.7, 0.7], 3.0)), 3.25),
+        (measure(([0.5, 0.5], 0.5)), {"atoms": []}, 0.5),
+    ])
+    def test_empty_measures(self, tmp_path, capsys, mu, nu, value):
+        path = write(tmp_path, "bl.json", {"space": CUBE2, "mu": mu, "nu": nu})
+        code, out = run(capsys, "bl", path, "--witness")
+        assert code == 0
+        assert f"value = {value!r}\nsupport_size = {len(nu['atoms']) + len(mu['atoms'])}\n" in out
+        assert out.count("witness") == len(nu["atoms"]) + len(mu["atoms"])
+
+    @pytest.mark.parametrize("mu,message", [
+        ({"atoms": 5}, "measure JSON needs an 'atoms' list"),
+        ({"atoms": [{"point": [0.5], "weight": "x"}]}, "atom weight must be a number, got 'x'"),
+        ({"atoms": [{"point": [0.5], "weight": None}]}, "atom weight must be a number"),
+        ({"atoms": [{"point": [0.5], "weight": 10 ** 400}]}, "atom weight must be a number"),
+        ({"atoms": [[[0.5], 1.0]]}, "bad atom entry [[0.5], 1.0]"),
+        ({"atoms": ["x"]}, "bad atom entry 'x'"),
+        ({"atoms": [{"point": [0.5]}]}, "bad atom entry"),
+        (measure(([0.1], 1e308), ([0.9], 1e308)), "the two total masses must have a finite sum"),
+    ])
+    def test_malformed_measure_exits_64(self, tmp_path, capsys, mu, message):
+        path = write(tmp_path, "bl.json", {"space": CUBE1, "mu": mu, "nu": measure(([0.5], 1.0))})
+        assert main(["bl", path]) == 64
+        err = capsys.readouterr().err
+        assert message in err and "internal error" not in err
+
 
 class TestImportCost:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):

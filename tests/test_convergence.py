@@ -23,13 +23,26 @@ from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMe
 from weakconv.funcs import (Const, Coord, Tent, ValidationDraws, validate_metadata,
                             vector_function)
 from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, RandomElement,
-                              bl_distance, dirac, finite_measure, normalize, scenario)
+                              bl_distance, dirac, finite_measure, scenario)
 from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
                              omega_space)
 
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
+
+
+TOTAL_MASS = ScalarMember("total_mass", Const(1.0), bound=1.0, lip=0.0)
+
+
+def wobbling_family():
+    """Finite masses whose atom count alternates, and their finite limit."""
+    def masses(n):
+        return finite_measure(CUBE2, [((0.5, 0.1 / n), 1.0 + 1.0 / n),
+                                      ((0.2, 0.9), 0.5 + (n % 3) / 7.0)][: 1 + n % 2])
+
+    fam = MeasureFamily(space=CUBE2, measure_fn=masses, name="wobbling")
+    return fam, finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
 
 
 def constant_family(mu):
@@ -238,17 +251,13 @@ class TestBatchedGapsExact:
             assert verdict.gaps == per_term_gaps(battery, prefix, limit)
 
     def test_normalizing_path(self):
-        def masses(n):
-            return finite_measure(CUBE2, [((0.5, 0.1 / n), 1.0 + 1.0 / n),
-                                          ((0.2, 0.9), 0.5 + (n % 3) / 7.0)][: 1 + n % 2])
-
-        fam = MeasureFamily(space=CUBE2, measure_fn=masses, name="wobbling")
-        limit = finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
+        # finite inputs are scored raw, with the constant 1 as the last member
+        fam, limit = wobbling_family()
         battery = generate_battery(CUBE2, omega_space(3), seed=4)
         verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True)
-        prefix = [normalize(mu) for mu in fam.prefix(16)]
+        with_mass = Battery(CUBE2, None, battery.members + (TOTAL_MASS,), ())
         assert verdict.member_names[-1] == "total_mass"
-        assert verdict.gaps[:-1] == per_term_gaps(battery, prefix, normalize(limit))
+        assert verdict.gaps == per_term_gaps(with_mass, fam.prefix(16), limit)
 
     @given(carrier_prefixes())
     @settings(max_examples=30, deadline=None)
@@ -370,8 +379,8 @@ def assert_eager_series(verdict, members, prefix, limit, name="s"):
     """The full series of ``verdict`` equal the per-term route's, and its window is theirs."""
     per_term_bl = tuple(bl_distance(mu, limit).value for mu in prefix)
     battery = Battery(limit.space, None, tuple(members), ())
-    gaps = per_term_gaps(battery, prefix, limit) + ((verdict.mass_gaps,) if verdict.mass_gaps else ())
-    assert verdict.member_names[:len(members)] == tuple(m.name for m in members)
+    gaps = per_term_gaps(battery, prefix, limit)
+    assert verdict.member_names == tuple(m.name for m in members)
     assert verdict.gaps == gaps
     assert verdict.bl_values == per_term_bl
     assert verdict.csv_rows(name) == [f"{name},{member},{n},{gap!r},{per_term_bl[n - 1]!r}"
@@ -418,19 +427,14 @@ class TestWindowFirst:
         assert len(bl_calls) == len(distinct_terms(prefix))
 
     def test_normalizing_certify(self, bl_calls):
-        def masses(n):
-            return finite_measure(CUBE2, [((0.5, 0.1 / n), 1.0 + 1.0 / n),
-                                          ((0.2, 0.9), 0.5 + (n % 3) / 7.0)][: 1 + n % 2])
-
-        fam = MeasureFamily(space=CUBE2, measure_fn=masses, name="wobbling")
-        limit = finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
+        fam, limit = wobbling_family()
         battery = generate_battery(CUBE2, omega_space(3), seed=4)
         verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True)
-        prefix = [normalize(mu) for mu in fam.prefix(16)]
+        prefix = fam.prefix(16)
         assert bl_calls == distinct_terms(prefix, verdict.window_start)
-        assert verdict.member_names[-1] == "total_mass"
-        assert verdict.window_gaps[-1] == verdict.mass_gaps[verdict.window_start - 1:]
-        assert_eager_series(verdict, battery.members, prefix, normalize(limit), "wobbling")
+        assert verdict.window_gaps[-1] == pytest.approx(
+            [abs(mu.total_mass - 2.0) for mu in prefix[verdict.window_start - 1:]], abs=1e-15)
+        assert_eager_series(verdict, battery.members + (TOTAL_MASS,), prefix, limit, "wobbling")
         window = distinct_terms(prefix, verdict.window_start)
         assert bl_calls == window + [mu for mu in distinct_terms(prefix) if mu not in window]
 
@@ -646,10 +650,15 @@ class TestNormalizingPath:
             return finite_measure(CUBE1, [((0.5,), 1.0 + 1.0 / (n * n))])
 
         fam = MeasureFamily(space=CUBE1, measure_fn=masses, name="settling")
-        verdict = certify(fam, dirac(CUBE1, (0.5,)), probe_battery(CUBE1),
-                          n_terms=16, normalize_inputs=True)
+        limit = dirac(CUBE1, (0.5,))
+        verdict = certify(fam, limit, probe_battery(CUBE1), n_terms=16, normalize_inputs=True)
         assert verdict.status == Status.CONVERGENT_EVIDENCE
-        assert len(verdict.mass_gaps) == 16
+        assert verdict.member_names == ("probe", "total_mass")
+        assert verdict.gaps == per_term_gaps(Battery(CUBE1, None, probe_battery(CUBE1).members
+                                                     + (TOTAL_MASS,), ()), fam.prefix(16), limit)
+        # the oracle reads the raw terms: bl(mu_n, mu) is the mass error 1/n^2
+        assert verdict.bl_values == pytest.approx([1.0 / (n * n) for n in range(1, 17)],
+                                                  rel=1e-12)
 
 
 class TestEquivalenceReport:

@@ -245,10 +245,35 @@ class TestBLDistance:
         nu = finite_measure(CUBE1, [((0.1,), 0.5), ((0.8,), 0.5)])
         assert bl_distance(mu, nu).value == bl_distance(nu, mu).value
 
-    def test_non_probability_rejected(self):
-        mu = finite_measure(CUBE1, [((0.5,), 0.5)])
-        with pytest.raises(DomainError):
-            bl_distance(mu, dirac(CUBE1, (0.5,)))
+    def test_finite_masses(self):
+        # half a unit short at one atom: f = -1 there gains the half
+        res = bl_distance(finite_measure(CUBE1, [((0.5,), 0.5)]), dirac(CUBE1, (0.5,)))
+        assert res.value == 0.5 and res.witness_values == (-1.0,)
+        # one unit moves 0.2 to the right, the other leaves through the ground node
+        mu, nu = dirac(CUBE1, (0.1,), 2.0), dirac(CUBE1, (0.3,))
+        res = bl_distance(mu, nu)
+        assert res.value == pytest.approx(1.2, abs=1e-15)
+        assert res.witness_values == pytest.approx((1.0, 0.8), abs=1e-15)
+        assert bl_distance(nu, mu).value == res.value
+
+    @pytest.mark.parametrize("space", [CUBE2, PLANE], ids=["cube", "finite"])
+    def test_empty_measures(self, space):
+        empty = finite_measure(space, [])
+        res = bl_distance(empty, empty)
+        assert (res.value, res.support, res.witness_values, res.iterations) == (0.0, (), (), 0)
+        a, b = (space.point_at((0.2, 0.4)), space.point_at((0.9, 0.1))) \
+            if space.kind == "cube" else (0, 3)
+        mu = finite_measure(space, [(a, 0.75), (b, 2.5)])
+        assert bl_distance(mu, empty).value == mu.total_mass == 3.25
+        assert bl_distance(empty, mu).witness_values == (-1.0, -1.0)
+
+    def test_masses_whose_sum_overflows_rejected(self):
+        # each weight is finite, but no transport plan or value exists in floats
+        mu = finite_measure(CUBE1, [((0.1,), 1e308)])
+        with pytest.raises(DomainError, match="finite sum"):
+            bl_distance(mu, finite_measure(CUBE1, [((0.9,), 1.7e308)]))
+        with pytest.raises(DomainError, match="finite sum"):
+            bl_distance(finite_measure(PAIR, [(0, 1e308), (1, 1e308)]), finite_measure(PAIR, []))
 
     @pytest.mark.parametrize("case", ["other-carrier", "non-probability", "over-the-cap",
                                       "fine", "fine-past-the-atom-sum"])
@@ -442,6 +467,45 @@ def finite_pairs(draw):
     return random_pair(space, rng, draw(st.integers(2, space.n_points)))
 
 
+def function_side_lp(mu, nu):
+    """Independent route: max sum_i d_i f_i over |f_i| <= 1 and f_i - f_j <= rho_ij,
+    solved by HiGHS on the union support."""
+    d: dict = {}
+    for sign, m in ((1.0, mu), (-1.0, nu)):
+        for p, w in m.atoms():
+            d[p] = d.get(p, 0.0) + sign * w
+    if not d:
+        return 0.0
+    rho = pairwise(mu.space, list(d))
+    i, j = np.nonzero(~np.eye(len(d), dtype=bool))
+    rows = np.arange(len(i))
+    a_ub = sparse.csr_matrix((np.r_[np.ones(len(i)), -np.ones(len(i))],
+                              (np.r_[rows, rows], np.r_[i, j])), shape=(len(i), len(d)))
+    res = linprog(-np.array(list(d.values())), A_ub=a_ub, b_ub=rho[i, j], bounds=(-1.0, 1.0),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@st.composite
+def finite_mass_pairs(draw):
+    """Measures of unequal total masses from 1e-3 to 1e3, either one possibly empty,
+    on cubes and on finite carriers whose distances reach past 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = (unit_cube(draw(st.integers(1, 3))) if draw(st.booleans())
+             else planar_space(rng, draw(st.integers(2, 12))))
+    m = draw(st.integers(1, 12 if space.kind == "cube" else space.n_points))
+    empty = draw(st.sampled_from(["neither", "mu", "nu"]))
+
+    def scaled(measure, side):
+        mass = 10.0 ** draw(st.floats(-3.0, 3.0))
+        atoms = [] if side == empty else [(p, w * mass) for p, w in measure.atoms()]
+        return finite_measure(space, atoms)
+    mu, nu = random_pair(space, rng, m)
+    return scaled(mu, "mu"), scaled(nu, "nu")
+
+
 class TestBLProperties:
     """The oracle at the support cap, checked by routes that share none of its code."""
 
@@ -464,6 +528,21 @@ class TestBLProperties:
         assert res.value == back.value
         assert_certified(res, mu, nu)
         assert abs(res.value - linprog_transport(mu, nu)) <= 1e-9
+
+    @given(finite_mass_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_finite_masses_match_the_function_side_lp(self, pair):
+        mu, nu = pair
+        res, back = bl_distance(mu, nu), bl_distance(nu, mu)
+        tol = 1e-9 * max(1.0, mu.total_mass, nu.total_mass)
+        assert res.value == back.value
+        assert back.witness_values == tuple(-f for f in res.witness_values)
+        assert abs(res.value - function_side_lp(mu, nu)) <= tol
+        f = np.array(res.witness_values)
+        assert np.all(np.abs(f) <= 1.0 + 1e-9)
+        if len(f):
+            assert np.max(np.abs(f[:, None] - f) - pairwise(mu.space, list(res.support))) <= 1e-9
+            assert abs(f @ signed_difference(res, mu, nu) - res.value) <= tol
 
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -570,7 +649,8 @@ class TestBLEdgeCases:
         nu = finite_measure(CUBE1, [((0.4,), 1.0 - 8e-10)])
         assert abs(bl_distance(mu, nu).value - 0.25) <= 2e-9
         lone = finite_measure(CUBE1, [((0.4,), 1.0 - 8e-10)])
-        assert bl_distance(dirac(CUBE1, (0.4,)), lone).value <= 1e-9  # nothing to move
+        # the missing mass leaves through the ground node, at f = 1
+        assert bl_distance(dirac(CUBE1, (0.4,)), lone).value == 1 - (1 - 8e-10)
 
     def test_certificate_rejects_a_wrong_plan(self, monkeypatch):
         solve = measure_module._transport
