@@ -19,7 +19,9 @@ which are what tightness witnesses return.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -31,6 +33,10 @@ Point = Union[int, tuple]
 
 MAX_FINITE_POINTS = 64
 MAX_CUBE_DIM = 8
+_FLOAT_MAX = sys.float_info.max
+# cell indices are int64, and floor(x * m) is taken in float64: with at most
+# 2**62 cells neither can reach 2**63
+MAX_GRID_CELLS = 2 ** 62
 
 # Exhaustive triangle checks are only feasible on small finite carriers.
 _TRIPLE_SAMPLES = 10_000
@@ -218,27 +224,85 @@ def finite_space(labels: Iterable, dist: np.ndarray, validate: bool = True) -> C
     return space
 
 
+# ---------------------------------------------------------------------------
+# JSON decoding: every field of a document is read through one of these.  A
+# wrong type is a DomainError; a bool, a string, NaN, an infinity or an integer
+# past the float range is never a number.  A count past its cap is a CapacityError.
+# ---------------------------------------------------------------------------
+
+_COUNTS = dict(enumerate("no one two three four five six seven eight nine".split()))
+
+
+def need(node, key: str, what: str = "input"):
+    """``node[key]``, where ``node`` must be a JSON object with that key."""
+    if not isinstance(node, dict):
+        raise DomainError(f"{what} must be a JSON object, got {node!r}")
+    if key not in node:
+        raise DomainError(f"{what} needs a {key!r} field")
+    return node[key]
+
+
+def _is_number(x) -> bool:
+    # int-float comparisons are exact, so an integer past the float range fails
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
+
+
+def number(value, name: str) -> float:
+    """A finite number, as a float."""
+    if not _is_number(value):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def integer(value, name: str, lo: int | None = None, cap: int | None = None) -> int:
+    """An integral number: a DomainError below ``lo``, a CapacityError above ``cap``."""
+    what = "a non-negative integer" if lo == 0 else "an integer"
+    if not (_is_number(value) and value == int(value)):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    if lo is not None and value < lo:
+        raise DomainError(f"{name} must be {what if lo == 0 else f'at least {lo}'}, got {value!r}")
+    if cap is not None and value > cap:
+        raise CapacityError(f"{name} is capped at {cap}, got {value!r}")
+    return int(value)
+
+
+def numbers(value, name: str, length: int | None = None) -> tuple:
+    """A list of numbers, of ``length`` entries if one is given."""
+    if not (isinstance(value, (list, tuple)) and length in (None, len(value))
+            and all(map(_is_number, value))):
+        count = "a list of" if length is None else _COUNTS.get(length, length)
+        raise DomainError(f"{name} must be {count} finite number{'' if length == 1 else 's'}, "
+                          f"got {value!r}")
+    return tuple(map(float, value))
+
+
+def items(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
+def choice(value, options: tuple, name: str):
+    """The option equal to ``value`` in type as well as value, so 1 is not true."""
+    for option in options:
+        if type(option) is type(value) and option == value:
+            return option
+    raise DomainError(f"{name} must be {' or '.join(map(json.dumps, options))}, got {value!r}")
+
+
 def space_from_json(node: dict) -> CompactSpace:
     """Decode a carrier description.
 
     ``{"kind": "cube", "dim": d}`` or
     ``{"kind": "finite", "labels": [...], "dist": [[...], ...]}``.
     """
-    if not isinstance(node, dict) or "kind" not in node:
-        raise DomainError("space JSON needs a 'kind' field")
-    if node["kind"] == "cube":
-        try:
-            return unit_cube(int(node["dim"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError("cube space JSON needs an integer 'dim'") from exc
-    if node["kind"] == "finite":
-        try:
-            labels = tuple(node["labels"])
-            dist = np.asarray(node["dist"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError("finite space JSON needs 'labels' and 'dist'") from exc
-        return finite_space(labels, dist)
-    raise DomainError(f"unknown space kind {node['kind']!r}")
+    kind = choice(need(node, "kind", "space"), ("cube", "finite"), "space 'kind'")
+    if kind == "cube":
+        return unit_cube(integer(need(node, "dim", "cube space"), "cube 'dim'"))
+    labels = tuple(items(need(node, "labels", "finite space"), "'labels'"))
+    dist = [numbers(row, "'dist' row", len(labels))
+            for row in items(need(node, "dist", "finite space"), "'dist'")]
+    return finite_space(labels, np.array(dist))
 
 
 def point_from_json(space: CompactSpace, p) -> Point:
@@ -246,21 +310,22 @@ def point_from_json(space: CompactSpace, p) -> Point:
 
     A point that does not lie in the carrier is a ``DomainError``.
     """
-    point = p
     if space.kind == "cube":
-        if not isinstance(p, (list, tuple)) or len(p) != space.dim:
-            raise DomainError(f"cube point must be a list of {space.dim} coordinates")
-        try:
-            point = tuple(float(x) for x in p)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"cube coordinates must be numbers, got {p!r}") from exc
+        point = numbers(p, "cube point", space.dim)
     elif isinstance(p, str):
         if p not in space.labels:
             raise DomainError(f"unknown point label {p!r}")
         point = space.labels.index(p)
+    else:
+        point = integer(p, "finite-carrier point")
     if not space.contains(point):
         raise DomainError(f"point {p!r} lies outside the carrier")
-    return point if space.kind == "cube" else int(point)
+    return point
+
+
+def point_to_json(p: Point):
+    """The JSON form of a point, as ``point_from_json`` reads it."""
+    return int(p) if isinstance(p, (int, np.integer)) else [float(x) for x in p]
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +590,10 @@ def grid_partition(space: CompactSpace, h: float) -> Partition:
         raise UnsupportedError("grid partitions are defined on cube carriers only")
     if not (h > 0):
         raise DomainError("mesh size must be positive")
-    m = int(math.ceil(1.0 / h - 1e-12))
-    m = max(m, 1)
+    if not 1.0 / h <= MAX_GRID_CELLS or math.ceil(1.0 / h - 1e-12) ** space.dim > MAX_GRID_CELLS:
+        raise CapacityError(f"a grid of mesh {h!r} on the {space.dim}-cube has more than "
+                            f"2**62 cells, the most a flat int64 cell index allows")
+    m = max(int(math.ceil(1.0 / h - 1e-12)), 1)
     return Partition(space=space, kind="grid", cells_per_axis=m)
 
 

@@ -32,8 +32,9 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .carrier import point_from_json, space_from_json
-from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, Battery, BatterySpec,
+from .carrier import (choice, integer, items, need, number, numbers, point_from_json,
+                      point_to_json, space_from_json)
+from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, MAX_PREFIX, Battery, BatterySpec,
                           Status, _scalar_members, _vector_members, certify,
                           equivalence_report)
 from .errors import CapacityError, DomainError, UnsupportedError
@@ -57,17 +58,11 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise DomainError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, a file without read permission
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of over 4300 digits
         raise DomainError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"top level of {path} must be a JSON object")
-    return doc
-
-
-def _need(doc: dict, key: str) -> dict:
-    if key not in doc:
-        raise DomainError(f"input needs a {key!r} field")
-    return doc[key]
+    return doc  # each command's first field read checks that it is an object
 
 
 def _write_out(path: str, text: str) -> None:
@@ -76,33 +71,23 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _sequence_from_json(space, node) -> "MeasureFamily":
-    if not isinstance(node, dict) or "kind" not in node:
-        raise DomainError("sequence JSON needs a 'kind'")
-    params = dict(node.get("params", {}))
+    kind = need(node, "kind", "sequence")
+    params = node.get("params", {})
+    if not isinstance(params, dict):
+        raise DomainError(f"sequence 'params' must be a JSON object, got {params!r}")
     decoded = {"space": space}
     for key, value in params.items():
         if key in ("a", "b"):
             decoded[key] = point_from_json(space, value)
         elif key == "points":
-            decoded[key] = [point_from_json(space, p) for p in value]
+            decoded[key] = [point_from_json(space, p) for p in items(value, "'points'")]
         elif key in ("law", "mu"):
             decoded[key] = measure_from_json(space, value)
         elif key in ("s0", "v"):
-            if not isinstance(value, list):
-                raise DomainError(f"sequence param {key!r} must be a list of numbers")
-            decoded[key] = [_convert(float, x, key) for x in value]
+            decoded[key] = numbers(value, f"sequence param {key!r}")
         else:
             decoded[key] = value
-    return scenario(node["kind"], decoded, seed=_seed(node.get("seed", 0)))
-
-
-def _convert(kind, value, key: str):
-    """``kind(value)``, with a malformed value reported as a ``DomainError``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from exc
+    return scenario(kind, decoded, seed=_seed(node.get("seed", 0)))
 
 
 def _seed(value, derived: int = 0) -> int:
@@ -111,9 +96,7 @@ def _seed(value, derived: int = 0) -> int:
     A command keys Philox streams with seeds up to ``seed + derived``,
     and a Philox key lies below 2**128.
     """
-    seed = _convert(int, value, "seed")
-    if seed < 0:
-        raise DomainError(f"'seed' must be a non-negative integer, got {value!r}")
+    seed = integer(value, "'seed'", lo=0)
     if seed + derived >= 2 ** 128:
         bound = f"2**128 - {derived}" if derived else "2**128"
         raise DomainError(f"'seed' must be below {bound}, got {value!r}")
@@ -122,11 +105,24 @@ def _seed(value, derived: int = 0) -> int:
 
 def _run_knob(args, doc: dict, key: str, default):
     """CLI flag wins over the file's run block wins over the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
     run = doc.get("run", {})
-    return run.get(key, default) if isinstance(run, dict) else default
+    if not isinstance(run, dict):
+        raise DomainError(f"'run' must be a JSON object, got {run!r}")
+    flag = getattr(args, key, None)
+    return run.get(key, default) if flag is None else flag
+
+
+def _sequence_doc(args) -> tuple:
+    """A certify or scenario file: the document, carrier, sequence, n and tol."""
+    doc = _load_json(args.file)
+    space = space_from_json(need(doc, "space"))
+    return (doc, space, _sequence_from_json(space, need(doc, "sequence")),
+            integer(_run_knob(args, doc, "n", DEFAULT_PREFIX), "'n'", cap=MAX_PREFIX),
+            number(_run_knob(args, doc, "tol", DEFAULT_TOL), "'tol'"))
+
+
+def _targets(doc: dict) -> list:
+    return [target_from_json(t) for t in items(doc.get("targets", []), "'targets'")]
 
 
 def _battery_from_doc(space, doc: dict, seed: int, targets) -> Battery:
@@ -148,9 +144,9 @@ def _battery_from_doc(space, doc: dict, seed: int, targets) -> Battery:
 
 def cmd_bl(args) -> int:
     doc = _load_json(args.file)
-    space = space_from_json(_need(doc, "space"))
-    mu = measure_from_json(space, _need(doc, "mu"))
-    nu = measure_from_json(space, _need(doc, "nu"))
+    space = space_from_json(need(doc, "space"))
+    mu = measure_from_json(space, need(doc, "mu"))
+    nu = measure_from_json(space, need(doc, "nu"))
     res = bl_distance(mu, nu)
     print("# weakconv bl")
     print(f"value = {res.value!r}")
@@ -161,23 +157,25 @@ def cmd_bl(args) -> int:
             print(f"witness {point!r} -> {value!r}")
     if args.out:
         _write_out(args.out, json.dumps(
-            {"value": res.value, "support": [list(p) if isinstance(p, tuple) else p
-                                             for p in res.support],
+            {"value": res.value, "support": [point_to_json(p) for p in res.support],
              "witness": list(res.witness_values)}, indent=2) + "\n")
     return EX_OK
 
 
 def cmd_integrate(args) -> int:
     doc = _load_json(args.file)
-    space = space_from_json(_need(doc, "space"))
-    mu = measure_from_json(space, _need(doc, "measure"))
-    fn_node = _need(doc, "function")
+    space = space_from_json(need(doc, "space"))
+    mu = measure_from_json(space, need(doc, "measure"))
+    fn_node = need(doc, "function")
     if isinstance(fn_node, dict) and "coords" in fn_node:
-        target = target_from_json(_need(doc, "target"))
-        forms = tuple(form_from_json(c, space) for c in fn_node["coords"])
+        target = target_from_json(need(doc, "target"))
+        forms = tuple(form_from_json(c, space) for c in items(fn_node["coords"], "'coords'"))
         g = vector_function(space, target, forms, validate=False)
     else:
         g = form_from_json(fn_node, space)
+    schedule = doc.get("schedule")
+    if schedule is not None:
+        schedule = numbers(schedule, "'schedule'")
 
     report = integrability_report(g, mu)
     print("# weakconv integrate")
@@ -186,7 +184,7 @@ def cmd_integrate(args) -> int:
         print(f"offending_atoms = {list(report.offending_atoms)}")
         print(f"level_integrals = {[float(v) for v in report.level_integrals]!r}")
         return EX_NEGATIVE
-    cert = integrate(g, mu, doc.get("schedule"))
+    cert = integrate(g, mu, schedule)
     print(f"value = {[float(v) for v in cert.value]!r}")
     print(f"certified = {cert.certified}")
     last = cert.rows[-1]
@@ -200,9 +198,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    doc = _load_json(args.file)
-    space = space_from_json(_need(doc, "space"))
-    family = _sequence_from_json(space, _need(doc, "sequence"))
+    doc, space, family, n_terms, tol = _sequence_doc(args)
     if "candidate" in doc:
         candidate = measure_from_json(space, doc["candidate"])
     elif family.label.reference is not None:
@@ -210,14 +206,10 @@ def cmd_certify(args) -> int:
     else:
         raise DomainError("no candidate limit: add a 'candidate' measure "
                           "or use a labeled sequence kind")
-    n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
-    tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
-    targets = [target_from_json(t) for t in doc.get("targets", [])]
+    targets = _targets(doc)
     # target k's vector members are keyed by seed + 1 + k
     seed = _seed(_run_knob(args, doc, "seed", 0), derived=len(targets))
-    normalize = _run_knob(args, doc, "normalize", False)
-    if not isinstance(normalize, bool):
-        raise DomainError(f"'normalize' must be true or false, got {normalize!r}")
+    normalize = choice(_run_knob(args, doc, "normalize", False), (True, False), "'normalize'")
     battery = _battery_from_doc(space, doc, seed, targets)
 
     verdict = certify(family, candidate, battery, n_terms=n_terms, tol=tol,
@@ -241,16 +233,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    doc = _load_json(args.file)
-    space = space_from_json(_need(doc, "space"))
-    family = _sequence_from_json(space, _need(doc, "sequence"))
-    n_terms = _convert(int, _run_knob(args, doc, "n", DEFAULT_PREFIX), "n")
-    tol = _convert(float, _run_knob(args, doc, "tol", DEFAULT_TOL), "tol")
+    doc, space, family, n_terms, tol = _sequence_doc(args)
     seed = _seed(_run_knob(args, doc, "seed", 0))
-    if "targets" in doc:
-        targets = [target_from_json(t) for t in doc["targets"]]
-    else:
-        targets = list(suite_targets())
+    targets = _targets(doc) if "targets" in doc else list(suite_targets())
     spec = BatterySpec.from_json(doc["battery"]) if "battery" in doc else None
 
     report = equivalence_report(family, targets, n_terms=n_terms, tol=tol,

@@ -73,13 +73,12 @@ contains a member that sees it too.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .carrier import CompactSpace
+from .carrier import CompactSpace, integer, numbers
 from .errors import DomainError, UnsupportedError
 from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
                     VectorFunction, validate_metadata)
@@ -90,6 +89,11 @@ from .integral import atomic_oracle
 
 DEFAULT_PREFIX = 64
 DEFAULT_TOL = 0.05
+# Caps on the counts a JSON document sets, from measured cost (2-vCPU VM, Python
+# 3.11): certify on an 8-atom empirical law in the 8-cube takes 0.6 s at 4096 terms
+# (2.3 s at 16384); with one battery count at 1024, 0.3-1.3 s (2.9 s at 10000 tents).
+MAX_PREFIX = 4096
+MAX_BATTERY_COUNT = 1024
 _WITNESS_RECHECK_TOL = 1e-9
 
 
@@ -131,35 +135,14 @@ class BatterySpec:
         """Decode a spec: counts are non-negative integers, ranges two finite numbers."""
         if not isinstance(node, dict):
             raise DomainError("battery spec must be a JSON object")
-        counts = {"tents", "distances", "mcshanes", "vector_members", "mcshane_anchors"}
-        ranges = {"tent_radius", "mcshane_lip"}
-        bad = set(node) - counts - ranges
+        defaults = vars(BatterySpec())
+        bad = set(node) - set(defaults)
         if bad:
             raise DomainError(f"unknown battery spec fields {sorted(bad)}")
-        kwargs = {}
-        for key, value in node.items():
-            if key in ranges:
-                if not (isinstance(value, (list, tuple)) and len(value) == 2
-                        and all(_finite_number(x) for x in value)):
-                    raise DomainError(f"battery {key!r} must be two finite numbers, "
-                                      f"got {value!r}")
-                kwargs[key] = (float(value[0]), float(value[1]))
-            else:
-                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                    raise DomainError(f"battery {key!r} must be a non-negative integer, "
-                                      f"got {value!r}")
-                kwargs[key] = value
-        return BatterySpec(**kwargs)
-
-
-def _finite_number(x) -> bool:
-    """A JSON number (not a bool) that is finite as a float."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer past the float range
-        return False
+        return BatterySpec(**{
+            key: numbers(value, f"battery {key!r}", 2) if isinstance(defaults[key], tuple)
+            else integer(value, f"battery {key!r}", lo=0, cap=MAX_BATTERY_COUNT)
+            for key, value in node.items()})
 
 
 @dataclass(frozen=True)

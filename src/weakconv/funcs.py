@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carrier import CompactSpace, Point, point_from_json, sum_in_reduce_order
+from .carrier import (CompactSpace, Point, integer, items, need, number, numbers,
+                      point_from_json, point_to_json, sum_in_reduce_order)
 from .errors import DomainError, UnsupportedError
 
 
@@ -64,12 +65,6 @@ def _scratch(values) -> Optional[np.ndarray]:
     if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.writeable:
         return values
     return None
-
-
-def _point_json(p: Point):
-    if isinstance(p, (int, np.integer)):
-        return int(p)
-    return [float(x) for x in p]
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ class DistTo(Form):
         return 1.0
 
     def to_json(self):
-        return {"kind": "dist", "point": _point_json(self.anchor)}
+        return {"kind": "dist", "point": point_to_json(self.anchor)}
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,7 @@ class Tent(Form):
         return 1.0 / self.radius
 
     def to_json(self):
-        return {"kind": "tent", "point": _point_json(self.center), "radius": self.radius}
+        return {"kind": "tent", "point": point_to_json(self.center), "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,7 @@ class McShane(Form):
 
     def to_json(self):
         return {"kind": "mcshane",
-                "anchors": [_point_json(a) for a in self.anchors],
+                "anchors": [point_to_json(a) for a in self.anchors],
                 "values": list(self.values), "lip": self.lip}
 
 
@@ -310,6 +305,8 @@ class Step(Form):
     def evaluate(self, space, pts):
         if space.kind != "cube":
             raise UnsupportedError("step forms need a cube carrier")
+        if not 0 <= self.axis < space.dim:
+            raise DomainError(f"axis {self.axis} out of range for dim {space.dim}")
         return (np.asarray(pts, dtype=float)[:, self.axis] >= self.threshold).astype(float)
 
     def bound(self, space):
@@ -328,37 +325,35 @@ def form_from_json(node: dict, space: CompactSpace) -> Form:
     Anchor points are decoded by ``point_from_json``, so they must lie in
     the carrier, and finite-carrier anchors may be given by label.
     """
-    if not isinstance(node, dict) or "kind" not in node:
-        raise DomainError("function node must be a dict with a 'kind'")
-    kind = node["kind"]
-    try:
-        if kind == "const":
-            return Const(float(node["value"]))
-        if kind == "coord":
-            return Coord(int(node["axis"]))
-        if kind == "dist":
-            return DistTo(point_from_json(space, node["point"]))
-        if kind == "tent":
-            return Tent(point_from_json(space, node["point"]), float(node["radius"]))
-        if kind == "mcshane":
-            return McShane(tuple(point_from_json(space, a) for a in node["anchors"]),
-                           tuple(float(v) for v in node["values"]),
-                           float(node["lip"]))
-        if kind == "clamp":
-            return Clamp(float(node["lo"]), float(node["hi"]),
-                         form_from_json(node["child"], space))
-        if kind == "sum":
-            return Sum(tuple(form_from_json(c, space) for c in node["children"]))
-        if kind == "scale":
-            return Scale(float(node["factor"]), form_from_json(node["child"], space))
-        if kind == "step":
-            return Step(int(node["axis"]), float(node["threshold"]))
-    except DomainError:
-        raise
-    except KeyError as exc:
-        raise DomainError(f"function node {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"function node {kind!r} has a malformed field: {exc}") from exc
+    kind = need(node, "kind", "function node")
+
+    def field(key: str):
+        return need(node, key, f"function node {kind!r}")
+
+    def num(key: str) -> float:
+        return number(field(key), repr(key))
+
+    if kind == "const":
+        return Const(num("value"))
+    if kind == "coord":
+        return Coord(integer(field("axis"), "'axis'", lo=0))
+    if kind == "dist":
+        return DistTo(point_from_json(space, field("point")))
+    if kind == "tent":
+        return Tent(point_from_json(space, field("point")), num("radius"))
+    if kind == "mcshane":
+        anchors = items(field("anchors"), "'anchors'")
+        return McShane(tuple(point_from_json(space, a) for a in anchors),
+                       numbers(field("values"), "'values'"), num("lip"))
+    if kind == "clamp":
+        return Clamp(num("lo"), num("hi"), form_from_json(field("child"), space))
+    if kind == "sum":
+        children = items(field("children"), "'children'")
+        return Sum(tuple(form_from_json(c, space) for c in children))
+    if kind == "scale":
+        return Scale(num("factor"), form_from_json(field("child"), space))
+    if kind == "step":
+        return Step(integer(field("axis"), "'axis'", lo=0), num("threshold"))
     raise DomainError(f"unknown function node kind {kind!r}")
 
 

@@ -33,7 +33,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .carrier import CompactSpace, MeasurableSet, Point, ball_set, point_from_json
+from .carrier import (CompactSpace, MeasurableSet, Point, ball_set, choice, number,
+                      point_from_json, point_to_json)
 from .errors import CapacityError, DomainError, UnsupportedError
 
 MAX_BL_SUPPORT = 400
@@ -97,10 +98,7 @@ class FiniteMeasure:
                 for i in range(self.n_atoms)]
 
     def to_json(self) -> dict:
-        out = []
-        for p, w in self.atoms():
-            out.append({"point": list(p) if isinstance(p, tuple) else p, "weight": w})
-        return {"atoms": out}
+        return {"atoms": [{"point": point_to_json(p), "weight": w} for p, w in self.atoms()]}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMeasure):
@@ -182,11 +180,8 @@ def measure_from_json(space: CompactSpace, node: dict) -> FiniteMeasure:
     for entry in node["atoms"]:
         if not (isinstance(entry, dict) and "point" in entry and "weight" in entry):
             raise DomainError(f"bad atom entry {entry!r}")
-        try:
-            weight = float(entry["weight"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"atom weight must be a number, got {entry['weight']!r}") from exc
-        atoms.append((point_from_json(space, entry["point"]), weight))
+        atoms.append((point_from_json(space, entry["point"]),
+                      number(entry["weight"], "atom weight")))
     return finite_measure(space, atoms)
 
 
@@ -631,21 +626,22 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
     rate), ``mass_split`` (mass 1/n defecting to a second atom),
     ``alternating`` (two Diracs in alternation; divergent),
     ``empirical`` (i.i.d. draws from an atomic law, counter-based
-    seeding), and ``constant``.
+    seeding), and ``constant``.  A missing param is a ``DomainError``.
     """
     try:
-        space: CompactSpace = params["space"]
+        return _scenario(kind, params, seed)
     except KeyError as exc:
-        raise DomainError("scenario params need a 'space'") from exc
+        raise DomainError(f"scenario {kind!r} needs a {exc.args[0]!r} param") from exc
 
+
+def _scenario(kind: str, params: dict, seed: int) -> MeasureFamily:
+    space: CompactSpace = params["space"]
     if kind == "dirac_drift":
         if space.kind != "cube":
             raise UnsupportedError("dirac_drift needs a cube carrier")
         s0 = np.asarray(params["s0"], dtype=float)
         v = np.asarray(params["v"], dtype=float)
-        rate = params.get("rate", "harmonic")
-        if rate not in _DRIFT_RATES:
-            raise DomainError(f"unknown drift rate {rate!r}")
+        rate = choice(params.get("rate", "harmonic"), tuple(_DRIFT_RATES), "drift 'rate'")
         c = _DRIFT_RATES[rate]
         for probe in (s0, s0 + c(1) * v):
             if not space.contains(tuple(probe)):
@@ -669,16 +665,8 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
                              name="mass_split")
 
     if kind == "alternating":
-        a, b_pt = params["a"], params["b"]
-        if space.distance(a, b_pt) <= 0:
-            raise DomainError("alternating needs two distinct points")
-        candidate, other = dirac(space, a), dirac(space, b_pt)
-
-        def fn(n: int) -> FiniteMeasure:
-            return candidate if n % 2 == 1 else other
-
-        return MeasureFamily(space, fn, FamilyLabel("diverges", candidate),
-                             name="alternating")
+        a, b_pt = _distinct(space, [params["a"], params["b"]], kind)
+        return _cycle(space, [dirac(space, a), dirac(space, b_pt)], kind)
 
     if kind == "empirical":
         law: FiniteMeasure = params["law"]
@@ -710,42 +698,38 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
                              name="constant")
 
     if kind == "position_cycle":
-        pts = list(params["points"])
-        if len(pts) < 2:
-            raise DomainError("position_cycle needs at least two points")
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                if space.distance(p, q) <= 0:
-                    raise DomainError("position_cycle points must be distinct")
-        phases = [dirac(space, p) for p in pts]
-        candidate = phases[0]
-
-        def fn(n: int) -> FiniteMeasure:
-            return phases[(n - 1) % len(phases)]
-
-        return MeasureFamily(space, fn, FamilyLabel("diverges", candidate),
-                             name=f"position_cycle[k={len(pts)}]")
+        pts = _distinct(space, list(params["points"]), kind)
+        return _cycle(space, [dirac(space, p) for p in pts], f"position_cycle[k={len(pts)}]")
 
     if kind == "oscillating_mixture":
-        a, b_pt = params["a"], params["b"]
-        w_hi = float(params.get("w_hi", 0.9))
-        if space.distance(a, b_pt) <= 0:
-            raise DomainError("oscillating_mixture needs two distinct points")
+        a, b_pt = _distinct(space, [params["a"], params["b"]], kind)
+        w_hi = number(params.get("w_hi", 0.9), "'w_hi'")
         if not 0.5 < w_hi <= 1.0:
             raise DomainError("w_hi must lie in (0.5, 1]")
-
-        def mix(w: float) -> FiniteMeasure:
-            return finite_measure(space, [(a, w), (b_pt, 1.0 - w)])
-
-        candidate, other = mix(w_hi), mix(1.0 - w_hi)  # the odd and even phases
-
-        def fn(n: int) -> FiniteMeasure:
-            return candidate if n % 2 == 1 else other
-
-        return MeasureFamily(space, fn, FamilyLabel("diverges", candidate),
-                             name="oscillating_mixture")
+        # the odd and even phases
+        return _cycle(space, [finite_measure(space, [(a, w), (b_pt, 1.0 - w)])
+                              for w in (w_hi, 1.0 - w_hi)], kind)
 
     raise DomainError(f"unknown scenario kind {kind!r}")
+
+
+def _distinct(space: CompactSpace, pts: list, kind: str) -> list:
+    """``pts``, which must be at least two pairwise distinct points."""
+    if len(pts) < 2:
+        raise DomainError(f"{kind} needs at least two points")
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            if space.distance(p, q) <= 0:
+                raise DomainError(f"{kind} needs distinct points")
+    return pts
+
+
+def _cycle(space: CompactSpace, phases: list, name: str) -> MeasureFamily:
+    """The divergent family that takes the distinct ``phases`` in turn."""
+    def fn(n: int) -> FiniteMeasure:
+        return phases[(n - 1) % len(phases)]
+
+    return MeasureFamily(space, fn, FamilyLabel("diverges", phases[0]), name=name)
 
 
 # ---------------------------------------------------------------------------

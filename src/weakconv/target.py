@@ -31,10 +31,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .carrier import choice, integer, items, need, numbers
 from .errors import DomainError, UnsupportedError
 
 # relative size of R's smallest diagonal entry below which a base counts as singular
 _RANK_TOL = 1e-10
+
+# a JSON target's largest dimension: certify with one such target takes
+# about 0.4 s at 256 and 2.3 s at 1024 (2-vCPU VM, Python 3.11)
+MAX_TARGET_DIM = 256
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +294,17 @@ def cumulative_l1_space(dim: int, base="coordinate") -> TargetSpace:
 
 
 def target_from_json(node: dict) -> TargetSpace:
-    try:
-        kind = node["kind"]
-        raw_dim = node["dim"]
-        if isinstance(raw_dim, bool) or (isinstance(raw_dim, float) and not raw_dim.is_integer()):
-            raise ValueError(f"'dim' must be an integer, got {raw_dim!r}")
-        dim = int(raw_dim)
-        family = node["family"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"bad target spec: {exc}") from exc
-    if family not in _FAMILY_BUILDERS:
-        raise DomainError(f"unknown seminorm family {family!r}")
+    kind = need(node, "kind", "target spec")
+    dim = integer(need(node, "dim", "target spec"), "bad target spec: 'dim'", lo=1,
+                  cap=MAX_TARGET_DIM)
+    family = choice(need(node, "family", "target spec"), tuple(_FAMILY_BUILDERS),
+                    "bad target spec: 'family'")
+    base = node.get("base", "coordinate")
+    if base is not None and not isinstance(base, str):
+        base = [numbers(row, "bad target spec: 'base' row", dim)
+                for row in items(base, "bad target spec: 'base'")]
     fam = _FAMILY_BUILDERS[family](dim)
-    base = _resolve_base(dim, node.get("base", "coordinate"))
+    base = _resolve_base(dim, base)
     kind_expected = "banach" if fam.depth == 1 else "frechet"
     if kind != kind_expected:
         raise DomainError(f"family {family!r} implies kind {kind_expected!r}")
