@@ -10,7 +10,7 @@ vector-valued test functions on labeled measure sequences.
 
 import types as _types
 
-from .errors import CapacityError, DomainError, UnsupportedError
+from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 from .carrier import (CompactSpace, MeasurableSet, Partition, ball_set, box_set,
                       finite_space, grid_partition, metric_axioms_report,
                       point_from_json, point_set, space_from_json, trivial_partition,

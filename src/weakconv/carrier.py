@@ -34,9 +34,9 @@ Point = Union[int, tuple]
 MAX_FINITE_POINTS = 64
 MAX_CUBE_DIM = 8
 _FLOAT_MAX = sys.float_info.max
-# cell indices are int64, and floor(x * m) is taken in float64: with at most
-# 2**62 cells neither can reach 2**63
-MAX_GRID_CELLS = 2 ** 62
+# a grid cell's coordinates are floor(x * m), taken in float64 and cast to
+# int64: with at most 2**62 cells per axis they cannot reach 2**63
+MAX_CELLS_PER_AXIS = 2 ** 62
 
 # Exhaustive triangle checks are only feasible on small finite carriers.
 _TRIPLE_SAMPLES = 10_000
@@ -499,84 +499,37 @@ def ball_set(center: Point, radius: float) -> MeasurableSet:
 class Partition:
     """Finite disjoint cover of the carrier with a representative per cell.
 
-    Grid partitions are stored compactly (cells per axis); explicit
-    partitions keep their cell list.  ``cell_index`` is the workhorse: it
-    maps points to the cell containing them, which is all the integral
-    construction needs on atomic measures.
+    On the cube the cells are the boxes of a grid of side 1/m, named by
+    their per-axis integer coordinates: half-open on each axis, except that
+    the outermost upper face is closed, with the centre as representative.
+    On a finite carrier each point is its own cell and representative.
+    Cells are only named for the points asked about, so no grid is ever
+    built, whatever its number of cells.
     """
 
     space: CompactSpace
-    kind: str  # "grid" | "explicit"
-    cells_per_axis: int = 0
-    explicit_cells: tuple = ()
-    explicit_reps: tuple = ()
-
-    @property
-    def n_cells(self) -> int:
-        if self.kind == "grid":
-            return self.cells_per_axis ** self.space.dim
-        return len(self.explicit_cells)
+    cells_per_axis: int = 0  # m on the cube; 0 on a finite carrier
 
     @property
     def side(self) -> float:
-        if self.kind != "grid":
+        if self.space.kind != "cube":
             raise UnsupportedError("side is only defined for grid partitions")
         return 1.0 / self.cells_per_axis
 
-    def cell_index(self, pts: np.ndarray) -> np.ndarray:
-        """Index of the cell containing each point (every point has one)."""
-        if self.kind == "grid":
-            m = self.cells_per_axis
-            coords = np.asarray(pts, dtype=float)
-            axes = np.minimum(np.floor(coords * m).astype(int), m - 1)
-            axes = np.maximum(axes, 0)
-            return np.ravel_multi_index(tuple(axes[:, k] for k in range(self.space.dim)),
-                                        (m,) * self.space.dim)
-        out = np.full(np.asarray(pts).shape[0] if np.asarray(pts).ndim else 1, -1, dtype=int)
-        arr = pts
-        for j, cell in enumerate(self.explicit_cells):
-            hit = cell.contains(self.space, arr) & (out < 0)
-            out[hit] = j
-        if np.any(out < 0):
-            raise DomainError("partition does not cover a queried point")
-        return out
-
-    def representatives(self) -> np.ndarray:
-        """Representative point of each cell, as a bulk array."""
-        if self.kind == "grid":
-            m = self.cells_per_axis
-            d = self.space.dim
-            centers_1d = (np.arange(m) + 0.5) / m
-            grids = np.meshgrid(*([centers_1d] * d), indexing="ij")
-            return np.stack([g.ravel() for g in grids], axis=-1)
-        return self.space.points_array(list(self.explicit_reps))
-
-    def reps_of_cells(self, flat: np.ndarray) -> np.ndarray:
-        """Representatives of selected cells, without materialising the grid."""
-        if self.kind == "grid":
-            m = self.cells_per_axis
-            axes = np.unravel_index(np.asarray(flat, dtype=int), (m,) * self.space.dim)
-            return (np.stack(axes, axis=-1) + 0.5) / m
-        reps = self.space.points_array(list(self.explicit_reps))
-        return reps[np.asarray(flat, dtype=int)]
-
-    def cell_sets(self) -> list[MeasurableSet]:
-        """Materialise the cells as measurable sets (small partitions only)."""
-        if self.kind != "grid":
-            return [MeasurableSet(kind="cells", cells=(c,)) for c in self.explicit_cells]
+    def cell_of(self, pts: np.ndarray) -> np.ndarray:
+        """The cell of each point: the (n, d) coordinates clip(floor(x * m), 0, m - 1)
+        on the cube, the point itself on a finite carrier."""
+        if self.space.kind == "finite":
+            return np.asarray(pts, dtype=int)
         m = self.cells_per_axis
-        d = self.space.dim
-        if m ** d > 100_000:
-            raise CapacityError("refusing to materialise more than 1e5 grid cells")
-        side = self.side
-        out = []
-        for flat in range(m ** d):
-            idx = np.unravel_index(flat, (m,) * d)
-            lo = tuple(i * side for i in idx)
-            hi = tuple((i + 1) * side for i in idx)
-            closed = tuple(i == m - 1 for i in idx)
-            out.append(box_set(lo, hi, closed))
-        return out
+        return np.clip(np.floor(np.asarray(pts, dtype=float) * m).astype(int), 0, m - 1)
+
+    def rep_of(self, cells: np.ndarray) -> np.ndarray:
+        """The representative of each cell: the centre (cells + 0.5) / m on the
+        cube, the point itself on a finite carrier."""
+        if self.space.kind == "finite":
+            return cells
+        return (cells + 0.5) / self.cells_per_axis
 
 
 def grid_partition(space: CompactSpace, h: float) -> Partition:
@@ -590,17 +543,14 @@ def grid_partition(space: CompactSpace, h: float) -> Partition:
         raise UnsupportedError("grid partitions are defined on cube carriers only")
     if not (h > 0):
         raise DomainError("mesh size must be positive")
-    if not 1.0 / h <= MAX_GRID_CELLS or math.ceil(1.0 / h - 1e-12) ** space.dim > MAX_GRID_CELLS:
-        raise CapacityError(f"a grid of mesh {h!r} on the {space.dim}-cube has more than "
-                            f"2**62 cells, the most a flat int64 cell index allows")
+    if not 1.0 / h <= MAX_CELLS_PER_AXIS:
+        raise CapacityError(f"a grid of mesh {h!r} has more than 2**62 cells per axis")
     m = max(int(math.ceil(1.0 / h - 1e-12)), 1)
-    return Partition(space=space, kind="grid", cells_per_axis=m)
+    return Partition(space=space, cells_per_axis=m)
 
 
 def trivial_partition(space: CompactSpace) -> Partition:
     """One cell per point of a finite carrier (each point represents itself)."""
     if space.kind != "finite":
         raise UnsupportedError("trivial partitions are defined on finite carriers only")
-    cells = tuple(PointCell((i,)) for i in range(space.n_points))
-    reps = tuple(range(space.n_points))
-    return Partition(space=space, kind="explicit", explicit_cells=cells, explicit_reps=reps)
+    return Partition(space=space)

@@ -13,10 +13,14 @@ Exit codes encode the verdict where there is one: 0 for the positive
 outcome (certified / convergent-evidence / selftest pass), 1 for the
 established negative (not certified / divergent / selftest failure), 2
 for inconclusive.  Malformed input and domain violations exit 64,
-capacity overruns 65, internal failures 70.  A reader that closes
-standard output early (``weakconv bl FILE --witness | head``) ends the
-command with exit 141, 128 + SIGPIPE, as a shell reports a process that
-SIGPIPE stopped; the rest of the output is discarded.
+capacity overruns 65, internal failures 70.  A computed answer that
+fails its own certificate check (a ``CertificateError``: a BL plan and
+witness that do not check, or a divergence witness that a fresh per-term
+evaluation does not reproduce) exits 3, with no verdict printed.  A
+reader that closes standard output early (``weakconv bl FILE --witness |
+head``) ends the command with exit 141, 128 + SIGPIPE, as a shell
+reports a process that SIGPIPE stopped; the rest of the output is
+discarded.
 
 Standard output is byte-deterministic for a fixed input and flag set;
 the wall-clock note goes to standard error.
@@ -37,14 +41,14 @@ from .carrier import (choice, integer, items, need, number, numbers, point_from_
 from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, MAX_PREFIX, Battery, BatterySpec,
                           Status, _scalar_members, _vector_members, certify,
                           equivalence_report)
-from .errors import CapacityError, DomainError, UnsupportedError
+from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 from .funcs import ValidationDraws, form_from_json, vector_function
 from .integral import integrability_report, integrate
 from .measure import bl_distance, measure_from_json, scenario
 from .suite import AGREEMENT_SEED_OFFSET, bundled_suite, selftest, suite_targets
 from .target import target_from_json
 
-EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE = 0, 1, 2
+EX_OK, EX_NEGATIVE, EX_INCONCLUSIVE, EX_CERTIFICATE = 0, 1, 2, 3
 EX_DATAERR, EX_CAPACITY, EX_SOFTWARE = 64, 65, 70
 EX_PIPE = 141  # 128 + SIGPIPE
 
@@ -178,13 +182,14 @@ def cmd_integrate(args) -> int:
         schedule = numbers(schedule, "'schedule'")
 
     report = integrability_report(g, mu)
+    # a bad schedule or a grid past its cap fails here, before any output
+    cert = integrate(g, mu, schedule) if report.integrable else None
     print("# weakconv integrate")
     print(f"integrable = {report.integrable}")
-    if not report.integrable:
+    if cert is None:
         print(f"offending_atoms = {list(report.offending_atoms)}")
         print(f"level_integrals = {[float(v) for v in report.level_integrals]!r}")
         return EX_NEGATIVE
-    cert = integrate(g, mu, schedule)
     print(f"value = {[float(v) for v in cert.value]!r}")
     print(f"certified = {cert.certified}")
     last = cert.rows[-1]
@@ -338,6 +343,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EX_CAPACITY
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EX_CERTIFICATE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)
         code = EX_SOFTWARE

@@ -61,7 +61,7 @@ that reference each term.  Every gap is bit-identical to the per-term route
 and integrates the limit afresh.  That per-term route is kept as the
 independent recheck of a divergence witness: the two gaps that decide a
 divergent verdict are recomputed by it, sharing no evaluation with the
-sweep, and must agree with the sweep.
+sweep, and must agree with the sweep (or ``CertificateError`` is raised).
 
 The bounded-Lipschitz oracle is the independent route: its LP witness
 can be lifted back into the battery (as a clamped McShane extension of
@@ -79,7 +79,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .carrier import CompactSpace, integer, numbers
-from .errors import DomainError, UnsupportedError
+from .errors import CertificateError, DomainError, UnsupportedError
 from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
                     VectorFunction, validate_metadata)
 from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
@@ -612,7 +612,7 @@ def _verdict(scores: _Scores, members: Sequence, tol: float) -> Verdict:
         for n in (witness.n1, witness.n2):
             fresh = _member_gap(members[idx], scores.prefix.terms[n - 1], scores.limit)
             if abs(fresh - window_gaps[idx][n - window_start]) > _WITNESS_RECHECK_TOL:
-                raise RuntimeError("divergence witness failed recheck")
+                raise CertificateError("divergence witness failed recheck")
     elif oracle is not Status.CONVERGENT_EVIDENCE:
         status = Status.INCONCLUSIVE
 

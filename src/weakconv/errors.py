@@ -1,9 +1,10 @@
 """Shared exception types.
 
-Every user-facing failure falls into one of three buckets: the input is
+Every user-facing failure falls into one of four buckets: the input is
 outside an operation's documented domain, the input is too large for the
-desk-scale implementation, or the requested combination is not supported.
-The CLI maps these onto distinct exit codes.
+desk-scale implementation, the requested combination is not supported,
+or a computed answer failed the check that certifies it.  The CLI maps
+these onto distinct exit codes.
 """
 
 from __future__ import annotations
@@ -19,3 +20,7 @@ class CapacityError(RuntimeError):
 
 class UnsupportedError(RuntimeError):
     """Operation is not defined for this combination of arguments."""
+
+
+class CertificateError(RuntimeError):
+    """A computed answer failed its own certificate check, so no verdict is given."""

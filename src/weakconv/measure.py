@@ -35,7 +35,7 @@ import numpy as np
 
 from .carrier import (CompactSpace, MeasurableSet, Point, ball_set, choice, number,
                       point_from_json, point_to_json)
-from .errors import CapacityError, DomainError, UnsupportedError
+from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 
 MAX_BL_SUPPORT = 400
 _PROB_TOL = 1e-9
@@ -437,7 +437,8 @@ def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
     c-transform minus its value at g.  A result is returned only once its
     certificate holds: a nonnegative plan with the right marginals and
     equal primal and dual values within 1e-9 * max(1, mu(X), nu(X)), and
-    a witness with |f| <= 1 and |f_i - f_j| <= rho_ij within 1e-9.
+    a witness with |f| <= 1 and |f_i - f_j| <= rho_ij within 1e-9; one that
+    fails it raises ``CertificateError``.
     """
     check_bl_inputs(mu, nu)
     support, d = _union_support(mu, nu)
@@ -487,7 +488,7 @@ def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
         ("witness Lipschitz", (np.abs(f[:, None] - f) - rho).max() > _CERT_TOL),
         ("duality gap", abs(sum(x * y for x, y in zip(d, witness)) - value) > tol)) if bad]
     if failed:
-        raise RuntimeError(f"BL certificate failed: {', '.join(failed)}")
+        raise CertificateError(f"BL certificate failed: {', '.join(failed)}")
     return BLResult(value=value, support=tuple(support),
                     witness_values=tuple(sign * fi for fi in witness),
                     iterations=pivots)

@@ -218,49 +218,56 @@ class TestPartitions:
     def test_grid_cell_count(self):
         s = unit_cube(2)
         part = grid_partition(s, 0.25)
-        assert part.n_cells == 16
+        assert part.cells_per_axis == 4
+        assert part.side == 0.25
 
     def test_grid_indexing_covers(self):
         s = unit_cube(2)
         part = grid_partition(s, 0.5)
         rng = np.random.default_rng(0)
         pts = rng.random((500, 2))
-        idx = part.cell_index(pts)
-        assert idx.min() >= 0 and idx.max() < part.n_cells
+        cells = part.cell_of(pts)
+        assert cells.shape == (500, 2)
+        assert cells.min() >= 0 and cells.max() < part.cells_per_axis
 
     def test_top_edge_lands_in_last_cell(self):
-        s = unit_cube(1)
+        s = unit_cube(2)
         part = grid_partition(s, 0.25)
-        idx = part.cell_index(s.points_array([(1.0,)]))
-        assert idx[0] == part.n_cells - 1
+        cells = part.cell_of(s.points_array([(1.0, 1.0), (1.0, 0.0)]))
+        assert cells.tolist() == [[3, 3], [3, 0]]
 
     def test_representatives_inside_cells(self):
         s = unit_cube(2)
         part = grid_partition(s, 0.5)
-        reps = part.representatives()
-        assert list(part.cell_index(reps)) == list(range(part.n_cells))
+        every = np.indices((2, 2)).reshape(2, -1).T
+        assert np.array_equal(part.cell_of(part.rep_of(every)), every)
 
-    def test_reps_of_cells_matches_representatives(self):
+    def test_rep_of_matches_the_grid_centres(self):
         s = unit_cube(2)
         part = grid_partition(s, 0.25)
-        reps = part.representatives()
+        centres = np.stack(np.meshgrid(*[(np.arange(4) + 0.5) / 4] * 2, indexing="ij"),
+                           axis=-1).reshape(-1, 2)
         some = np.array([0, 3, 7, 15])
-        assert_allclose(part.reps_of_cells(some), reps[some])
+        cells = np.stack(np.unravel_index(some, (4, 4)), axis=-1)
+        assert_allclose(part.rep_of(cells), centres[some])
 
     def test_trivial_partition_on_finite(self):
         s = three_point_space()
         part = trivial_partition(s)
-        assert part.n_cells == 3
-        idx = part.cell_index(s.points_array([2, 0, 1]))
-        assert list(idx) == [2, 0, 1]
+        pts = s.points_array([2, 0, 1])
+        assert list(part.cell_of(pts)) == [2, 0, 1]
+        assert list(part.rep_of(part.cell_of(pts))) == [2, 0, 1]
 
     def test_cells_partition_the_cube(self):
-        # every cell set is disjoint from the others and the union is all
+        # a point lies in the box of cell c exactly when cell_of names c, so
+        # the boxes are disjoint and their union is all of the cube
         s = unit_cube(1)
         part = grid_partition(s, 0.25)
         pts = s.points_array([(x,) for x in np.linspace(0.0, 1.0, 101)])
-        member = np.stack([c.contains(s, pts) for c in part.cell_sets()])
+        member = np.stack([box_set((c / 4,), ((c + 1) / 4,), (c == 3,)).contains(s, pts)
+                           for c in range(4)])
         assert_allclose(member.sum(axis=0), 1.0)
+        assert np.array_equal(np.argmax(member, axis=0), part.cell_of(pts)[:, 0])
 
 
 class TestJson:

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from weakconv import convergence
+from weakconv import measure as measure_module
 from weakconv.cli import main
 from weakconv.measure import bl_distance
 
@@ -173,6 +175,29 @@ class TestIntegrate:
         assert "value = [0.25" in out
 
 
+    @pytest.mark.parametrize("schedule,code", [([0.5, 0.6], 64), ([1e-300], 65)])
+    def test_bad_schedule_prints_nothing(self, tmp_path, capsys, schedule, code):
+        path = write(tmp_path, "sched.json", {
+            "space": CUBE1,
+            "measure": measure(([0.25], 1.0)),
+            "function": {"kind": "tent", "point": [0.5], "radius": 0.5},
+            "schedule": schedule,
+        })
+        assert run(capsys, "integrate", path) == (code, "")
+
+    def test_eight_cube_default_schedule_certifies(self, tmp_path, capsys):
+        path = write(tmp_path, "cube8.json", {
+            "space": {"kind": "cube", "dim": 8},
+            "measure": measure(([0.3] * 8, 1.0)),
+            "function": {"kind": "tent", "point": [0.5] * 8, "radius": 1.0},
+        })
+        start = time.perf_counter()
+        code, out = run(capsys, "integrate", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "certified = True" in out.splitlines()
+
+
 class TestCertify:
     def test_convergent_drift(self, tmp_path, capsys):
         path = write(tmp_path, "drift.json", {
@@ -325,6 +350,31 @@ class TestClosedStdout:
         assert proc.returncode == 141
         assert "error" not in proc.stderr
         assert "# wall-clock" in proc.stderr
+
+
+class TestCertificateFailure:
+    """An answer that fails its own certificate check exits 3, printing no verdict."""
+
+    def check(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert f"error: {message}" in captured.err
+        assert "internal error" not in captured.err
+
+    def test_bl(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(measure_module, "_CERT_TOL", -1.0)
+        path = write(tmp_path, "bl.json", {
+            "space": CUBE1, "mu": measure(([0.2], 1.0)), "nu": measure(([0.9], 1.0))})
+        self.check(capsys, ["bl", path], "BL certificate failed")
+
+    def test_certify(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(convergence, "_WITNESS_RECHECK_TOL", -1.0)
+        path = write(tmp_path, "alt.json", {
+            "space": CUBE1,
+            "sequence": {"kind": "alternating", "params": {"a": [0.0], "b": [1.0]}},
+        })
+        self.check(capsys, ["certify", path], "divergence witness failed recheck")
 
 
 class TestErrorPaths:

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weakconv import CapacityError, DomainError, UnsupportedError, convergence, funcs
+from weakconv import (CapacityError, CertificateError, DomainError, UnsupportedError,
+                      convergence, funcs)
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _Prefix, _battery_gaps,
@@ -597,6 +598,13 @@ class TestCertify:
         # first two even indices in the 49..64 window
         assert (w.n1, w.n2) == (50, 52)
         assert w.gap == pytest.approx(1.0, abs=1e-12)
+
+    def test_witness_that_fails_its_recheck_is_a_certificate_error(self, monkeypatch):
+        # no recomputed gap agrees within a negative tolerance
+        monkeypatch.setattr(convergence, "_WITNESS_RECHECK_TOL", -1.0)
+        fam = scenario("alternating", {"space": CUBE1, "a": (0.0,), "b": (1.0,)})
+        with pytest.raises(CertificateError, match="divergence witness failed recheck"):
+            certify(fam, fam.label.reference, probe_battery(CUBE1))
 
     def test_inconclusive_constant_offset(self):
         fam = scenario("constant", {"space": CUBE1, "mu": dirac(CUBE1, (0.3,))})

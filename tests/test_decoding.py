@@ -142,11 +142,11 @@ INTEGRATE_CASES = [
      "'schedule' must be a list of finite numbers, got 5"),
     ("step axis 5", with_(INTEGRATE, function={"kind": "step", "axis": 5, "threshold": 0.5}),
      64, "axis 5 out of range for dim 1"),
-    ("schedule [1e-300]", with_(INTEGRATE, schedule=[1e-300]), 65, "flat int64 cell index"),
-    ("schedule [1e-3] on the 8-cube",
+    ("schedule [1e-300]", with_(INTEGRATE, schedule=[1e-300]), 65, "2**62 cells per axis"),
+    ("8-cube mesh 2**-63",
      {"space": {"kind": "cube", "dim": 8}, "measure": atoms(([0.5] * 8, 1.0)),
-      "function": {"kind": "dist", "point": [0.5] * 8}, "schedule": [1e-3]},
-     65, "flat int64 cell index"),
+      "function": {"kind": "dist", "point": [0.5] * 8}, "schedule": [2.0 ** -63]},
+     65, "2**62 cells per axis"),
     # coerced
     ("const value true", with_(VECTOR, function={"coords": [{"kind": "coord", "axis": 0},
                                                            {"kind": "const", "value": True}]}),
@@ -244,12 +244,13 @@ class TestCaps:
         assert run_doc(["integrate"], doc)[0] == 65
 
     def test_grid_at_the_cap(self):
+        # the cap is on cells per axis; the grid's cell count is not capped
         assert grid_partition(unit_cube(1), 2.0 ** -62).cells_per_axis == 2 ** 62
-        assert grid_partition(unit_cube(7), 2.0 ** -8).n_cells == 2 ** 56
-        with pytest.raises(CapacityError):
-            grid_partition(unit_cube(8), 2.0 ** -8)
-        with pytest.raises(CapacityError):
-            grid_partition(unit_cube(1), 5e-324)
+        assert grid_partition(unit_cube(8), 2.0 ** -62).cells_per_axis == 2 ** 62
+        assert grid_partition(unit_cube(8), 2.0 ** -8).cells_per_axis == 256
+        for h in (2.0 ** -62 * (1 - 2.0 ** -53), 2.0 ** -63, 5e-324):
+            with pytest.raises(CapacityError, match="2\\*\\*62 cells per axis"):
+                grid_partition(unit_cube(1), h)
 
 
 class TestDecoders:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from weakconv import DomainError
@@ -28,33 +31,95 @@ def scalar(form, space=CUBE1):
 class TestSimpleFunctions:
     def test_exact_integral_frozen(self):
         part = grid_partition(CUBE1, 0.5)
-        sf = SimpleFunction(partition=part, target=LINE,
-                            values=np.array([[0.2], [0.8]]))
         mu = finite_measure(CUBE1, [((0.25,), 0.3), ((0.75,), 0.7)])
+        sf = SimpleFunction(partition=part, measure=mu, target=LINE,
+                            values=np.array([[0.2], [0.8]]))
         # 0.3 * 0.2 + 0.7 * 0.8
-        assert integrate_simple(sf, mu)[0] == pytest.approx(0.62, abs=1e-15)
+        assert integrate_simple(sf)[0] == pytest.approx(0.62, abs=1e-15)
 
     def test_value_shape_checked(self):
         part = grid_partition(CUBE1, 0.5)
+        mu = finite_measure(CUBE1, [((0.25,), 0.3), ((0.75,), 0.7)])
         with pytest.raises(DomainError):
-            SimpleFunction(partition=part, target=LINE, values=np.zeros((3, 1)))
+            SimpleFunction(partition=part, measure=mu, target=LINE, values=np.zeros((3, 1)))
 
     def test_approximation_takes_representative_values(self):
         g = scalar(Coord(0))
-        sf = approximate_by_simple(g, grid_partition(CUBE1, 0.25))
+        mu = finite_measure(CUBE1, [((0.0,), 0.25), ((0.3,), 0.25), ((0.5,), 0.25),
+                                    ((1.0,), 0.25)])
+        sf = approximate_by_simple(g, grid_partition(CUBE1, 0.25), mu)
         assert_allclose(sf.values[:, 0], [0.125, 0.375, 0.625, 0.875])
 
     def test_empty_measure_integrates_to_zero(self):
-        part = grid_partition(CUBE1, 0.5)
-        sf = SimpleFunction(partition=part, target=LINE, values=np.ones((2, 1)))
-        assert_allclose(integrate_simple(sf, finite_measure(CUBE1, [])), [0.0])
+        g = scalar(Const(1.0))
+        sf = approximate_by_simple(g, grid_partition(CUBE1, 0.5), finite_measure(CUBE1, []))
+        assert_allclose(integrate_simple(sf), [0.0])
 
     def test_mean_gap_frozen(self):
         g = scalar(Coord(0))
-        sf = approximate_by_simple(g, grid_partition(CUBE1, 0.5))
         mu = dirac(CUBE1, (0.2,))
+        sf = approximate_by_simple(g, grid_partition(CUBE1, 0.5), mu)
         # representative 0.25 vs exact 0.2
-        assert seminorm_mean_gap(g, sf, mu, level=1) == pytest.approx(0.05)
+        assert seminorm_mean_gap(sf, g.evaluate(mu.points), level=1) == pytest.approx(0.05)
+
+
+@st.composite
+def grid_cases(draw):
+    """A cube, a mesh whose grid has at most 1e5 cells, and atoms of which
+    some coordinates lie on a face of the grid: an interior face j/m, the
+    bottom face 0 or the top face 1."""
+    d = draw(st.integers(1, 7))
+    m = draw(st.integers(1, int(1e5 ** (1.0 / d) + 1e-9)))
+    n = draw(st.integers(1, 12))
+    coord = st.one_of(st.floats(0.0, 1.0), st.integers(0, m).map(lambda j: j / m),
+                      st.sampled_from([0.0, 1.0]))
+    pts = [tuple(draw(coord) for _ in range(d)) for _ in range(n)]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    anchor = tuple(draw(st.floats(0.0, 1.0)) for _ in range(d))
+    return d, m, pts, weights, anchor
+
+
+class TestOccupiedCells:
+    @given(grid_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_grid(self, case):
+        # reference: every cell's centre from a meshgrid, looked up by the
+        # flat C-order index of the atom's cell
+        d, m, pts, weights, anchor = case
+        space = unit_cube(d)
+        g = vector_function(space, omega_space(3),
+                            (Tent(anchor, 0.7), DistTo(anchor), Coord(d - 1)), validate=False)
+        mu = finite_measure(space, list(zip(pts, weights)))
+        part = grid_partition(space, 1.0 / m)
+        assert part.cells_per_axis == m
+        centres = (np.arange(m) + 0.5) / m
+        grid = np.stack(np.meshgrid(*[centres] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        axes = np.clip(np.floor(mu.points * m).astype(int), 0, m - 1)
+        flat = np.ravel_multi_index(tuple(axes.T), (m,) * d)
+        # each atom lies in the closed box around its cell's centre
+        assert np.all(np.abs(mu.points - grid[flat]) <= 0.5 / m + 1e-12)
+        dense = g.evaluate(grid)[flat]
+
+        sf = approximate_by_simple(g, part, mu)
+        assert np.array_equal(sf.values, dense)
+        assert np.array_equal(integrate_simple(sf), mu.weights @ dense)
+        exact = g.evaluate(mu.points)
+        for level in (1, 2, 3):
+            assert seminorm_mean_gap(sf, exact, level) == float(
+                mu.weights @ np.max(np.abs(dense - exact)[:, :level], axis=-1))
+
+    def test_eight_cube_default_schedule(self):
+        space = unit_cube(8)
+        g = scalar(Tent((0.5,) * 8, 1.0), space=space)
+        mu = dirac(space, (0.3,) * 8)
+        start = time.perf_counter()
+        cert = integrate(g, mu)
+        assert time.perf_counter() - start < 1.0
+        assert cert.certified
+        assert [row.h for row in cert.rows] == [2.0 ** -k for k in range(1, 9)]
+        assert grid_partition(space, 2.0 ** -8).cells_per_axis == 256
+        # within d * L_max * 2^-8 of the closed form
+        assert abs(cert.value[0] - atomic_oracle(g, mu)[0]) <= 8 * 1.0 * 2.0 ** -8
 
 
 class TestAtomicOracle:

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import weakconv.measure as measure_module
-from weakconv import CapacityError, DomainError
+from weakconv import CapacityError, CertificateError, DomainError
 from weakconv.carrier import ball_set, box_set, finite_space, unit_cube
 from weakconv.convergence import bl_witness_function
 from weakconv.measure import (MAX_BL_SUPPORT, RandomElement, bl_distance, dirac, finite_measure,
@@ -661,8 +661,14 @@ class TestBLEdgeCases:
 
         monkeypatch.setattr(measure_module, "_transport", halved)
         mu = finite_measure(CUBE2, [((0.1, 0.2), 0.4), ((0.9, 0.3), 0.6)])
-        with pytest.raises(RuntimeError, match="certificate failed: marginals"):
+        with pytest.raises(CertificateError, match="certificate failed: marginals"):
             bl_distance(mu, dirac(CUBE2, (0.5, 0.5)))
+
+    def test_certificate_failure_is_typed(self, monkeypatch):
+        # below zero, no witness bound can hold
+        monkeypatch.setattr(measure_module, "_CERT_TOL", -1.0)
+        with pytest.raises(CertificateError, match="BL certificate failed: .*witness bound"):
+            bl_distance(dirac(CUBE1, (0.2,)), dirac(CUBE1, (0.9,)))
 
 
 class TestTightness:
