@@ -10,6 +10,10 @@ tuple of floats for a cube carrier.  Bulk operations accept numpy arrays
 (shape ``(n,)`` of indices, or ``(n, d)`` of coordinates) so that test
 functions can be evaluated vectorised.
 
+``CompactSpace.dist_to`` is the carrier's one distance formula, and the
+BL oracle's cost matrix reads it too.  On the cube it takes no dot
+product, so distances and BL values do not depend on the BLAS build.
+
 Measurable sets are finite unions of cells.  The cell vocabulary is:
 axis-aligned boxes, half-open on each axis except that the outermost
 upper face of the cube is closed (so the cells of a grid tile the whole
@@ -90,11 +94,7 @@ class CompactSpace:
         return bool(np.all(coords >= 0.0) and np.all(coords <= 1.0))
 
     def distance(self, a: Point, b: Point) -> float:
-        if self.kind == "finite":
-            return float(self.dist_matrix[int(a), int(b)])
-        pa = np.asarray(a, dtype=float)
-        pb = np.asarray(b, dtype=float)
-        return float(np.linalg.norm(pa - pb))
+        return float(self.dist_to(a, b))
 
     def diameter(self) -> float:
         if self.kind == "finite":
@@ -122,42 +122,47 @@ class CompactSpace:
             return int(row)
         return tuple(float(x) for x in np.atleast_1d(row))
 
-    def dist_to(self, pts: np.ndarray, anchor: Point) -> np.ndarray:
-        """Distances from each row of ``pts`` to a fixed anchor point.
+    def dist_to(self, pts: np.ndarray, other) -> np.ndarray:
+        """Distances from the points ``pts`` to ``other``: one point, or
+        points that broadcast against ``pts`` (``dist_to(P[:, None], P)`` is
+        the matrix of pairwise distances).
 
-        On the cube one coordinate column is subtracted, squared and added
-        at a time, so no d x N block is built; the columns are contiguous
+        On a finite carrier it reads ``dist_matrix[pts, other]``.  On the
+        cube one coordinate at a time is subtracted, squared and added, so
+        no block of all d gaps is built; the coordinates are contiguous
         when ``pts`` is column-major.  The squares are summed in the order
-        ``np.add.reduce`` takes over a last axis (``sum_in_reduce_order``), so
-        every distance is bit-identical to
-        ``np.sqrt(np.sum((pts - anchor) ** 2, axis=-1))`` up to
-        ``MAX_CUBE_DIM``.  In one dimension the distance is |x - a|, which
-        equals sqrt((x - a)^2) bit for bit unless the square underflows
-        (cube coordinates lie in [0, 1], so none overflows); when some
-        nonzero gap is below 2^-500 the whole array takes the square root
-        instead.  A single point (a 1-D ``pts``) gives a scalar.
+        ``np.add.reduce`` takes over a contiguous last axis, so every
+        distance is bit-identical to
+        ``np.sqrt(np.sum((pts - other) ** 2, axis=-1))`` on C-ordered
+        arrays up to ``MAX_CUBE_DIM``, on any BLAS build.  In one dimension
+        the distance is |x - a|, which equals sqrt((x - a)^2) bit for bit
+        unless the square underflows (cube coordinates lie in [0, 1], so
+        none overflows); when some nonzero gap is below 2^-500 the whole
+        array takes the square root instead.  Two single points give a
+        scalar.
         """
         if self.kind == "finite":
-            return self.dist_matrix[np.asarray(pts, dtype=int), int(anchor)]
+            return self.dist_matrix[np.asarray(pts, dtype=int), np.asarray(other, dtype=int)]
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return self.dist_to(pts[None, :], anchor)[0]
-        anchor = np.asarray(anchor, dtype=float)
-        cols = pts.T
+        other = np.asarray(other, dtype=float)
+        if pts.ndim == other.ndim == 1:
+            return self.dist_to(pts[None, :], other)[0]
 
         def square_gap(k: int, out=None) -> np.ndarray:
-            out = np.subtract(cols[k], anchor[k], out=out)
+            out = np.subtract(pts[..., k], other[..., k], out=out)
             return np.multiply(out, out, out=out)
 
-        if len(cols) == 1:
-            gap = np.subtract(cols[0], anchor[0])
+        d = pts.shape[-1]
+        if d == 1:
+            gap = np.subtract(pts[..., 0], other[..., 0])
             np.abs(gap, out=gap)
             # a nonzero difference of doubles at or above 2^-441 is a multiple
-            # of 2^-493, so gaps this small need an anchor below 2^-440
-            if abs(anchor[0]) < _TINY_ANCHOR and np.any((gap > 0.0) & (gap < _TINY_GAP)):
+            # of 2^-493, so a gap below 2^-500 needs |other| below 2^-440
+            if (np.abs(other[..., 0]).min() < _TINY_ANCHOR
+                    and np.any((gap > 0.0) & (gap < _TINY_GAP))):
                 return np.sqrt(square_gap(0, out=gap), out=gap)
             return gap
-        total = sum_in_reduce_order(square_gap, len(cols))
+        total = _sum_in_reduce_order(square_gap, d)
         return np.sqrt(total, out=total)
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -166,7 +171,7 @@ class CompactSpace:
         return rng.random((n, self.dim))
 
 
-def sum_in_reduce_order(square_gap, d: int) -> np.ndarray:
+def _sum_in_reduce_order(square_gap, d: int) -> np.ndarray:
     """square_gap(0) + ... + square_gap(d - 1), added as ``np.add.reduce`` adds
     a last axis of d terms: one after another below eight, and by its
     pairwise tree ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) at eight.
@@ -347,8 +352,9 @@ def metric_axioms_report(space: CompactSpace, samples: int = _TRIPLE_SAMPLES,
 
     Finite carriers are checked exhaustively (their point count is capped,
     so all n^3 triples fit comfortably).  Cube carriers are spot-checked on
-    ``samples`` seeded random triples; the Euclidean metric is exact, so
-    this is a guard against representation bugs rather than a proof.
+    ``samples`` seeded random triples through ``dist_to``, the kernel every
+    caller uses; the Euclidean metric is exact, so this is a guard against
+    representation bugs rather than a proof.
     """
     violations: list[str] = []
     if space.kind == "finite":
@@ -382,10 +388,8 @@ def metric_axioms_report(space: CompactSpace, samples: int = _TRIPLE_SAMPLES,
     a = rng.random((samples, space.dim))
     b = rng.random((samples, space.dim))
     c = rng.random((samples, space.dim))
-    dab = np.linalg.norm(a - b, axis=1)
-    dba = np.linalg.norm(b - a, axis=1)
-    dac = np.linalg.norm(a - c, axis=1)
-    dcb = np.linalg.norm(c - b, axis=1)
+    dab, dba = space.dist_to(a, b), space.dist_to(b, a)
+    dac, dcb = space.dist_to(a, c), space.dist_to(c, b)
     if np.any(dab < 0):
         violations.append("negative distance on sampled pair")
     if np.any(np.abs(dab - dba) > 0):
@@ -448,19 +452,13 @@ Cell = Union[BoxCell, PointCell, BallCell]
 
 @dataclass(frozen=True)
 class MeasurableSet:
-    """EMPTY, ALL, or a finite union of cells."""
+    """A finite union of cells."""
 
-    kind: str  # "empty" | "all" | "cells"
     cells: tuple = ()
 
     def contains(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
         pts = space.points_array(pts) if not isinstance(pts, np.ndarray) else pts
-        n = pts.shape[0]
-        if self.kind == "empty":
-            return np.zeros(n, dtype=bool)
-        if self.kind == "all":
-            return np.ones(n, dtype=bool)
-        mask = np.zeros(n, dtype=bool)
+        mask = np.zeros(pts.shape[0], dtype=bool)
         for cell in self.cells:
             mask |= cell.contains(space, pts)
         return mask
@@ -469,25 +467,21 @@ class MeasurableSet:
         return ~self.contains(space, pts)
 
 
-EMPTY_SET = MeasurableSet(kind="empty")
-FULL_SET = MeasurableSet(kind="all")
-
-
 def box_set(lo: Sequence[float], hi: Sequence[float],
             closed_hi: Sequence[bool] | None = None) -> MeasurableSet:
     lo = tuple(float(x) for x in lo)
     hi = tuple(float(x) for x in hi)
     if closed_hi is None:
         closed_hi = tuple(False for _ in lo)
-    return MeasurableSet(kind="cells", cells=(BoxCell(lo, hi, tuple(closed_hi)),))
+    return MeasurableSet(cells=(BoxCell(lo, hi, tuple(closed_hi)),))
 
 
 def point_set(indices: Iterable[int]) -> MeasurableSet:
-    return MeasurableSet(kind="cells", cells=(PointCell(tuple(sorted(set(int(i) for i in indices)))),))
+    return MeasurableSet(cells=(PointCell(tuple(sorted(set(int(i) for i in indices)))),))
 
 
 def ball_set(center: Point, radius: float) -> MeasurableSet:
-    return MeasurableSet(kind="cells", cells=(BallCell(center, float(radius)),))
+    return MeasurableSet(cells=(BallCell(center, float(radius)),))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +539,11 @@ def grid_partition(space: CompactSpace, h: float) -> Partition:
         raise DomainError("mesh size must be positive")
     if not 1.0 / h <= MAX_CELLS_PER_AXIS:
         raise CapacityError(f"a grid of mesh {h!r} has more than 2**62 cells per axis")
-    m = max(int(math.ceil(1.0 / h - 1e-12)), 1)
+    # 1/h may land just past the integer it stands for (1 / (1 / 47503) is
+    # 47503.00000000001), so a count within 1e-12 relative is that integer
+    cells = 1.0 / h
+    near = round(cells)
+    m = max(near if abs(cells - near) <= 1e-12 * cells else math.ceil(cells), 1)
     return Partition(space=space, cells_per_axis=m)
 
 

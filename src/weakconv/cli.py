@@ -107,22 +107,28 @@ def _seed(value, derived: int = 0) -> int:
     return seed
 
 
-def _run_knob(args, doc: dict, key: str, default):
+def _run_knob(args, run: dict, key: str, default):
     """CLI flag wins over the file's run block wins over the default."""
-    run = doc.get("run", {})
-    if not isinstance(run, dict):
-        raise DomainError(f"'run' must be a JSON object, got {run!r}")
     flag = getattr(args, key, None)
     return run.get(key, default) if flag is None else flag
 
 
-def _sequence_doc(args) -> tuple:
-    """A certify or scenario file: the document, carrier, sequence, n and tol."""
+def _sequence_doc(args, knobs: tuple) -> tuple:
+    """A certify or scenario file: the document, its run block (which may set
+    only the ``knobs`` the command reads), carrier, sequence, n and tol."""
     doc = _load_json(args.file)
     space = space_from_json(need(doc, "space"))
-    return (doc, space, _sequence_from_json(space, need(doc, "sequence")),
-            integer(_run_knob(args, doc, "n", DEFAULT_PREFIX), "'n'", cap=MAX_PREFIX),
-            number(_run_knob(args, doc, "tol", DEFAULT_TOL), "'tol'"))
+    family = _sequence_from_json(space, need(doc, "sequence"))
+    run = doc.get("run", {})
+    if not isinstance(run, dict):
+        raise DomainError(f"'run' must be a JSON object, got {run!r}")
+    unread = [key for key in run if key not in knobs]
+    if unread:
+        raise DomainError(f"'run' has no {unread[0]!r} setting for this command; "
+                          f"it reads {', '.join(map(repr, knobs))}")
+    return (doc, run, space, family,
+            integer(_run_knob(args, run, "n", DEFAULT_PREFIX), "'n'", cap=MAX_PREFIX),
+            number(_run_knob(args, run, "tol", DEFAULT_TOL), "'tol'"))
 
 
 def _targets(doc: dict) -> list:
@@ -203,7 +209,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    doc, space, family, n_terms, tol = _sequence_doc(args)
+    doc, run, space, family, n_terms, tol = _sequence_doc(
+        args, ("n", "tol", "seed", "normalize"))
     if "candidate" in doc:
         candidate = measure_from_json(space, doc["candidate"])
     elif family.label.reference is not None:
@@ -213,8 +220,8 @@ def cmd_certify(args) -> int:
                           "or use a labeled sequence kind")
     targets = _targets(doc)
     # target k's vector members are keyed by seed + 1 + k
-    seed = _seed(_run_knob(args, doc, "seed", 0), derived=len(targets))
-    normalize = choice(_run_knob(args, doc, "normalize", False), (True, False), "'normalize'")
+    seed = _seed(_run_knob(args, run, "seed", 0), derived=len(targets))
+    normalize = choice(_run_knob(args, run, "normalize", False), (True, False), "'normalize'")
     battery = _battery_from_doc(space, doc, seed, targets)
 
     verdict = certify(family, candidate, battery, n_terms=n_terms, tol=tol,
@@ -238,8 +245,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    doc, space, family, n_terms, tol = _sequence_doc(args)
-    seed = _seed(_run_knob(args, doc, "seed", 0))
+    doc, run, space, family, n_terms, tol = _sequence_doc(args, ("n", "tol", "seed"))
+    seed = _seed(_run_knob(args, run, "seed", 0))
     targets = _targets(doc) if "targets" in doc else list(suite_targets())
     spec = BatterySpec.from_json(doc["battery"]) if "battery" in doc else None
 

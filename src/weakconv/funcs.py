@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .carrier import (CompactSpace, Point, integer, items, need, number, numbers,
-                      point_from_json, point_to_json, sum_in_reduce_order)
+                      point_from_json, point_to_json)
 from .errors import DomainError, UnsupportedError
 
 
@@ -121,7 +121,7 @@ class DistTo(Form):
 
     def bound(self, space):
         if space.kind == "finite":
-            return float(np.max(space.dist_matrix[int(self.anchor)]))
+            return float(np.max(space.dist_to(self.anchor, np.arange(space.n_points))))
         # exact: the farthest cube point from the anchor is a corner
         a = np.asarray(self.anchor, dtype=float)
         return float(np.sqrt(np.sum(np.maximum(a, 1.0 - a) ** 2)))
@@ -445,10 +445,8 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _S
     """The two seeded sample sets every form on this carrier is checked on.
 
     On the cube the samples are stored column-major, so each coordinate
-    column that ``CompactSpace.dist_to`` reads is contiguous, and the
-    distance of each pair is taken from those columns: subtracted, squared
-    and added in ``np.add.reduce``'s order, bit for bit the row norms
-    ``np.linalg.norm(pts - qts, axis=1)`` of the row-major draw.  On a finite
+    column that ``CompactSpace.dist_to`` reads is contiguous, also when it
+    takes the distance of each pair (pts[i], qts[i]).  On a finite
     carrier (at most 64 points) the distinct sampled points and the
     distinct pairs are kept as well: a form's values there depend only on
     the point, so checking each distinct point and pair once decides
@@ -460,22 +458,16 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _S
     qts = space.sample_points(rng, samples)
     if space.kind != "finite":
         pts, qts = np.asfortranarray(pts), np.asfortranarray(qts)
-
-        def square_gap(k: int, out=None) -> np.ndarray:
-            out = np.subtract(pts[:, k], qts[:, k], out=out)
-            return np.multiply(out, out, out=out)
-
-        dists = sum_in_reduce_order(square_gap, space.dim)
-        np.sqrt(dists, out=dists)
+        dists = space.dist_to(pts, qts)
         return _Samples(pts, qts, dists, pts, None, None, None, dists)
     n = space.n_points
-    dists = space.dist_matrix[pts, qts]
+    dists = space.dist_to(pts, qts)
     in_pts = np.bincount(pts, minlength=n) > 0
     points = np.flatnonzero(in_pts | (np.bincount(qts, minlength=n) > 0))
     row = np.zeros(n, dtype=np.intp)
     row[points] = np.arange(len(points))
     p, q = np.divmod(np.flatnonzero(np.bincount(pts * n + qts, minlength=n * n)), n)
-    pair_dists = space.dist_matrix[p, q]
+    pair_dists = space.dist_to(p, q)
     apart = pair_dists > 1e-9
     return _Samples(pts, qts, dists, points, row[np.flatnonzero(in_pts)],
                     row[p[apart]], row[q[apart]], pair_dists[apart])

@@ -156,8 +156,9 @@ def integrate(g: VectorFunction, mu: FiniteMeasure,
     per-level mean gaps together with their Lipschitz envelopes, and the
     integral of the simple approximation.  The verdict is certified when
     the final measured gaps sit below the declared tolerances
-    (max_k L_k * h_final for the pointwise gap, level Lipschitz * h_final
-    * total mass for the means).  Non-finite function values at an atom
+    (max_k L_k * r for the pointwise gap, level Lipschitz * r * total mass
+    for the means, with r = h_final * max(1, sqrt(d) / 2), which covers a
+    cell's half-diagonal).  Non-finite function values at an atom
     are a domain error; use ``integrability_report`` to classify them.
     """
     g = as_vector_function(g, mu.space)
@@ -204,12 +205,13 @@ def integrate(g: VectorFunction, mu: FiniteMeasure,
                                 mean_gaps=mean_gaps, mean_bounds=mean_bounds,
                                 value=tuple(float(v) for v in value)))
 
-    h_final = partitions[-1][0]
-    pt_tol = lc_max * h_final + _GAP_SLACK if math.isfinite(lc_max) else _GAP_SLACK
+    # a point of a cell lies within h * sqrt(d) / 2 of its centre
+    reach = partitions[-1][0] * max(1.0, math.sqrt(space.dim) / 2.0)
+    pt_tol = lc_max * reach + _GAP_SLACK if math.isfinite(lc_max) else _GAP_SLACK
     mean_tols = []
     for n in range(1, depth + 1):
         vlip = target.family.vector_lip_fn(min(n, depth), lips)
-        mean_tols.append(vlip * h_final * mass + _GAP_SLACK
+        mean_tols.append(vlip * reach * mass + _GAP_SLACK
                          if math.isfinite(vlip) else _GAP_SLACK)
     mean_tols = tuple(mean_tols)
     last = rows[-1]

@@ -16,8 +16,11 @@ nothing is lost by optimising over the support alone.  Its dual is a
 transport problem under the truncated metric min(rho, 2), with one
 ground node at distance 1 from every atom taking up any difference of
 the total masses, solved by an in-house network simplex; every result
-carries a checked primal-dual certificate.  Useful closed forms for tests:
-bl(delta_x, delta_y) = min(2, rho(x, y)), and the value never exceeds 2.
+carries a checked primal-dual certificate.  The cost matrix comes from
+the carrier's one elementwise distance kernel, ``CompactSpace.dist_to``,
+so BL values do not depend on the BLAS build.  Useful closed forms for
+tests: bl(delta_x, delta_y) = min(2, rho(x, y)) to the last bit, and the
+value never exceeds 2.
 
 Tightness witnesses search closed balls centered at the atom nearest the
 family's weighted barycenter, with radii taken from the finite set of
@@ -454,11 +457,7 @@ def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:
     snk = [i for i in range(m) if d[i] < 0]
     supply, demand = [d[i] for i in src], [-d[j] for j in snk]
     pts = np.array(support)
-    if mu.space.kind == "finite":
-        rho = mu.space.dist_matrix[np.ix_(pts, pts)]
-    else:  # dot products, as in CompactSpace.distance, so Dirac values match it
-        diff = pts[:, None] - pts
-        rho = np.sqrt(diff[..., None, :] @ diff[..., None])[..., 0, 0]
+    rho = mu.space.dist_to(pts[:, None], pts)
     cost = np.minimum(rho, 2.0)
     # masses that agree up to the rounding of the sum need no ground node
     masses, excess = (mu.total_mass, nu.total_mass), sum(d)
@@ -540,12 +539,10 @@ def tightness_witness(family: Sequence[FiniteMeasure], eps: float) -> Measurable
         return ball_set(space.point_at(np.zeros(space.dim)) if space.kind == "cube" else 0, 0.0)
 
     if space.kind == "cube":
-        bary = np.average(all_points, axis=0, weights=all_weights)
-        dists = np.linalg.norm(all_points - bary[None, :], axis=1)
+        dists = space.dist_to(all_points, np.average(all_points, axis=0, weights=all_weights))
     else:
         # weighted medoid: atom minimising the mass-weighted distance sum
-        totals = space.dist_matrix[np.asarray(all_points, int)][:, np.asarray(all_points, int)]
-        dists = totals @ all_weights
+        dists = space.dist_to(all_points[:, None], all_points) @ all_weights
     center = space.point_at(all_points[int(np.argmin(dists))])
 
     radii = np.unique(space.dist_to(all_points, center))
@@ -627,12 +624,29 @@ def scenario(kind: str, params: dict, seed: int = 0) -> MeasureFamily:
     rate), ``mass_split`` (mass 1/n defecting to a second atom),
     ``alternating`` (two Diracs in alternation; divergent),
     ``empirical`` (i.i.d. draws from an atomic law, counter-based
-    seeding), and ``constant``.  A missing param is a ``DomainError``.
+    seeding), and ``constant``.  A missing param, or one the kind does
+    not read, is a ``DomainError``.
     """
+    if isinstance(kind, str) and kind in _SCENARIO_PARAMS:  # _scenario reports the rest
+        unread = [key for key in params if key not in ("space", *_SCENARIO_PARAMS[kind])]
+        if unread:
+            raise DomainError(f"scenario {kind!r} reads no {unread[0]!r} param")
     try:
         return _scenario(kind, params, seed)
     except KeyError as exc:
         raise DomainError(f"scenario {kind!r} needs a {exc.args[0]!r} param") from exc
+
+
+# the params each scenario kind reads, besides the carrier "space"
+_SCENARIO_PARAMS = {
+    "dirac_drift": ("s0", "v", "rate"),
+    "mass_split": ("a", "b"),
+    "alternating": ("a", "b"),
+    "empirical": ("law",),
+    "constant": ("mu",),
+    "position_cycle": ("points",),
+    "oscillating_mixture": ("a", "b", "w_hi"),
+}
 
 
 def _scenario(kind: str, params: dict, seed: int) -> MeasureFamily:

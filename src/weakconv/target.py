@@ -62,7 +62,6 @@ class SeminormFamily:
     depth: int
     level_fn: Callable[[int, np.ndarray], np.ndarray]
     vector_lip_fn: Callable[[int, np.ndarray], float]
-    norm_at_depth: bool = True
 
     def level(self, n: int, x: np.ndarray) -> np.ndarray:
         if n < 1:
@@ -323,7 +322,7 @@ class ParanormAxiomsReport:
     monotone_levels: bool
     subadditive: bool
     symmetric: bool
-    definite: Optional[bool]  # None when definiteness is not claimed
+    definite: bool
     scalar_limits_ok: bool
     tail_values: tuple
     violations: tuple
@@ -334,7 +333,7 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
     """Numerically exercise the paranorm axioms on seeded samples.
 
     Checked: level monotonicity p_n <= p_{n+1}; zero at the origin;
-    positivity off the origin (only when the deepest level is a norm);
+    positivity off the origin (every family's deepest level is a norm);
     symmetry under negation (exact, since every level uses |x_k|);
     subadditivity; and the two scalar-limit schedules, which must decay
     monotonically below 1e-6 within 40 dyadic steps.
@@ -368,14 +367,12 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
     if not subadditive:
         violations.append("subadditivity violated on a sampled pair")
 
-    definite: Optional[bool] = None
-    if fam.norm_at_depth:
-        definite = paranorm(space, np.zeros(dim)) == 0.0
-        nonzero = xs[np.linalg.norm(xs, axis=1) > 1e-9]
-        if nonzero.size and np.any(paranorm(space, nonzero) <= 0):
-            definite = False
-        if not definite:
-            violations.append("definiteness violated")
+    definite = paranorm(space, np.zeros(dim)) == 0.0
+    nonzero = xs[np.linalg.norm(xs, axis=1) > 1e-9]
+    if nonzero.size and np.any(paranorm(space, nonzero) <= 0):
+        definite = False
+    if not definite:
+        violations.append("definiteness violated")
 
     # axiom (d): ||alpha_k x|| -> 0 for fixed x, and ||alpha x_k|| -> 0
     # for x_k -> 0; both along the dyadic schedule alpha_k = 2^-k
@@ -398,11 +395,15 @@ def paranorm_axioms_report(space: TargetSpace, samples: int = 1000,
                 violations.append("vanishing-vector schedule failed to decay")
                 break
 
-    ok = monotone and symmetric and subadditive and scalar_ok and definite is not False
+    ok = monotone and symmetric and subadditive and scalar_ok and definite
     return ParanormAxiomsReport(ok=ok, samples=samples, monotone_levels=monotone,
                                 subadditive=subadditive, symmetric=symmetric,
                                 definite=definite, scalar_limits_ok=scalar_ok,
                                 tail_values=tail, violations=tuple(violations))
+
+
+# ratios scored at once by base_criterion_report: 2 MB a block
+_CRITERION_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -429,25 +430,31 @@ def base_criterion_report(space: TargetSpace, p_level: int, q_level: int,
     rng = np.random.default_rng(seed)
     dim = space.dim
     probes = [space.base.expand(e) for e in np.eye(dim)]
-    coeff_sets = list(rng.standard_normal((samples, dim))) + probes
+    coeff_sets = np.vstack([rng.standard_normal((samples, dim)), *probes])
 
+    # the first strict maximum in (alpha, m, n) order, over blocks of alphas
     worst = 0.0
     worst_coeffs: tuple = ()
     worst_pair = (0, 0)
-    for alpha in coeff_sets:
-        # partials[:, m-1] = sum_{i<=m} alpha_i x_i
-        partials = np.cumsum(space.base.matrix * alpha[None, :], axis=1)
-        p_vals = np.array([seminorm(space, p_level, partials[:, m]) for m in range(dim)])
-        q_vals = np.array([seminorm(space, q_level, partials[:, n]) for n in range(dim)])
-        for m in range(dim):
-            for n in range(m, dim):
-                q = q_vals[n]
-                p = p_vals[m]
-                ratio = p / q if q > 1e-300 else (0.0 if p <= 1e-300 else np.inf)
-                if ratio > worst:
-                    worst = float(ratio)
-                    worst_coeffs = tuple(float(a) for a in alpha)
-                    worst_pair = (m + 1, n + 1)
+    upper = np.triu(np.ones((dim, dim), dtype=bool))  # n >= m
+    step = max(1, _CRITERION_BLOCK // (dim * dim))
+    for start in range(0, len(coeff_sets), step):
+        alphas = coeff_sets[start:start + step]
+        # partials[a, m] = sum_{i<=m} alpha_i x_i, each partial sum a contiguous
+        # row, which seminorm adds in the order it adds one vector
+        terms = np.multiply(alphas[:, :, None], space.base.matrix.T, order="C")
+        partials = np.cumsum(terms, axis=1)
+        p = seminorm(space, p_level, partials)[:, :, None]
+        q = seminorm(space, q_level, partials)[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(q > 1e-300, p / q, np.where(p <= 1e-300, 0.0, np.inf))
+        ratios = np.where(upper & (ratios > 0.0), ratios, 0.0)  # a NaN never wins
+        best = int(np.argmax(ratios))
+        if ratios.flat[best] > worst:
+            a, m, n = np.unravel_index(best, ratios.shape)
+            worst = float(ratios.flat[best])
+            worst_coeffs = tuple(float(c) for c in alphas[a])
+            worst_pair = (int(m) + 1, int(n) + 1)
     return BaseCriterionReport(passed=bool(worst <= bound + 1e-9), worst_ratio=worst,
                                worst_coeffs=worst_coeffs, worst_pair=worst_pair,
                                samples=len(coeff_sets))

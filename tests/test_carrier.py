@@ -99,15 +99,38 @@ class TestDistTo:
             assert np.array_equal(space.dist_to(pts, anchor),
                                   np.sqrt(np.sum(diff * diff, axis=-1)))
 
+    @given(cube_points_and_anchor(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_cube_kernel_equals_the_axis_sum_for_arrays_of_points(self, case, fortran):
+        space, pts, anchor = case
+        if fortran:
+            pts = np.asfortranarray(pts)
+        others = np.ascontiguousarray(pts[::-1])
+        for a, b in [(pts, others), (pts[:, None], pts), (np.asarray(anchor), pts)]:
+            # np.sum adds a last axis in np.add.reduce's order only when it is contiguous
+            diff = np.ascontiguousarray(a - b)
+            assert np.array_equal(space.dist_to(a, b), np.sqrt(np.sum(diff * diff, axis=-1)))
 
-def block_dist_to(pts, anchor):
-    """The cube kernel as it was: one d x N block of squared gaps, then the sum.
+    def test_finite_kernel_reads_the_matrix_for_arrays_of_points(self):
+        space = three_point_space()
+        pts = np.array([2, 0, 1, 1])
+        assert np.array_equal(space.dist_to(pts[:, None], pts),
+                              space.dist_matrix[np.ix_(pts, pts)])
+        assert np.array_equal(space.dist_to(pts, pts[::-1]),
+                              space.dist_matrix[pts, pts[::-1]])
+        assert space.dist_to(0, 2) == 2.0 and space.dist_to(2, np.arange(3)).tolist() == [
+            2.0, 1.5, 0.0]
+
+
+def block_dist_to(pts, other):
+    """The cube kernel as it was: one block of squared gaps with the d
+    coordinates on its first axis, then the sum.
 
     Kept as the reference the row-wise kernel must equal bit for bit.
     """
-    pts = np.asarray(pts, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    sq = np.subtract(pts.T, anchor[:, None] if pts.ndim == 2 else anchor, order="C")
+    pts, other = np.broadcast_arrays(np.asarray(pts, dtype=float),
+                                     np.asarray(other, dtype=float))
+    sq = np.subtract(np.moveaxis(pts, -1, 0), np.moveaxis(other, -1, 0), order="C")
     np.multiply(sq, sq, out=sq)
     if len(sq) == 8:
         return np.sqrt(((sq[0] + sq[1]) + (sq[2] + sq[3]))
@@ -130,11 +153,22 @@ def kernel_cases(draw):
     anchor = np.array(draw(st.lists(_unit, min_size=d, max_size=d)))
     if draw(st.booleans()):  # the anchor is one of the sample points
         anchor = pts[draw(st.integers(0, n - 1))].copy()
+    other = draw(st.sampled_from(["point", "rows", "pairs"]))
+    if other == "rows":  # a second point for each row
+        anchor = np.array(draw(st.lists(st.lists(_unit, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))
     if d == 1 and draw(st.booleans()):  # gaps on both sides of 2^-500
-        anchor = np.array([draw(_tiny)])
-        pts[:, 0] = [anchor[0] + draw(_tiny) for _ in range(n)]
+        if other == "rows":
+            anchor[:, 0] = [draw(_tiny) for _ in range(n)]
+        else:
+            anchor[0] = draw(_tiny)
+        pts[:, 0] = anchor[..., 0] + [draw(_tiny) for _ in range(n)]
     if draw(st.booleans()):
         pts = np.asfortranarray(pts)
+    if other == "pairs":  # the matrix of pairwise distances
+        return unit_cube(d), pts[:, None], pts
+    if other == "rows":
+        return unit_cube(d), pts, anchor
     return unit_cube(d), pts, tuple(float(a) for a in anchor)
 
 
@@ -142,13 +176,14 @@ class TestRowKernel:
     @given(kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_row_kernel_equals_the_block_kernel_bit_for_bit(self, case):
-        space, pts, anchor = case
-        got, ref = space.dist_to(pts, anchor), block_dist_to(pts, anchor)
+        space, pts, other = case
+        got, ref = space.dist_to(pts, other), block_dist_to(pts, other)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()  # the sign of zero included
-        one, ref_one = space.dist_to(pts[0], anchor), block_dist_to(pts[0], anchor)
-        assert type(one) is type(ref_one)
-        assert np.asarray(one).tobytes() == np.asarray(ref_one).tobytes()
+        if isinstance(other, tuple):
+            one, ref_one = space.dist_to(pts[0], other), block_dist_to(pts[0], other)
+            assert type(one) is type(ref_one)
+            assert np.asarray(one).tobytes() == np.asarray(ref_one).tobytes()
 
     def test_tiny_one_dimensional_gaps_take_the_square_root(self):
         # the square of this gap is subnormal, so its root is not the gap
@@ -158,6 +193,12 @@ class TestRowKernel:
         got = unit_cube(1).dist_to(pts, (0.0,))
         assert got.tobytes() == block_dist_to(pts, (0.0,)).tobytes()
         assert got[0] == math.sqrt(gap * gap) and got[1] == 0.5
+        # the same gap between two arrays of points, and in a pairwise matrix
+        rows = unit_cube(1).dist_to(pts, np.zeros((3, 1)))
+        assert rows.tobytes() == got.tobytes()
+        pairs = unit_cube(1).dist_to(pts[:, None], pts)
+        assert pairs.tobytes() == block_dist_to(pts[:, None], pts).tobytes()
+        assert pairs[0, 2] == math.sqrt(gap * gap)
 
 
 class TestMetricAxioms:
@@ -220,6 +261,14 @@ class TestPartitions:
         part = grid_partition(s, 0.25)
         assert part.cells_per_axis == 4
         assert part.side == 0.25
+
+    def test_mesh_one_over_m_has_m_cells(self):
+        # 1 / (1 / 47503) is 47503.00000000001, which once made 47504 cells
+        s = unit_cube(1)
+        assert [m for m in range(1, 100_001)
+                if grid_partition(s, 1.0 / m).cells_per_axis != m] == []
+        assert grid_partition(s, 2.0 ** -60).cells_per_axis == 2 ** 60
+        assert grid_partition(s, 0.3).cells_per_axis == 4
 
     def test_grid_indexing_covers(self):
         s = unit_cube(2)

@@ -197,6 +197,21 @@ class TestIntegrate:
         assert code == 0
         assert "certified = True" in out.splitlines()
 
+    def test_eight_cube_tolerance_covers_the_half_diagonal(self, tmp_path, capsys):
+        # the atom sits near a corner of its cell, 0.001 * sqrt(8) / 2 from the centre
+        path = write(tmp_path, "corner8.json", {
+            "space": {"kind": "cube", "dim": 8},
+            "measure": measure(([0.3] * 8, 1.0)),
+            "function": {"kind": "dist", "point": [0.3] * 8},
+            "schedule": [0.001],
+        })
+        code, out = run(capsys, "integrate", path)
+        assert code == 0
+        assert "certified = True" in out.splitlines()
+        line = next(x for x in out.splitlines() if x.startswith("final_pointwise_gap"))
+        gap, tol = float(line.split()[2]), float(line.split()[4].rstrip(")"))
+        assert 0.001 < gap <= tol <= 0.001 * 8 ** 0.5 / 2 + 1e-9
+
 
 class TestCertify:
     def test_convergent_drift(self, tmp_path, capsys):

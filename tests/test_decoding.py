@@ -123,6 +123,12 @@ SEQUENCE_CASES = [
     ("tol 1e400", with_(CERTIFY, sequence=ALTERNATING, run={"tol": float("inf")}), 64,
      "'tol' must be a number, got inf"),
     ("run [1]", with_(CERTIFY, run=[1]), 64, "'run' must be a JSON object, got [1]"),
+    # ignored
+    ("params key 'rtae'", with_(CERTIFY, sequence={"kind": "dirac_drift", "params": {
+        "s0": [0.2], "v": [0.5], "rtae": "quadratic"}}), 64,
+     "scenario 'dirac_drift' reads no 'rtae' param"),
+    ("run key 'normalise'", with_(CERTIFY, run={"normalise": True}), 64,
+     "'run' has no 'normalise' setting"),
     # capped
     ("n 2**70", with_(CERTIFY, run={"n": 2 ** 70}), 65, f"'n' is capped at {MAX_PREFIX}"),
     ("tents 10**9", with_(CERTIFY, battery={"tents": 10 ** 9}), 65,
@@ -178,6 +184,13 @@ class TestDocumentsThatExitedOrRanWrongly:
     def test_certify_normalize_1(self):
         got, err = run_doc(["certify"], with_(CERTIFY, run={"normalize": 1}))
         assert got == 64 and "'normalize' must be true or false, got 1" in err
+
+    def test_scenario_run_reads_no_normalize(self):
+        doc = with_(SCENARIO, run={"n": 16, "normalize": True})
+        got, err = run_doc(["scenario", "run"], doc)
+        assert (got, "internal error" in err) == (64, False), err
+        assert "'run' has no 'normalize' setting" in err
+        assert run_doc(["certify"], doc)[0] in (0, 1, 2)  # certify reads it
 
     @pytest.mark.parametrize("name,doc,code,message", SEQUENCE_CASES,
                              ids=[c[0] for c in SEQUENCE_CASES])

@@ -553,6 +553,25 @@ class TestBLProperties:
         got = bl_distance(dirac(space, x), dirac(space, y)).value
         assert abs(got - min(2.0, space.distance(x, y))) <= 1e-12
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dirac_value_is_the_carrier_distance_bit_for_bit(self, dim, data):
+        # the oracle's cost and CompactSpace.distance both come from dist_to,
+        # so no dot product (and no BLAS build) can move a last bit
+        space = unit_cube(dim)
+        point = st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim).map(tuple)
+        x, y = data.draw(point), data.draw(point)
+        rho = space.dist_to(x, y)
+        assert bl_distance(dirac(space, x), dirac(space, y)).value == min(2.0, rho)
+        assert space.distance(x, y) == rho
+
+    def test_dirac_value_on_the_plane(self):
+        x, y = (0.0, 0.0), (0.1, 0.4)
+        assert bl_distance(dirac(CUBE2, x), dirac(CUBE2, y)).value == math.sqrt(0.1 * 0.1
+                                                                                + 0.4 * 0.4)
+        assert CUBE2.distance(x, y) == 0.4123105625617661
+
     @given(st.integers(2, MAX_BL_SUPPORT), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_cdf_form_on_the_line(self, m, seed):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from weakconv import DomainError, UnsupportedError
-from weakconv.target import (SchauderBase, banach_space, base_continuity_probe,
+from weakconv.suite import suite_targets
+from weakconv.target import (BaseCriterionReport, SchauderBase, SeminormFamily, TargetSpace,
+                             banach_space, base_continuity_probe,
                              base_criterion_report, convergence_equivalence_report,
                              coordinate_functional, cumulative_l1_space, expand,
                              gap_value, omega_space, paranorm,
@@ -16,6 +18,7 @@ from weakconv.target import (SchauderBase, banach_space, base_continuity_probe,
 
 OMEGA4 = omega_space(4)
 CUM3 = cumulative_l1_space(3)
+SKEW = np.array([[1.0, 0.0], [1.0, 0.1]])  # base vectors (1, 0) and (1, 0.1)
 
 
 class TestSeminorms:
@@ -152,6 +155,77 @@ class TestBaseCriterion:
     def test_needs_a_base(self):
         with pytest.raises(UnsupportedError):
             base_criterion_report(banach_space(2, base=None), 1, 1)
+
+    @pytest.mark.parametrize("space", [*suite_targets(),
+                                       banach_space(2, p=2, base=SKEW),
+                                       omega_space(2, base=SKEW)],
+                             ids=["lp2", "omega4", "cum3", "skew-lp2", "skew-omega2"])
+    def test_batched_report_equals_the_loop(self, space):
+        for p_level, q_level in {(1, 1), (1, space.family.depth),
+                                 (space.family.depth, space.family.depth)}:
+            got = base_criterion_report(space, p_level, q_level, samples=200, seed=4)
+            assert got == looped_base_criterion(space, p_level, q_level, samples=200, seed=4)
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["lp:1", "lp:2", "lp:inf", "omega_max", "cumulative_l1"]))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_report_equals_the_loop_on_random_bases(self, dim, seed, family):
+        rng = np.random.default_rng(seed)
+        base = np.eye(dim) + rng.standard_normal((dim, dim)) * rng.choice([0.01, 0.3, 3.0])
+        kind = "banach" if family.startswith("lp") else "frechet"
+        try:
+            space = target_from_json({"kind": kind, "dim": dim, "family": family,
+                                      "base": base.T.tolist()})
+        except DomainError:  # numerically dependent
+            return
+        depth = space.family.depth
+        levels = (int(rng.integers(1, depth + 1)), int(rng.integers(1, depth + 1)))
+        got = base_criterion_report(space, *levels, samples=50, seed=seed)
+        assert got == looped_base_criterion(space, *levels, samples=50, seed=seed)
+
+    def test_a_zero_over_zero_ratio_is_0_and_a_positive_over_zero_is_inf(self):
+        # probe e2 of omega_2: S_1 = 0 and S_2 = e2, so p_1(S_1) / p_1(S_2) is 0 / 0
+        # and p_2(S_2) / p_1(S_2) is 1 / 0
+        rep = base_criterion_report(omega_space(2), p_level=2, q_level=1, samples=0)
+        assert rep == looped_base_criterion(omega_space(2), 2, 1, samples=0)
+        assert (rep.worst_ratio, rep.worst_coeffs, rep.worst_pair) == (np.inf, (0.0, 1.0), (2, 2))
+
+    def test_no_ratio_above_0_leaves_no_witness(self):
+        zero = SeminormFamily(name="zero", depth=1, level_fn=lambda n, x: np.zeros(x.shape[:-1]),
+                              vector_lip_fn=lambda n, lips: 0.0)
+        space = TargetSpace(kind="banach", dim=2, family=zero, base=SchauderBase(np.eye(2)))
+        rep = base_criterion_report(space, p_level=1, q_level=1, samples=20)
+        assert rep == looped_base_criterion(space, 1, 1, samples=20)
+        assert (rep.worst_ratio, rep.worst_coeffs, rep.worst_pair) == (0.0, (), (0, 0))
+
+
+def looped_base_criterion(space, p_level, q_level, bound=1.0, samples=1000, seed=0):
+    """base_criterion_report as one seminorm call per partial sum and one
+    ratio per (alpha, m, n); the reference the batched report must equal."""
+    rng = np.random.default_rng(seed)
+    dim = space.dim
+    probes = [space.base.expand(e) for e in np.eye(dim)]
+    coeff_sets = list(rng.standard_normal((samples, dim))) + probes
+
+    worst = 0.0
+    worst_coeffs: tuple = ()
+    worst_pair = (0, 0)
+    for alpha in coeff_sets:
+        partials = np.cumsum(space.base.matrix * alpha[None, :], axis=1)
+        p_vals = np.array([seminorm(space, p_level, partials[:, m]) for m in range(dim)])
+        q_vals = np.array([seminorm(space, q_level, partials[:, n]) for n in range(dim)])
+        for m in range(dim):
+            for n in range(m, dim):
+                q = q_vals[n]
+                p = p_vals[m]
+                ratio = p / q if q > 1e-300 else (0.0 if p <= 1e-300 else np.inf)
+                if ratio > worst:
+                    worst = float(ratio)
+                    worst_coeffs = tuple(float(a) for a in alpha)
+                    worst_pair = (m + 1, n + 1)
+    return BaseCriterionReport(passed=bool(worst <= bound + 1e-9), worst_ratio=worst,
+                               worst_coeffs=worst_coeffs, worst_pair=worst_pair,
+                               samples=len(coeff_sets))
 
 
 class TestConvergenceEquivalence:
