@@ -247,6 +247,18 @@ def need(node, key: str, what: str = "input"):
     return node[key]
 
 
+def known(node, keys: tuple, what: str = "input") -> dict:
+    """``node``, a JSON object whose every key is one of ``keys``, so that a
+    misspelt field is an error rather than a default."""
+    if not isinstance(node, dict):
+        raise DomainError(f"{what} must be a JSON object, got {node!r}")
+    for key in node:
+        if key not in keys:
+            raise DomainError(f"{what} has no {key!r} field; it reads "
+                              f"{', '.join(map(repr, keys))}")
+    return node
+
+
 def _is_number(x) -> bool:
     # int-float comparisons are exact, so an integer past the float range fails
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX
@@ -303,7 +315,9 @@ def space_from_json(node: dict) -> CompactSpace:
     """
     kind = choice(need(node, "kind", "space"), ("cube", "finite"), "space 'kind'")
     if kind == "cube":
+        known(node, ("kind", "dim"), "cube space")
         return unit_cube(integer(need(node, "dim", "cube space"), "cube 'dim'"))
+    known(node, ("kind", "labels", "dist"), "finite space")
     labels = tuple(items(need(node, "labels", "finite space"), "'labels'"))
     dist = [numbers(row, "'dist' row", len(labels))
             for row in items(need(node, "dist", "finite space"), "'dist'")]

@@ -36,11 +36,11 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .carrier import (choice, integer, items, need, number, numbers, point_from_json,
+from .carrier import (choice, integer, items, known, need, number, numbers, point_from_json,
                       point_to_json, space_from_json)
 from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, MAX_PREFIX, Battery, BatterySpec,
-                          Status, _scalar_members, _vector_members, certify,
-                          equivalence_report)
+                          Status, _battery_stream, _draw_scalar_forms, _scalar_members,
+                          _vector_members, certify, equivalence_report)
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 from .funcs import ValidationDraws, form_from_json, vector_function
 from .integral import integrability_report, integrate
@@ -75,6 +75,7 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _sequence_from_json(space, node) -> "MeasureFamily":
+    known(node, ("kind", "params", "seed"), "sequence")
     kind = need(node, "kind", "sequence")
     params = node.get("params", {})
     if not isinstance(params, dict):
@@ -113,10 +114,11 @@ def _run_knob(args, run: dict, key: str, default):
     return run.get(key, default) if flag is None else flag
 
 
-def _sequence_doc(args, knobs: tuple) -> tuple:
-    """A certify or scenario file: the document, its run block (which may set
-    only the ``knobs`` the command reads), carrier, sequence, n and tol."""
-    doc = _load_json(args.file)
+def _sequence_doc(args, fields: tuple, knobs: tuple) -> tuple:
+    """A certify or scenario file: the document (which may have only the
+    ``fields`` the command reads), its run block (which may set only the
+    ``knobs`` the command reads), carrier, sequence, n and tol."""
+    doc = known(_load_json(args.file), fields, f"{args.command} document")
     space = space_from_json(need(doc, "space"))
     family = _sequence_from_json(space, need(doc, "sequence"))
     run = doc.get("run", {})
@@ -136,13 +138,16 @@ def _targets(doc: dict) -> list:
 
 
 def _battery_from_doc(space, doc: dict, seed: int, targets) -> Battery:
-    spec = BatterySpec.from_json(doc["battery"]) if "battery" in doc else BatterySpec()
+    spec = BatterySpec.from_json(doc["battery"], targets) if "battery" in doc else BatterySpec()
     # one validation draw and memo for every battery build of the command
     draws = ValidationDraws()
-    scalars = _scalar_members(space, spec, seed, draws)
+    scalars = _scalar_members(space, spec, _battery_stream(seed), draws)
     vectors = []
     for k, target in enumerate(targets):
-        vectors.extend(_vector_members(space, target, spec, seed + 1 + k, draws))
+        # target k's vector members follow the scalar forms of stream seed + 1 + k
+        rng = _battery_stream(seed + 1 + k)
+        _draw_scalar_forms(space, rng, spec)
+        vectors.extend(_vector_members(space, target, spec, rng, draws))
     return Battery(space=space, target=None, scalar_members=scalars,
                    vector_members=tuple(vectors))
 
@@ -153,7 +158,7 @@ def _battery_from_doc(space, doc: dict, seed: int, targets) -> Battery:
 
 
 def cmd_bl(args) -> int:
-    doc = _load_json(args.file)
+    doc = known(_load_json(args.file), ("space", "mu", "nu"), "bl document")
     space = space_from_json(need(doc, "space"))
     mu = measure_from_json(space, need(doc, "mu"))
     nu = measure_from_json(space, need(doc, "nu"))
@@ -173,11 +178,13 @@ def cmd_bl(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    doc = _load_json(args.file)
+    doc = known(_load_json(args.file), ("space", "measure", "function", "target", "schedule"),
+                "integrate document")
     space = space_from_json(need(doc, "space"))
     mu = measure_from_json(space, need(doc, "measure"))
     fn_node = need(doc, "function")
     if isinstance(fn_node, dict) and "coords" in fn_node:
+        known(fn_node, ("coords",), "vector function")
         target = target_from_json(need(doc, "target"))
         forms = tuple(form_from_json(c, space) for c in items(fn_node["coords"], "'coords'"))
         g = vector_function(space, target, forms, validate=False)
@@ -210,7 +217,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_certify(args) -> int:
     doc, run, space, family, n_terms, tol = _sequence_doc(
-        args, ("n", "tol", "seed", "normalize"))
+        args, ("space", "sequence", "run", "candidate", "targets", "battery"),
+        ("n", "tol", "seed", "normalize"))
     if "candidate" in doc:
         candidate = measure_from_json(space, doc["candidate"])
     elif family.label.reference is not None:
@@ -245,10 +253,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    doc, run, space, family, n_terms, tol = _sequence_doc(args, ("n", "tol", "seed"))
+    doc, run, space, family, n_terms, tol = _sequence_doc(
+        args, ("space", "sequence", "run", "targets", "battery"), ("n", "tol", "seed"))
     seed = _seed(_run_knob(args, run, "seed", 0))
     targets = _targets(doc) if "targets" in doc else list(suite_targets())
-    spec = BatterySpec.from_json(doc["battery"]) if "battery" in doc else None
+    spec = BatterySpec.from_json(doc["battery"], targets) if "battery" in doc else None
 
     report = equivalence_report(family, targets, n_terms=n_terms, tol=tol,
                                 seed=seed, spec=spec)

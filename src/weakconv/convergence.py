@@ -14,9 +14,9 @@ Certification compares, for each battery member f, the integral gap
 * inconclusive         otherwise.
 
 A report draws a battery's scalar forms once from its seeded stream;
-each target's vector members resume the stream from the state after
-them.  Each distinct form is validated once per report or command (see
-``funcs.ValidationDraws``).
+each target's vector members continue a copy of the stream from where
+the scalar forms end.  Each distinct form is validated once per report
+or command (see ``funcs.ValidationDraws``).
 
 One private kernel scores the members and applies this rule for
 ``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
@@ -40,10 +40,12 @@ Certification is window-first.  The rule reads only the window, so the
 oracle solves, and the members score, only the distinct terms that
 indices window_start..N reference; the status, the oracle's status,
 the report's oracle witnesses and the divergence recheck come from
-those values.  The earlier terms are solved and scored the first time
-a full series (``Verdict.gaps``, ``Verdict.bl_values``) is read, once
-for every verdict of a report.  The oracle's input checks run on every
-term at once, so a bad term raises at the call.
+those values.  The oracle's results are a memo on the prefix, shared by
+every verdict of a report.  The earlier terms are solved the first time
+``Verdict.bl_values``, ``csv_rows``, ``==``, ``hash`` or ``repr`` reads
+them, once per report, so a certificate failure among them shows
+there; ``Verdict.gaps`` scores them without solving.  The oracle's input
+checks run on every term at once, so a bad term raises at the call.
 
 The gap sweep is batched.  The atoms of the distinct terms being scored
 are concatenated, the limit's atoms follow them, and each member is
@@ -72,14 +74,16 @@ contains a member that sees it too.
 
 from __future__ import annotations
 
+import copy
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .carrier import CompactSpace, integer, numbers
-from .errors import CertificateError, DomainError, UnsupportedError
+from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
                     VectorFunction, validate_metadata)
 from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
@@ -92,8 +96,16 @@ DEFAULT_TOL = 0.05
 # Caps on the counts a JSON document sets, from measured cost (2-vCPU VM, Python
 # 3.11): certify on an 8-atom empirical law in the 8-cube takes 0.6 s at 4096 terms
 # (2.3 s at 16384); with one battery count at 1024, 0.3-1.3 s (2.9 s at 10000 tents).
+# Drawing and validating McShane forms costs about 0.35 ms per anchor on the 8-cube,
+# so the products of counts are capped too.  A 16-term certify on the 8-cube took
+# 23 s at mcshanes = mcshane_anchors = 256 and 4.0 s at 64 vector members of a
+# dim-64 target; at a product of 4096 it takes 1.7-1.8 s (mcshanes 16 x 256 anchors,
+# 1024 x 4) and 0.8-2.7 s per target (vector_members x dim x mcshane_anchors:
+# 16 x 1 x 256, 64 x 64 x 1, 1024 x 4 x 1, 4 x 256 x 4).  The default spec stays
+# within the cap on every target up to MAX_TARGET_DIM (3 x 256 x 3 = 2304).
 MAX_PREFIX = 4096
 MAX_BATTERY_COUNT = 1024
+MAX_BATTERY_PRODUCT = 4096
 _WITNESS_RECHECK_TOL = 1e-9
 
 
@@ -131,18 +143,31 @@ class BatterySpec:
     mcshane_anchors: int = 3
 
     @staticmethod
-    def from_json(node: dict) -> "BatterySpec":
-        """Decode a spec: counts are non-negative integers, ranges two finite numbers."""
+    def from_json(node: dict, targets: Sequence[TargetSpace] = ()) -> "BatterySpec":
+        """Decode a spec: counts are non-negative integers, ranges two finite numbers.
+
+        Each count is capped, and so are the products that set the cost of
+        the McShane forms: the scalar battery's, and each of ``targets``'s.
+        """
         if not isinstance(node, dict):
             raise DomainError("battery spec must be a JSON object")
         defaults = vars(BatterySpec())
         bad = set(node) - set(defaults)
         if bad:
             raise DomainError(f"unknown battery spec fields {sorted(bad)}")
-        return BatterySpec(**{
+        spec = BatterySpec(**{
             key: numbers(value, f"battery {key!r}", 2) if isinstance(defaults[key], tuple)
             else integer(value, f"battery {key!r}", lo=0, cap=MAX_BATTERY_COUNT)
             for key, value in node.items()})
+        anchors = spec.mcshane_anchors
+        products = [("mcshanes * mcshane_anchors", spec.mcshanes * anchors)]
+        products += [("vector_members * target dim * mcshane_anchors",
+                      spec.vector_members * target.dim * anchors) for target in targets]
+        for what, product in products:
+            if product > MAX_BATTERY_PRODUCT:
+                raise CapacityError(f"battery {what} is capped at {MAX_BATTERY_PRODUCT}, "
+                                    f"got {product}")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -202,24 +227,17 @@ def _draw_scalar_forms(space: CompactSpace, rng: np.random.Generator,
             for i in range(count)]
 
 
-def _scalar_stream(space: CompactSpace, spec: BatterySpec, seed: int) -> tuple:
-    """The named scalar forms a battery draws first from its Philox stream,
-    and the stream's state after them, where the vector members start."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return _draw_scalar_forms(space, rng, spec), rng.bit_generator.state
+def _battery_stream(seed: int) -> np.random.Generator:
+    """A battery's Philox stream: its scalar forms first, then its vector members."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _scalar_members(space: CompactSpace, spec: BatterySpec, seed: int,
-                    draws: ValidationDraws, stream: Optional[tuple] = None) -> tuple:
-    """The scalar members of ``generate_battery(space, target, spec, seed)``,
-    which do not depend on the target, validated through ``draws``.
-
-    ``stream`` is ``_scalar_stream(space, spec, seed)`` when the caller
-    has drawn it already.
-    """
-    forms, _ = stream or _scalar_stream(space, spec, seed)
+def _scalar_members(space: CompactSpace, spec: BatterySpec, rng: np.random.Generator,
+                    draws: ValidationDraws) -> tuple:
+    """The scalar members a battery draws first from its stream ``rng``,
+    which do not depend on the target, validated through ``draws``."""
     members = []
-    for name, form in forms:
+    for name, form in _draw_scalar_forms(space, rng, spec):
         validate_metadata(space, form, seed=7, draws=draws)
         members.append(ScalarMember(name=name, form=form, bound=form.bound(space),
                                     lip=form.lipschitz(space)))
@@ -227,26 +245,14 @@ def _scalar_members(space: CompactSpace, spec: BatterySpec, seed: int,
 
 
 def _vector_members(space: CompactSpace, target: Optional[TargetSpace],
-                    spec: BatterySpec, seed: int, draws: ValidationDraws,
-                    stream: Optional[tuple] = None) -> tuple:
-    """``generate_battery(space, target, spec, seed).vector_members``, validated
-    through ``draws``.
-
-    The vector members continue the stream after the scalar forms.  They
-    resume from the state in ``stream`` (``_scalar_stream(space, spec,
-    seed)``, which a report draws once for all its targets), or else
-    redraw the scalar forms to reach it; either way the scalar forms are
-    not validated here, since callers that want only a target's vector
-    members would throw them away.
-    """
+                    spec: BatterySpec, rng: np.random.Generator,
+                    draws: ValidationDraws) -> tuple:
+    """A battery's vector members for ``target``, drawn from ``rng``, its
+    stream after the scalar forms, and validated through ``draws``."""
     if spec.vector_members == 0:
         return ()
     if target is None or target.base is None:
         raise UnsupportedError("vector members need a target with a base")
-    _, state = stream or _scalar_stream(space, spec, seed)
-    bits = np.random.Philox(key=seed)
-    bits.state = state
-    rng = np.random.Generator(bits)
     shapes = ("tent", "mcshane", "dist")
     members = []
     for i in range(spec.vector_members):
@@ -272,10 +278,10 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
     the same seeded samples, drawn once per battery.
     """
     spec = spec or BatterySpec()
-    draws = ValidationDraws()
-    return Battery(space=space, target=target,
-                   scalar_members=_scalar_members(space, spec, seed, draws),
-                   vector_members=_vector_members(space, target, spec, seed, draws))
+    draws, rng = ValidationDraws(), _battery_stream(seed)
+    scalars = _scalar_members(space, spec, rng, draws)
+    return Battery(space=space, target=target, scalar_members=scalars,
+                   vector_members=_vector_members(space, target, spec, rng, draws))
 
 
 def bl_witness_function(mu: FiniteMeasure, nu: FiniteMeasure,
@@ -320,14 +326,16 @@ def _member_gap(member, mu_n: FiniteMeasure, mu: FiniteMeasure) -> float:
 
 
 class _Prefix:
-    """A prefix of N terms and its distinct terms.
+    """A prefix of N terms, its distinct terms and the oracle's memo on them.
 
     Term n is ``distinct[where[n - 1]]``; distinct terms are numbered in
-    the order they first appear.
+    the order they first appear.  Each distinct term is checked against
+    ``limit`` as the oracle checks its inputs, so a bad term raises here,
+    and ``bl`` solves a term the first time it is asked for.
     """
 
-    def __init__(self, terms: Sequence[FiniteMeasure]):
-        self.terms = list(terms)
+    def __init__(self, terms: Sequence[FiniteMeasure], limit: FiniteMeasure):
+        self.terms, self.limit = list(terms), limit
         index: dict = {}
         self.distinct: List[FiniteMeasure] = []
         where = []
@@ -337,8 +345,17 @@ class _Prefix:
             t = index.setdefault(key, len(self.distinct))
             if t == len(self.distinct):
                 self.distinct.append(mu)
+                check_bl_inputs(mu, limit)
             where.append(t)
         self.where = np.array(where, dtype=np.intp)
+        self._bl: List[Optional[BLResult]] = [None] * len(self.distinct)
+
+    def bl(self, ts: Sequence[int]) -> List[BLResult]:
+        """The oracle's result on each distinct term of ``ts``; the terms not
+        solved yet are solved now, in the order they first appear."""
+        for t in sorted({t for t in ts if self._bl[t] is None}):
+            self._bl[t] = bl_distance(self.distinct[t], self.limit)
+        return [self._bl[t] for t in ts]
 
 
 def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure,
@@ -404,68 +421,6 @@ def _member_thresholds(members: Sequence, tol: float) -> tuple:
     return tuple(out)
 
 
-def _bl_results(prefix: _Prefix, limit: FiniteMeasure, ts: np.ndarray) -> list:
-    """The oracle's result on each distinct term of ``ts``."""
-    return [bl_distance(prefix.distinct[t], limit) for t in ts.tolist()]
-
-
-class _Scores:
-    """One report's oracle results and member gaps over a prefix, window first.
-
-    Every distinct term is checked as the oracle checks its inputs; the
-    distinct terms that indices window_start..N reference are solved at
-    once and scored for each verdict's members by ``score``.  The other
-    terms are solved and scored, for every verdict scored so far, the
-    first time a full series is read (``complete``); a certificate
-    failure among them shows there.  Every verdict of a report is scored
-    before any series is read.
-    """
-
-    def __init__(self, prefix: _Prefix, limit: FiniteMeasure, window_start: int):
-        for mu in prefix.distinct:
-            check_bl_inputs(mu, limit)
-        self.prefix, self.limit, self.window_start = prefix, limit, window_start
-        self.window = np.unique(prefix.where[window_start - 1:])
-        self.early = np.setdiff1d(np.arange(len(prefix.distinct)), self.window)
-        self.results: list = [None] * len(prefix.distinct)
-        for t, res in zip(self.window.tolist(), _bl_results(prefix, limit, self.window)):
-            self.results[t] = res
-        self.window_results = [self.results[t] for t in prefix.where[window_start - 1:]]
-        self.window_bl = tuple(res.value for res in self.window_results)
-        self.slots: list = []  # (members, gaps per distinct term) per verdict
-        self.completed = False
-
-    def score(self, members: Sequence) -> Tuple[int, tuple]:
-        """A verdict's slot and its members' gaps at indices window_start..N."""
-        gaps = np.full((len(members), len(self.results)), np.nan)
-        gaps[:, self.window] = _battery_gaps(members, self.prefix, self.limit, self.window)
-        self.slots.append((members, gaps))
-        window = gaps[:, self.prefix.where[self.window_start - 1:]]
-        return len(self.slots) - 1, tuple(map(tuple, window.tolist()))
-
-    def complete(self) -> None:
-        """Solve and score the terms before the window, once for the report."""
-        if self.completed:
-            return
-        for t, res in zip(self.early.tolist(), _bl_results(self.prefix, self.limit, self.early)):
-            self.results[t] = res
-        if self.early.size:
-            for members, gaps in self.slots:
-                gaps[:, self.early] = _battery_gaps(members, self.prefix, self.limit,
-                                                    self.early)
-        self.completed = True
-
-    def series(self, slot: int) -> tuple:
-        """A verdict's gaps per member at indices 1..N."""
-        self.complete()
-        return tuple(map(tuple, self.slots[slot][1][:, self.prefix.where].tolist()))
-
-    def bl_values(self) -> tuple:
-        """The oracle's values at indices 1..N."""
-        self.complete()
-        return tuple(self.results[t].value for t in self.prefix.where.tolist())
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -495,10 +450,11 @@ class Verdict:
 
     ``window_gaps`` and ``window_bl`` hold the values the verdict reads:
     each member's gaps and the oracle's values over the window.  ``gaps``
-    and ``bl_values`` hold indices 1..N; the terms before the window are
-    solved and scored the first time one of them is read, once for every
-    verdict of the report.  Equality, hashing and ``repr`` go by the
-    fields in ``_VERDICT_FIELDS``, the full series included.
+    and ``bl_values`` hold indices 1..N.  ``gaps`` scores every term
+    without the oracle; ``bl_values`` solves the terms before the window
+    the first time it is read, once for every verdict that shares the
+    prefix.  Equality, hashing and ``repr`` go by the fields in
+    ``_VERDICT_FIELDS``, the full series included.
     """
 
     status: Status
@@ -510,18 +466,21 @@ class Verdict:
     window_gaps: tuple       # one tuple of gaps per member, indices window_start..N
     window_bl: tuple         # the oracle's values, indices window_start..N
     witness: Optional[DivergenceWitness]
-    _scores: "_Scores"
-    _slot: int
+    _prefix: _Prefix
+    _members: tuple
 
-    @property
+    @functools.cached_property
     def gaps(self) -> tuple:
         """One tuple of gaps per member, indices 1..N."""
-        return self._scores.series(self._slot)
+        prefix = self._prefix
+        gaps = _battery_gaps(self._members, prefix, prefix.limit,
+                             np.arange(len(prefix.distinct)))
+        return tuple(map(tuple, gaps[:, prefix.where].tolist()))
 
     @property
     def bl_values(self) -> tuple:
         """The oracle's values, indices 1..N."""
-        return self._scores.bl_values()
+        return tuple(res.value for res in self._prefix.bl(self._prefix.where.tolist()))
 
     def _fields(self) -> tuple:
         return tuple((name, getattr(self, name)) for name in _VERDICT_FIELDS)
@@ -593,33 +552,38 @@ def _window_rule(names: Sequence[str], series: Sequence[Sequence[float]],
     return Status.INCONCLUSIVE, None
 
 
-def _verdict(scores: _Scores, members: Sequence, tol: float) -> Verdict:
-    """Score the members over the window and decide: the one certification kernel.
+def _window_oracle(prefix: _Prefix, window_start: int, tol: float) -> tuple:
+    """The oracle's results at indices window_start..N, and its status over them."""
+    results = prefix.bl(prefix.where[window_start - 1:].tolist())
+    status, _ = _window_rule(("bl",), (tuple(res.value for res in results),),
+                             ((tol, 10.0 * tol),), window_start)
+    return results, status
 
-    ``scores`` holds the report's prefix, limit and oracle results.
-    """
-    window_start = scores.window_start
+
+def _verdict(prefix: _Prefix, window_start: int, members: Sequence, tol: float) -> Verdict:
+    """Score the members over the window and decide: the one certification kernel."""
     names = tuple(m.name for m in members)
-    slot, window_gaps = scores.score(members)
+    window, at = np.unique(prefix.where[window_start - 1:], return_inverse=True)
+    gaps = _battery_gaps(members, prefix, prefix.limit, window)
+    window_gaps = tuple(map(tuple, gaps[:, at].tolist()))
     thresholds = _member_thresholds(members, tol)
     status, witness = _window_rule(names, window_gaps, thresholds, window_start)
-    oracle, _ = _window_rule(("bl",), (scores.window_bl,), ((tol, 10.0 * tol),),
-                             window_start)
+    results, oracle = _window_oracle(prefix, window_start, tol)
     if witness is not None:
         # the witness must be reproducible from scratch, not an artefact
         # of the batched sweep above, so it is recomputed by the per-term route
         idx = names.index(witness.member)
         for n in (witness.n1, witness.n2):
-            fresh = _member_gap(members[idx], scores.prefix.terms[n - 1], scores.limit)
+            fresh = _member_gap(members[idx], prefix.terms[n - 1], prefix.limit)
             if abs(fresh - window_gaps[idx][n - window_start]) > _WITNESS_RECHECK_TOL:
                 raise CertificateError("divergence witness failed recheck")
     elif oracle is not Status.CONVERGENT_EVIDENCE:
         status = Status.INCONCLUSIVE
 
-    return Verdict(status=status, n_terms=len(scores.prefix.terms), tol=tol,
+    return Verdict(status=status, n_terms=len(prefix.terms), tol=tol,
                    window_start=window_start, member_names=names, thresholds=thresholds,
-                   window_gaps=window_gaps, window_bl=scores.window_bl, witness=witness,
-                   _scores=scores, _slot=slot)
+                   window_gaps=window_gaps, window_bl=tuple(res.value for res in results),
+                   witness=witness, _prefix=prefix, _members=members)
 
 
 def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
@@ -642,7 +606,7 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     elif not (limit.is_probability and all(mu.is_probability for mu in prefix)):
         raise DomainError("certify needs probability measures "
                           "(or normalize_inputs=True)")
-    return _verdict(_Scores(_Prefix(prefix), limit, window_start), members, tol)
+    return _verdict(_Prefix(prefix, limit), window_start, members, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -692,42 +656,42 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     if not candidate.is_probability:
         raise DomainError("the reference measure must be a probability measure")
     window_start = _window_start(n_terms, tol)
-    prefix = _Prefix(family.prefix(n_terms))
-    if not all(mu.is_probability for mu in prefix.distinct):
+    terms = family.prefix(n_terms)
+    if not all(mu.is_probability for mu in terms):
         raise DomainError("equivalence scenarios must produce probability measures")
 
     # one oracle run per distinct term serves the oracle's status and every verdict
-    scores = _Scores(prefix, candidate, window_start)
-    oracle_status, _ = _window_rule(("bl",), (scores.window_bl,), ((tol, 10.0 * tol),),
-                                    window_start)
+    prefix = _Prefix(terms, candidate)
+    results, oracle_status = _window_oracle(prefix, window_start, tol)
 
     # witnesses from the two largest oracle gaps in the window
     tail = sorted(range(window_start, n_terms + 1),
-                  key=lambda n: (-scores.window_bl[n - window_start], n))[:2]
+                  key=lambda n: (-results[n - window_start].value, n))[:2]
     witness_members = []
     for n in sorted(tail):
-        member = bl_witness_function(prefix.terms[n - 1], candidate,
-                                     result=scores.window_results[n - window_start])
+        member = bl_witness_function(terms[n - 1], candidate,
+                                     result=results[n - window_start])
         witness_members.append(ScalarMember(name=f"bl_witness[n={n}]", form=member.form,
                                             bound=member.bound, lip=member.lip))
 
     # every battery build of this report validates through one draw and memo
     spec = spec or BatterySpec()
     draws = ValidationDraws()
-    stream = _scalar_stream(family.space, spec, seed)  # shared by every target
-    scalars = _scalar_members(family.space, spec, seed, draws, stream) + tuple(witness_members)
-    scalar_verdict = _verdict(scores, scalars, tol)
+    rng = _battery_stream(seed)
+    scalars = _scalar_members(family.space, spec, rng, draws) + tuple(witness_members)
+    scalar_verdict = _verdict(prefix, window_start, scalars, tol)
 
     vector_verdicts = []
     for target in targets:
-        vectors = _vector_members(family.space, target, spec, seed, draws, stream)
+        # each target's vector members resume the stream after the scalar forms
+        vectors = _vector_members(family.space, target, spec, copy.deepcopy(rng), draws)
         lifted = tuple(
             VectorMember(name=f"{m.name}:lift",
                          function=_lift_through_base(family.space, target,
                                                      [m.form] * target.dim),
                          bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
             for m in witness_members)
-        verdict = _verdict(scores, vectors + lifted, tol)
+        verdict = _verdict(prefix, window_start, vectors + lifted, tol)
         vector_verdicts.append((target.family.name, verdict))
 
     return EquivalenceReport(family_name=family.name, label_kind=family.label.kind,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carrier import (CompactSpace, Point, integer, items, need, number, numbers,
+from .carrier import (CompactSpace, Point, integer, items, known, need, number, numbers,
                       point_from_json, point_to_json)
 from .errors import DomainError, UnsupportedError
 
@@ -319,6 +319,12 @@ class Step(Form):
         return {"kind": "step", "axis": self.axis, "threshold": self.threshold}
 
 
+_FORM_FIELDS = {"const": ("value",), "coord": ("axis",), "dist": ("point",),
+                "tent": ("point", "radius"), "mcshane": ("anchors", "values", "lip"),
+                "clamp": ("lo", "hi", "child"), "sum": ("children",),
+                "scale": ("factor", "child"), "step": ("axis", "threshold")}
+
+
 def form_from_json(node: dict, space: CompactSpace) -> Form:
     """Parse an expression tree from its JSON dict encoding on ``space``.
 
@@ -326,6 +332,9 @@ def form_from_json(node: dict, space: CompactSpace) -> Form:
     the carrier, and finite-carrier anchors may be given by label.
     """
     kind = need(node, "kind", "function node")
+    if not (isinstance(kind, str) and kind in _FORM_FIELDS):
+        raise DomainError(f"unknown function node kind {kind!r}")
+    known(node, ("kind",) + _FORM_FIELDS[kind], f"function node {kind!r}")
 
     def field(key: str):
         return need(node, key, f"function node {kind!r}")
@@ -352,9 +361,7 @@ def form_from_json(node: dict, space: CompactSpace) -> Form:
         return Sum(tuple(form_from_json(c, space) for c in children))
     if kind == "scale":
         return Scale(num("factor"), form_from_json(field("child"), space))
-    if kind == "step":
-        return Step(integer(field("axis"), "'axis'", lo=0), num("threshold"))
-    raise DomainError(f"unknown function node kind {kind!r}")
+    return Step(integer(field("axis"), "'axis'", lo=0), num("threshold"))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .carrier import (CompactSpace, MeasurableSet, Point, ball_set, choice, number,
-                      point_from_json, point_to_json)
+from .carrier import (CompactSpace, MeasurableSet, Point, ball_set, choice, known,
+                      number, point_from_json, point_to_json)
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 
 MAX_BL_SUPPORT = 400
@@ -179,10 +179,12 @@ def dirac(space: CompactSpace, point: Point, weight: float = 1.0) -> FiniteMeasu
 def measure_from_json(space: CompactSpace, node: dict) -> FiniteMeasure:
     if not (isinstance(node, dict) and isinstance(node.get("atoms"), list)):
         raise DomainError("measure JSON needs an 'atoms' list")
+    known(node, ("atoms",), "measure")
     atoms = []
     for entry in node["atoms"]:
         if not (isinstance(entry, dict) and "point" in entry and "weight" in entry):
             raise DomainError(f"bad atom entry {entry!r}")
+        known(entry, ("point", "weight"), "atom")
         atoms.append((point_from_json(space, entry["point"]),
                       number(entry["weight"], "atom weight")))
     return finite_measure(space, atoms)

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .carrier import choice, integer, items, need, numbers
+from .carrier import choice, integer, items, known, need, numbers
 from .errors import DomainError, UnsupportedError
 
 # relative size of R's smallest diagonal entry below which a base counts as singular
@@ -293,6 +293,7 @@ def cumulative_l1_space(dim: int, base="coordinate") -> TargetSpace:
 
 
 def target_from_json(node: dict) -> TargetSpace:
+    known(node, ("kind", "dim", "family", "base"), "target spec")
     kind = need(node, "kind", "target spec")
     dim = integer(need(node, "dim", "target spec"), "bad target spec: 'dim'", lo=1,
                   cap=MAX_TARGET_DIM)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 
@@ -15,7 +16,7 @@ from weakconv import (CapacityError, CertificateError, DomainError, UnsupportedE
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _Prefix, _battery_gaps,
-                                  _lift_through_base, _scalar_members, _scalar_stream,
+                                  _battery_stream, _lift_through_base, _scalar_members,
                                   _vector_members,
                                   bl_witness_function, certify,
                                   distribution_convergence_report,
@@ -139,7 +140,9 @@ class TestBatteryGeneration:
     ])
     def test_vector_members_helper_matches_generate_battery(self, space, target, seed):
         full = generate_battery(space, target=target, seed=seed).vector_members
-        alone = _vector_members(space, target, BatterySpec(), seed, ValidationDraws())
+        rng = _battery_stream(seed)
+        convergence._draw_scalar_forms(space, rng, BatterySpec())
+        alone = _vector_members(space, target, BatterySpec(), rng, ValidationDraws())
         assert [m.function.to_json() for m in alone] == [m.function.to_json() for m in full]
         assert [(m.name, m.bounds, m.lips) for m in alone] \
             == [(m.name, m.bounds, m.lips) for m in full]
@@ -149,7 +152,8 @@ class TestBatteryGeneration:
     def test_resumed_vector_members_equal_a_fresh_draw(self, space):
         # one stream serves every target in turn, as in a report
         spec, seed = BatterySpec(), 11
-        stream = _scalar_stream(space, spec, seed)
+        stream = _battery_stream(seed)
+        _scalar_members(space, spec, stream, ValidationDraws())
         for target in suite_targets():
             # the fresh draw, spelled out: the scalar forms, then each member's
             rng = np.random.Generator(np.random.Philox(key=seed))
@@ -158,14 +162,11 @@ class TestBatteryGeneration:
             fresh = [_lift_through_base(space, target, [
                 convergence._random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
                 for k in range(target.dim)]) for i in range(spec.vector_members)]
-            resumed = _vector_members(space, target, spec, seed, ValidationDraws(), stream)
-            redrawn = _vector_members(space, target, spec, seed, ValidationDraws())
-            assert len(resumed) == len(redrawn) == len(fresh) == spec.vector_members
-            for a, b, g in zip(resumed, redrawn, fresh):
-                assert a.function.forms == b.function.forms == g.forms
-                assert (a.name, a.bounds, a.lips) == (b.name, b.bounds, b.lips)
-        scalars = _scalar_members(space, spec, seed, ValidationDraws(), stream)
-        assert scalars == _scalar_members(space, spec, seed, ValidationDraws())
+            resumed = _vector_members(space, target, spec, copy.deepcopy(stream),
+                                      ValidationDraws())
+            assert len(resumed) == len(fresh) == spec.vector_members
+            for a, g in zip(resumed, fresh):
+                assert a.function.forms == g.forms
 
     def test_works_on_finite_spaces(self):
         from weakconv.carrier import finite_space
@@ -264,7 +265,7 @@ class TestBatchedGapsExact:
     @settings(max_examples=30, deadline=None)
     def test_property_cube_and_finite(self, case):
         battery, prefix, limit = case
-        terms = _Prefix(prefix)
+        terms = _Prefix(prefix, limit)
         # equal terms share one distinct term, unequal ones never do
         for mu, t in zip(prefix, terms.where):
             assert mu == terms.distinct[t]
@@ -299,7 +300,7 @@ class TestRepeatedCoordinateForms:
                          function=_lift_through_base(space, target, [m.form] * target.dim))
             for m in scalars)
         prefix = fam.prefix(16)
-        gaps = all_term_gaps(members, _Prefix(prefix), limit)
+        gaps = all_term_gaps(members, _Prefix(prefix, limit), limit)
 
         def integral(g, mu):
             # each coordinate form evaluated on its own, repeats included
@@ -359,7 +360,7 @@ def report_members(fam, report, targets, seed):
     """The members of each verdict of ``report``, rebuilt from the battery
     seed and the names of the oracle's witnesses."""
     candidate = fam.label.reference
-    scalars = _scalar_members(fam.space, BatterySpec(), seed, ValidationDraws())
+    scalars = _scalar_members(fam.space, BatterySpec(), _battery_stream(seed), ValidationDraws())
     witnesses = tuple(
         dataclasses.replace(bl_witness_function(fam.measure(int(name[len("bl_witness[n="):-1])),
                                                 candidate), name=name)
@@ -371,8 +372,7 @@ def report_members(fam, report, targets, seed):
                          lips=(1.0,) * target.dim,
                          function=_lift_through_base(fam.space, target, [m.form] * target.dim))
             for m in witnesses)
-        members.append(_vector_members(fam.space, target, BatterySpec(), seed,
-                                       ValidationDraws()) + lifted)
+        members.append(generate_battery(fam.space, target, seed=seed).vector_members + lifted)
     return members
 
 
@@ -463,7 +463,31 @@ class TestWindowFirst:
         assert len(bl_calls) == 16 and rep.verdict.to_json()["status"] == rep.verdict.status.value
         assert len(bl_calls) == 16
         assert rep.expectation_tails == tuple(g[-1] for g in rep.verdict.gaps[10:])
+        assert len(bl_calls) == 16  # the gaps are scored without the oracle
+        assert len(rep.verdict.bl_values) == DEFAULT_PREFIX
         assert len(bl_calls) == DEFAULT_PREFIX
+
+    def test_a_certificate_failure_before_the_window_waits_for_bl_values(self, monkeypatch):
+        entry = next(e for e in bundled_suite() if e.name == "drift-geometric-1d")
+        fam, limit = entry.family, entry.family.label.reference
+        prefix = fam.prefix(DEFAULT_PREFIX)
+        calls = []
+
+        def failing(mu, nu):
+            calls.append(mu)
+            if mu == prefix[0]:
+                raise CertificateError("BL certificate failed")
+            return bl_distance(mu, nu)
+
+        monkeypatch.setattr(convergence, "bl_distance", failing)
+        battery = generate_battery(fam.space, None, BatterySpec(vector_members=0), seed=3)
+        verdict = certify(fam, limit, battery)
+        assert verdict.to_json()["status"] == verdict.status.value
+        assert calls == distinct_terms(prefix, verdict.window_start)
+        assert verdict.gaps == per_term_gaps(battery, prefix, limit)
+        assert calls == distinct_terms(prefix, verdict.window_start)  # gaps call no oracle
+        with pytest.raises(CertificateError, match="BL certificate failed"):
+            verdict.bl_values
 
     @staticmethod
     def family_with_bad_term(case):
@@ -728,7 +752,7 @@ class TestEquivalenceReport:
         rep = equivalence_report(fam, suite_targets(), seed=5)
         assert rep.oracle_status == rep.scalar_verdict.status == entry.expected
         # the same members: the scalar battery and the oracle's two witnesses
-        scalars = _scalar_members(fam.space, BatterySpec(), 5, ValidationDraws())
+        scalars = _scalar_members(fam.space, BatterySpec(), _battery_stream(5), ValidationDraws())
         witnesses = []
         for member_name in rep.scalar_verdict.member_names[len(scalars):]:
             n = int(member_name[len("bl_witness[n="):-1])

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from weakconv.carrier import (choice, grid_partition, integer, items, need, number, numbers,
                               unit_cube)
 from weakconv.cli import main
-from weakconv.convergence import MAX_BATTERY_COUNT, MAX_PREFIX
+from weakconv.convergence import MAX_BATTERY_COUNT, MAX_BATTERY_PRODUCT, MAX_PREFIX
 from weakconv.errors import CapacityError, DomainError
 from weakconv.funcs import Step
 from weakconv.target import MAX_TARGET_DIM
@@ -88,6 +88,17 @@ BL_CASES = [
      "space 'kind' must be \"cube\" or \"finite\", got 1"),
     ("dist of strings", with_(BL, space={**PAIR, "dist": [["0", "1"], ["1", "0"]]}), 64,
      "'dist' row must be two finite numbers"),
+    # ignored
+    ("document key 'nu2'", with_(BL, nu2=atoms(([0.5], 1.0))), 64,
+     "bl document has no 'nu2' field"),
+    ("measure key 'atom'", with_(BL, mu={**atoms(([0.2], 1.0)), "atom": []}), 64,
+     "measure has no 'atom' field"),
+    ("atom key 'wieght'", with_(BL, mu={"atoms": [{"point": [0.2], "weight": 1.0,
+                                                   "wieght": 0.5}]}), 64,
+     "atom has no 'wieght' field"),
+    ("finite space key 'label'", {"space": {**PAIR, "label": ["a", "b"]},
+                                  "mu": atoms((0, 1.0)), "nu": atoms((1, 1.0))}, 64,
+     "finite space has no 'label' field"),
 ]
 
 SEQUENCE_CASES = [
@@ -129,6 +140,15 @@ SEQUENCE_CASES = [
      "scenario 'dirac_drift' reads no 'rtae' param"),
     ("run key 'normalise'", with_(CERTIFY, run={"normalise": True}), 64,
      "'run' has no 'normalise' setting"),
+    # exited 1 as if both keys were absent
+    ("document key 'targts'", with_(CERTIFY, targts=[TARGET], sequence={**DRIFT, "sead": 5}),
+     64, "document has no 'targts' field"),
+    ("sequence key 'sead'", with_(CERTIFY, sequence={**DRIFT, "sead": 5}), 64,
+     "sequence has no 'sead' field"),
+    ("target key 'famly'", with_(CERTIFY, targets=[{**TARGET, "famly": "lp:2"}]), 64,
+     "target spec has no 'famly' field"),
+    ("cube space key 'dims'", with_(CERTIFY, space={**CUBE1, "dims": 2}), 64,
+     "cube space has no 'dims' field"),
     # capped
     ("n 2**70", with_(CERTIFY, run={"n": 2 ** 70}), 65, f"'n' is capped at {MAX_PREFIX}"),
     ("tents 10**9", with_(CERTIFY, battery={"tents": 10 ** 9}), 65,
@@ -164,6 +184,17 @@ INTEGRATE_CASES = [
      "'values' must be a list of finite numbers, got '1'"),
     ("tent without a radius", with_(INTEGRATE, function={"kind": "tent", "point": [0.5]}), 64,
      "function node 'tent' needs a 'radius' field"),
+    # ignored
+    ("document key 'schedul'", with_(INTEGRATE, schedul=[0.5]), 64,
+     "integrate document has no 'schedul' field"),
+    ("tent key 'radus'", with_(INTEGRATE, function={"kind": "tent", "point": [0.5],
+                                                    "radius": 0.5, "radus": 1.0}), 64,
+     "function node 'tent' has no 'radus' field"),
+    ("child key 'axes'", with_(INTEGRATE, function={
+        "kind": "clamp", "lo": -1.0, "hi": 1.0, "child": {"kind": "coord", "axis": 0, "axes": 1}}),
+     64, "function node 'coord' has no 'axes' field"),
+    ("vector function key 'coord'", with_(VECTOR, function={**VECTOR["function"], "coord": []}),
+     64, "vector function has no 'coord' field"),
 ]
 
 
@@ -247,6 +278,27 @@ class TestCaps:
         doc = with_(CERTIFY, targets=[], battery={"tents": MAX_BATTERY_COUNT, "distances": 0,
                                                   "mcshanes": 0})
         assert run_doc(["certify"], doc)[0] in (0, 1, 2)
+
+    def test_mcshane_product(self):
+        doc = with_(CERTIFY, targets=[], battery={"mcshanes": 16, "mcshane_anchors": 256})
+        assert run_doc(["certify"], doc)[0] in (0, 1, 2)
+        code, err = run_doc(["certify"], with_(doc, battery={"mcshanes": 17,
+                                                             "mcshane_anchors": 241}))
+        assert code == 65
+        assert (f"battery mcshanes * mcshane_anchors is capped at {MAX_BATTERY_PRODUCT}, "
+                f"got {MAX_BATTERY_PRODUCT + 1}") in err
+
+    def test_vector_product_per_target(self):
+        target = {"kind": "banach", "dim": 1, "family": "lp:2"}
+        doc = with_(CERTIFY, targets=[target] * 2,
+                    battery={"vector_members": 16, "mcshane_anchors": 256})
+        assert run_doc(["certify"], doc)[0] in (0, 1, 2)
+        past = with_(doc, battery={"vector_members": 17, "mcshane_anchors": 241})
+        for argv in (["certify"], ["scenario", "run"]):
+            code, err = run_doc(argv, past)
+            assert code == 65
+            assert ("battery vector_members * target dim * mcshane_anchors is capped at "
+                    f"{MAX_BATTERY_PRODUCT}, got {MAX_BATTERY_PRODUCT + 1}") in err
 
     def test_target_dim(self):
         target = {**TARGET, "family": "lp:2", "kind": "banach", "dim": MAX_TARGET_DIM}
