@@ -13,14 +13,17 @@ Exit codes encode the verdict where there is one: 0 for the positive
 outcome (certified / convergent-evidence / selftest pass), 1 for the
 established negative (not certified / divergent / selftest failure), 2
 for inconclusive.  Malformed input and domain violations exit 64,
-capacity overruns 65, internal failures 70.  A computed answer that
-fails its own certificate check (a ``CertificateError``: a BL plan and
-witness that do not check, or a divergence witness that a fresh per-term
-evaluation does not reproduce) exits 3, with no verdict printed.  A
-reader that closes standard output early (``weakconv bl FILE --witness |
-head``) ends the command with exit 141, 128 + SIGPIPE, as a shell
-reports a process that SIGPIPE stopped; the rest of the output is
-discarded.
+capacity overruns 65, internal failures 70.  An ``--out`` file that
+cannot be written (a missing directory, a directory, no permission)
+exits 64 with ``cannot write PATH: ...``; the file is written before
+anything is printed, so a failed write leaves standard output empty.  A
+computed answer that fails its own certificate check (a
+``CertificateError``: a BL plan and witness that do not check, or a
+divergence witness that a fresh per-term evaluation does not reproduce)
+exits 3, with no verdict printed.  A reader that closes standard output
+early (``weakconv bl FILE --witness | head``) ends the command with exit
+141, 128 + SIGPIPE, as a shell reports a process that SIGPIPE stopped;
+the rest of the output is discarded.
 
 Standard output is byte-deterministic for a fixed input and flag set;
 the wall-clock note goes to standard error.
@@ -39,10 +42,9 @@ from typing import Optional, Sequence
 from .carrier import (choice, integer, items, known, need, number, numbers, point_from_json,
                       point_to_json, space_from_json)
 from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, MAX_PREFIX, Battery, BatterySpec,
-                          Status, _battery_stream, _draw_scalar_forms, _scalar_members,
-                          _vector_members, certify, equivalence_report)
+                          Status, battery_members, certify, equivalence_report)
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
-from .funcs import ValidationDraws, form_from_json, vector_function
+from .funcs import form_from_json, vector_function
 from .integral import integrability_report, integrate
 from .measure import bl_distance, measure_from_json, scenario
 from .suite import AGREEMENT_SEED_OFFSET, bundled_suite, selftest, suite_targets
@@ -70,8 +72,11 @@ def _load_json(path: str) -> dict:
 
 
 def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no write permission
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _sequence_from_json(space, node) -> "MeasureFamily":
@@ -139,17 +144,11 @@ def _targets(doc: dict) -> list:
 
 def _battery_from_doc(space, doc: dict, seed: int, targets) -> Battery:
     spec = BatterySpec.from_json(doc["battery"], targets) if "battery" in doc else BatterySpec()
-    # one validation draw and memo for every battery build of the command
-    draws = ValidationDraws()
-    scalars = _scalar_members(space, spec, _battery_stream(seed), draws)
-    vectors = []
-    for k, target in enumerate(targets):
-        # target k's vector members follow the scalar forms of stream seed + 1 + k
-        rng = _battery_stream(seed + 1 + k)
-        _draw_scalar_forms(space, rng, spec)
-        vectors.extend(_vector_members(space, target, spec, rng, draws))
+    # target k's vector members are keyed by seed + 1 + k
+    scalars, vectors = battery_members(space, spec, seed,
+                                       [(target, seed + 1 + k) for k, target in enumerate(targets)])
     return Battery(space=space, target=None, scalar_members=scalars,
-                   vector_members=tuple(vectors))
+                   vector_members=sum(vectors, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +162,10 @@ def cmd_bl(args) -> int:
     mu = measure_from_json(space, need(doc, "mu"))
     nu = measure_from_json(space, need(doc, "nu"))
     res = bl_distance(mu, nu)
+    if args.out:
+        _write_out(args.out, json.dumps(
+            {"value": res.value, "support": [point_to_json(p) for p in res.support],
+             "witness": list(res.witness_values)}, indent=2) + "\n")
     print("# weakconv bl")
     print(f"value = {res.value!r}")
     print(f"support_size = {len(res.support)}")
@@ -170,10 +173,6 @@ def cmd_bl(args) -> int:
     if args.witness:
         for point, value in res.witness():
             print(f"witness {point!r} -> {value!r}")
-    if args.out:
-        _write_out(args.out, json.dumps(
-            {"value": res.value, "support": [point_to_json(p) for p in res.support],
-             "witness": list(res.witness_values)}, indent=2) + "\n")
     return EX_OK
 
 
@@ -197,6 +196,8 @@ def cmd_integrate(args) -> int:
     report = integrability_report(g, mu)
     # a bad schedule or a grid past its cap fails here, before any output
     cert = integrate(g, mu, schedule) if report.integrable else None
+    if cert is not None and args.out:
+        _write_out(args.out, cert.to_csv())
     print("# weakconv integrate")
     print(f"integrable = {report.integrable}")
     if cert is None:
@@ -210,8 +211,6 @@ def cmd_integrate(args) -> int:
           f"(tolerance {cert.pointwise_tolerance!r})")
     for n, (gap, tol) in enumerate(zip(last.mean_gaps, cert.mean_tolerances), start=1):
         print(f"final_mean_gap[{n}] = {gap!r} (tolerance {tol!r})")
-    if args.out:
-        _write_out(args.out, cert.to_csv())
     return EX_OK if cert.certified else EX_NEGATIVE
 
 
@@ -234,6 +233,8 @@ def cmd_certify(args) -> int:
 
     verdict = certify(family, candidate, battery, n_terms=n_terms, tol=tol,
                       normalize_inputs=normalize)
+    if args.out:
+        _write_out(args.out, json.dumps(verdict.to_json(), indent=2) + "\n")
     print(f"# weakconv certify | n={n_terms} tol={tol!r} seed={seed} "
           f"normalize={normalize}")
     print(f"sequence = {family.name}")
@@ -247,8 +248,6 @@ def cmd_certify(args) -> int:
     if verdict.witness is not None:
         w = verdict.witness
         print(f"witness = member={w.member} n1={w.n1} n2={w.n2} gap={w.gap!r}")
-    if args.out:
-        _write_out(args.out, json.dumps(verdict.to_json(), indent=2) + "\n")
     return _STATUS_EXIT[verdict.status]
 
 
@@ -261,6 +260,8 @@ def cmd_scenario_run(args) -> int:
 
     report = equivalence_report(family, targets, n_terms=n_terms, tol=tol,
                                 seed=seed, spec=spec)
+    if args.out:
+        _write_out(args.out, json.dumps(report.to_json(), indent=2) + "\n")
     print(f"# weakconv scenario run | n={n_terms} tol={tol!r} seed={seed}")
     print(f"sequence = {family.name}")
     print(f"label = {family.label.kind}")
@@ -269,8 +270,6 @@ def cmd_scenario_run(args) -> int:
     for name, verdict in report.vector_verdicts:
         print(f"vector_battery[{name}] = {verdict.status.value}")
     print(f"agreement = {report.agreement}")
-    if args.out:
-        _write_out(args.out, json.dumps(report.to_json(), indent=2) + "\n")
     return _STATUS_EXIT[report.oracle_status]
 
 

@@ -13,10 +13,14 @@ Certification compares, for each battery member f, the integral gap
                        tail stays within tol,
 * inconclusive         otherwise.
 
-A report draws a battery's scalar forms once from its seeded stream;
-each target's vector members continue a copy of the stream from where
-the scalar forms end.  Each distinct form is validated once per report
-or command (see ``funcs.ValidationDraws``).
+One builder, ``battery_members``, draws every member of a battery for
+``generate_battery``, ``equivalence_report`` and the ``certify`` command.
+The scalar forms come from the Philox stream of the battery seed.  Each
+target's vector members come from the stream of that target's seed,
+resumed past the scalar forms; a target keyed by the battery seed
+restores the state saved after them.  The builder validates every member
+in one ``validate_metadata`` call, which draws the validation samples once
+and checks each distinct form once.
 
 One private kernel scores the members and applies this rule for
 ``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
@@ -74,7 +78,6 @@ contains a member that sees it too.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 from dataclasses import dataclass
@@ -84,8 +87,8 @@ import numpy as np
 
 from .carrier import CompactSpace, integer, numbers
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
-from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, ValidationDraws,
-                    VectorFunction, validate_metadata)
+from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, VectorFunction,
+                    validate_metadata)
 from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
                       bl_distance, check_bl_inputs)
 from .target import TargetSpace, gap_value
@@ -227,43 +230,53 @@ def _draw_scalar_forms(space: CompactSpace, rng: np.random.Generator,
             for i in range(count)]
 
 
-def _battery_stream(seed: int) -> np.random.Generator:
-    """A battery's Philox stream: its scalar forms first, then its vector members."""
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _scalar_members(space: CompactSpace, spec: BatterySpec, rng: np.random.Generator,
-                    draws: ValidationDraws) -> tuple:
-    """The scalar members a battery draws first from its stream ``rng``,
-    which do not depend on the target, validated through ``draws``."""
-    members = []
-    for name, form in _draw_scalar_forms(space, rng, spec):
-        validate_metadata(space, form, seed=7, draws=draws)
-        members.append(ScalarMember(name=name, form=form, bound=form.bound(space),
-                                    lip=form.lipschitz(space)))
-    return tuple(members)
-
-
-def _vector_members(space: CompactSpace, target: Optional[TargetSpace],
-                    spec: BatterySpec, rng: np.random.Generator,
-                    draws: ValidationDraws) -> tuple:
-    """A battery's vector members for ``target``, drawn from ``rng``, its
-    stream after the scalar forms, and validated through ``draws``."""
+def _draw_vector_functions(space: CompactSpace, target: Optional[TargetSpace],
+                           spec: BatterySpec, rng: np.random.Generator) -> list:
+    """The vector functions of a battery for ``target``, drawn from ``rng``,
+    a stream after its scalar forms."""
     if spec.vector_members == 0:
-        return ()
+        return []
     if target is None or target.base is None:
         raise UnsupportedError("vector members need a target with a base")
     shapes = ("tent", "mcshane", "dist")
-    members = []
-    for i in range(spec.vector_members):
-        coeffs = [_random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
-                  for k in range(target.dim)]
-        vf = _lift_through_base(space, target, coeffs)
-        vf.validate(seed=7, draws=draws)
-        members.append(VectorMember(name=f"vec[{i}]", function=vf,
-                                    bounds=tuple(vf.bounds()),
-                                    lips=tuple(vf.lipschitz_constants())))
-    return tuple(members)
+    return [_lift_through_base(space, target, [
+        _random_scalar_form(space, rng, spec, shapes[(i + k) % 3]) for k in range(target.dim)])
+        for i in range(spec.vector_members)]
+
+
+def battery_members(space: CompactSpace, spec: BatterySpec, seed: int,
+                    targets: Sequence[Tuple[Optional[TargetSpace], int]]) -> tuple:
+    """Every member of a battery: the scalar members, and the vector members
+    of each (target, target seed) pair of ``targets``.
+
+    The scalar forms come from the Philox stream of ``seed``.  A target's
+    vector members come from the stream of its own seed, resumed past the
+    scalar forms: a target keyed by ``seed`` restores the state saved after
+    them, and any other stream draws its scalar forms and drops them.  All
+    members are validated in one ``validate_metadata`` call, so the samples
+    are drawn once and each distinct form is checked once.  Returns the
+    scalar members and one tuple of vector members per target.
+    """
+    stream = np.random.Generator(np.random.Philox(key=seed))
+    named = _draw_scalar_forms(space, stream, spec)
+    after = stream.bit_generator.state
+    functions = []
+    for target, target_seed in targets:
+        if target_seed == seed:
+            stream.bit_generator.state = after
+            rng = stream
+        else:
+            rng = np.random.Generator(np.random.Philox(key=target_seed))
+            _draw_scalar_forms(space, rng, spec)
+        functions.append(_draw_vector_functions(space, target, spec, rng))
+    validate_metadata(space, *(form for _, form in named),
+                      *(f for vfs in functions for vf in vfs for f in vf.forms), seed=7)
+    scalars = tuple(ScalarMember(name=name, form=form, bound=form.bound(space),
+                                 lip=form.lipschitz(space)) for name, form in named)
+    vectors = [tuple(VectorMember(name=f"vec[{i}]", function=vf, bounds=tuple(vf.bounds()),
+                                  lips=tuple(vf.lipschitz_constants()))
+                     for i, vf in enumerate(vfs)) for vfs in functions]
+    return scalars, vectors
 
 
 def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
@@ -273,15 +286,12 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
     Scalar members: tent bumps, clamped distance functions and clamped
     McShane forms with seeded anchors.  Vector members (when a target
     with a base is supplied) lift fresh scalar forms through the base,
-    one coefficient function per base vector.  All declared metadata is
-    spot-checked by sampling at construction; every form is checked on
-    the same seeded samples, drawn once per battery.
+    one coefficient function per base vector, drawn from the same stream
+    after the scalar forms.  All declared metadata is spot-checked by
+    sampling at construction, every form on the same seeded samples.
     """
-    spec = spec or BatterySpec()
-    draws, rng = ValidationDraws(), _battery_stream(seed)
-    scalars = _scalar_members(space, spec, rng, draws)
-    return Battery(space=space, target=target, scalar_members=scalars,
-                   vector_members=_vector_members(space, target, spec, rng, draws))
+    scalars, (vectors,) = battery_members(space, spec or BatterySpec(), seed, [(target, seed)])
+    return Battery(space=space, target=target, scalar_members=scalars, vector_members=vectors)
 
 
 def bl_witness_function(mu: FiniteMeasure, nu: FiniteMeasure,
@@ -531,32 +541,33 @@ def _window_start(n_terms: int, tol: float) -> int:
 
 def _window_rule(names: Sequence[str], series: Sequence[Sequence[float]],
                  thresholds: Sequence[Tuple[float, float]],
-                 window_start: int) -> Tuple[Status, Optional[DivergenceWitness]]:
+                 window_start: int) -> Tuple[Status, Optional[DivergenceWitness], int]:
     """The decision rule over the window, for members and the oracle alike.
 
     Each series holds its values at indices window_start..N.  The first
     series over its divergence threshold at two window indices is
     divergent, with those indices as the witness; every series within its
     tail threshold over the window is convergent evidence; anything else
-    is inconclusive.
+    is inconclusive.  The last item is the witness's series number (-1
+    without a witness), as names may repeat.
     """
-    for name, gaps, (_, hi) in zip(names, series, thresholds):
+    for k, (name, gaps, (_, hi)) in enumerate(zip(names, series, thresholds)):
         exceed = [i for i, gap in enumerate(gaps) if gap > hi]
         if len(exceed) >= 2:
             i1, i2 = exceed[0], exceed[1]
             return Status.DIVERGENT, DivergenceWitness(
                 member=name, n1=window_start + i1, n2=window_start + i2,
-                gap=min(gaps[i1], gaps[i2]))
+                gap=min(gaps[i1], gaps[i2])), k
     if all(max(gaps) <= lo for gaps, (lo, _) in zip(series, thresholds)):
-        return Status.CONVERGENT_EVIDENCE, None
-    return Status.INCONCLUSIVE, None
+        return Status.CONVERGENT_EVIDENCE, None, -1
+    return Status.INCONCLUSIVE, None, -1
 
 
 def _window_oracle(prefix: _Prefix, window_start: int, tol: float) -> tuple:
     """The oracle's results at indices window_start..N, and its status over them."""
     results = prefix.bl(prefix.where[window_start - 1:].tolist())
-    status, _ = _window_rule(("bl",), (tuple(res.value for res in results),),
-                             ((tol, 10.0 * tol),), window_start)
+    status, _, _ = _window_rule(("bl",), (tuple(res.value for res in results),),
+                                ((tol, 10.0 * tol),), window_start)
     return results, status
 
 
@@ -567,15 +578,14 @@ def _verdict(prefix: _Prefix, window_start: int, members: Sequence, tol: float) 
     gaps = _battery_gaps(members, prefix, prefix.limit, window)
     window_gaps = tuple(map(tuple, gaps[:, at].tolist()))
     thresholds = _member_thresholds(members, tol)
-    status, witness = _window_rule(names, window_gaps, thresholds, window_start)
+    status, witness, k = _window_rule(names, window_gaps, thresholds, window_start)
     results, oracle = _window_oracle(prefix, window_start, tol)
     if witness is not None:
         # the witness must be reproducible from scratch, not an artefact
         # of the batched sweep above, so it is recomputed by the per-term route
-        idx = names.index(witness.member)
         for n in (witness.n1, witness.n2):
-            fresh = _member_gap(members[idx], prefix.terms[n - 1], prefix.limit)
-            if abs(fresh - window_gaps[idx][n - window_start]) > _WITNESS_RECHECK_TOL:
+            fresh = _member_gap(members[k], prefix.terms[n - 1], prefix.limit)
+            if abs(fresh - window_gaps[k][n - window_start]) > _WITNESS_RECHECK_TOL:
                 raise CertificateError("divergence witness failed recheck")
     elif oracle is not Status.CONVERGENT_EVIDENCE:
         status = Status.INCONCLUSIVE
@@ -674,24 +684,20 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
         witness_members.append(ScalarMember(name=f"bl_witness[n={n}]", form=member.form,
                                             bound=member.bound, lip=member.lip))
 
-    # every battery build of this report validates through one draw and memo
-    spec = spec or BatterySpec()
-    draws = ValidationDraws()
-    rng = _battery_stream(seed)
-    scalars = _scalar_members(family.space, spec, rng, draws) + tuple(witness_members)
-    scalar_verdict = _verdict(prefix, window_start, scalars, tol)
+    # each target's vector members resume the battery stream after the scalar forms
+    keyed = [(target, seed) for target in targets]
+    scalars, vectors = battery_members(family.space, spec or BatterySpec(), seed, keyed)
+    scalar_verdict = _verdict(prefix, window_start, scalars + tuple(witness_members), tol)
 
     vector_verdicts = []
-    for target in targets:
-        # each target's vector members resume the stream after the scalar forms
-        vectors = _vector_members(family.space, target, spec, copy.deepcopy(rng), draws)
+    for (target, _), members in zip(keyed, vectors):
         lifted = tuple(
             VectorMember(name=f"{m.name}:lift",
                          function=_lift_through_base(family.space, target,
                                                      [m.form] * target.dim),
                          bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
             for m in witness_members)
-        verdict = _verdict(prefix, window_start, vectors + lifted, tol)
+        verdict = _verdict(prefix, window_start, members + lifted, tol)
         vector_verdicts.append((target.family.name, verdict))
 
     return EquivalenceReport(family_name=family.name, label_kind=family.label.kind,

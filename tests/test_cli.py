@@ -392,6 +392,45 @@ class TestCertificateFailure:
         self.check(capsys, ["certify", path], "divergence witness failed recheck")
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written exits 64 with nothing printed."""
+
+    DOCS = {
+        "bl": ({"space": CUBE1, "mu": measure(([0.2], 1.0)), "nu": measure(([0.9], 1.0))},
+               ("bl",)),
+        "integrate": ({"space": CUBE1, "measure": measure(([0.25], 0.5), ([0.75], 0.5)),
+                       "function": {"kind": "tent", "point": [0.5], "radius": 0.5}},
+                      ("integrate",)),
+        "certify": ({"space": CUBE1, "run": {"n": 8},
+                     "sequence": {"kind": "alternating", "params": {"a": [0.1], "b": [0.9]}},
+                     "battery": {"tents": 1, "distances": 0, "mcshanes": 0}},
+                    ("certify",)),
+        "scenario run": ({"space": CUBE1, "run": {"n": 8}, "targets": [],
+                          "sequence": {"kind": "alternating",
+                                       "params": {"a": [0.1], "b": [0.9]}},
+                          "battery": {"tents": 1, "distances": 0, "mcshanes": 0,
+                                      "vector_members": 0}},
+                         ("scenario", "run")),
+    }
+
+    @pytest.mark.parametrize("command", DOCS)
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_exit_64_and_empty_stdout(self, tmp_path, capsys, command, where):
+        doc, argv = self.DOCS[command]
+        path = write(tmp_path, "doc.json", doc)
+        out_path = tmp_path / "missing" / "out.json" if where == "missing" else tmp_path
+        code = main([*argv, path, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert f"error: cannot write {out_path}: " in captured.err
+        assert "internal error" not in captured.err
+        # the same command with a writable path prints its verdict
+        code = main([*argv, path, "--out", str(tmp_path / "out.json")])
+        assert code in (0, 1, 2)
+        assert capsys.readouterr().out.startswith(f"# weakconv {command}")
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code = main(["bl", "/nonexistent/input.json"])

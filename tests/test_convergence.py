@@ -16,19 +16,17 @@ from weakconv import (CapacityError, CertificateError, DomainError, UnsupportedE
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _Prefix, _battery_gaps,
-                                  _battery_stream, _lift_through_base, _scalar_members,
-                                  _vector_members,
+                                  _lift_through_base, battery_members,
                                   bl_witness_function, certify,
                                   distribution_convergence_report,
                                   equivalence_report, expectation,
                                   generate_battery, integral_gap)
-from weakconv.funcs import (Const, Coord, Tent, ValidationDraws, validate_metadata,
-                            vector_function)
+from weakconv.funcs import Const, Coord, Tent, validate_metadata, vector_function
 from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, RandomElement,
                               bl_distance, dirac, finite_measure, scenario)
 from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
-                             omega_space)
+                             omega_space, target_from_json)
 
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
@@ -139,10 +137,10 @@ class TestBatteryGeneration:
         (finite_space(("a", "b", "c"), 1.0 - np.eye(3)), omega_space(3), 2),
     ])
     def test_vector_members_helper_matches_generate_battery(self, space, target, seed):
+        # a target built after another one restores the state after the scalar forms
         full = generate_battery(space, target=target, seed=seed).vector_members
-        rng = _battery_stream(seed)
-        convergence._draw_scalar_forms(space, rng, BatterySpec())
-        alone = _vector_members(space, target, BatterySpec(), rng, ValidationDraws())
+        _, (_, alone) = battery_members(space, BatterySpec(), seed,
+                                        [(omega_space(2), seed), (target, seed)])
         assert [m.function.to_json() for m in alone] == [m.function.to_json() for m in full]
         assert [(m.name, m.bounds, m.lips) for m in alone] \
             == [(m.name, m.bounds, m.lips) for m in full]
@@ -152,9 +150,8 @@ class TestBatteryGeneration:
     def test_resumed_vector_members_equal_a_fresh_draw(self, space):
         # one stream serves every target in turn, as in a report
         spec, seed = BatterySpec(), 11
-        stream = _battery_stream(seed)
-        _scalar_members(space, spec, stream, ValidationDraws())
-        for target in suite_targets():
+        _, built = battery_members(space, spec, seed, [(t, seed) for t in suite_targets()])
+        for target, resumed in zip(suite_targets(), built):
             # the fresh draw, spelled out: the scalar forms, then each member's
             rng = np.random.Generator(np.random.Philox(key=seed))
             convergence._draw_scalar_forms(space, rng, spec)
@@ -162,8 +159,6 @@ class TestBatteryGeneration:
             fresh = [_lift_through_base(space, target, [
                 convergence._random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
                 for k in range(target.dim)]) for i in range(spec.vector_members)]
-            resumed = _vector_members(space, target, spec, copy.deepcopy(stream),
-                                      ValidationDraws())
             assert len(resumed) == len(fresh) == spec.vector_members
             for a, g in zip(resumed, fresh):
                 assert a.function.forms == g.forms
@@ -173,6 +168,81 @@ class TestBatteryGeneration:
         space = finite_space(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         batt = generate_battery(space, spec=BatterySpec(vector_members=0), seed=2)
         assert len(batt.scalar_members) == 10
+
+
+FINITE4 = finite_space(("a", "b", "c", "d"), np.array(
+    [[0.0, 1.0, 2.0, 1.5], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0], [1.5, 2.0, 1.0, 0.0]]))
+
+
+class TestStreamRoutes:
+    """The battery builder against the three routes that drew members before it,
+    spelled out here: ``generate_battery``'s one shared stream, the report's
+    copies of the stream resumed after the scalar forms, and the command
+    line's streams ``seed + 1 + k``, each advanced past its own scalar forms."""
+
+    TARGETS = suite_targets() + (target_from_json({"kind": "banach", "dim": 2,
+                                                   "family": "lp:2"}),)
+
+    @staticmethod
+    def scalar_forms(space, spec, rng):
+        return [(f"{shape}[{i}]", convergence._random_scalar_form(space, rng, spec, shape))
+                for shape, count in (("tent", spec.tents), ("dist", spec.distances),
+                                     ("mcshane", spec.mcshanes))
+                for i in range(count)]
+
+    @staticmethod
+    def vector_prints(space, spec, target, rng):
+        shapes = ("tent", "mcshane", "dist")
+        prints = []
+        for i in range(spec.vector_members):
+            vf = _lift_through_base(space, target, [
+                convergence._random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
+                for k in range(target.dim)])
+            prints.append((f"vec[{i}]", vf.to_json(), tuple(vf.bounds()),
+                           tuple(vf.lipschitz_constants())))
+        return prints
+
+    @staticmethod
+    def prints(members):
+        return [(m.name, m.form.to_json(), m.bound, m.lip) if isinstance(m, ScalarMember)
+                else (m.name, m.function.to_json(), m.bounds, m.lips) for m in members]
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("space", [CUBE1, CUBE2, unit_cube(8), FINITE4],
+                             ids=["cube1", "cube2", "cube8", "finite4"])
+    def test_members_equal_the_spelled_out_routes(self, space, seed):
+        spec = BatterySpec()
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        scalars = [(name, form.to_json(), form.bound(space), form.lipschitz(space))
+                   for name, form in self.scalar_forms(space, spec, rng)]
+        after = copy.deepcopy(rng)
+
+        # generate_battery: the vector members continue the one stream
+        for target in self.TARGETS:
+            shared = copy.deepcopy(after)
+            battery = generate_battery(space, target, spec, seed=seed)
+            assert self.prints(battery.scalar_members) == scalars
+            assert self.prints(battery.vector_members) \
+                == self.vector_prints(space, spec, target, shared)
+        alone = generate_battery(space, None, BatterySpec(vector_members=0), seed=seed)
+        assert self.prints(alone.scalar_members) == scalars
+
+        # a report: each target resumes a copy of the stream after the scalar forms
+        built, vectors = battery_members(space, spec, seed,
+                                         [(target, seed) for target in self.TARGETS])
+        assert self.prints(built) == scalars
+        for target, members in zip(self.TARGETS, vectors):
+            assert self.prints(members) \
+                == self.vector_prints(space, spec, target, copy.deepcopy(after))
+
+        # the command line: target k reads stream seed + 1 + k past its scalar forms
+        built, vectors = battery_members(space, spec, seed, [
+            (target, seed + 1 + k) for k, target in enumerate(self.TARGETS)])
+        assert self.prints(built) == scalars
+        for k, (target, members) in enumerate(zip(self.TARGETS, vectors)):
+            own = np.random.Generator(np.random.Philox(key=seed + 1 + k))
+            self.scalar_forms(space, spec, own)
+            assert self.prints(members) == self.vector_prints(space, spec, target, own)
 
 
 class TestIntegralGap:
@@ -360,7 +430,8 @@ def report_members(fam, report, targets, seed):
     """The members of each verdict of ``report``, rebuilt from the battery
     seed and the names of the oracle's witnesses."""
     candidate = fam.label.reference
-    scalars = _scalar_members(fam.space, BatterySpec(), _battery_stream(seed), ValidationDraws())
+    scalars = generate_battery(fam.space, None, BatterySpec(vector_members=0),
+                               seed=seed).scalar_members
     witnesses = tuple(
         dataclasses.replace(bl_witness_function(fam.measure(int(name[len("bl_witness[n="):-1])),
                                                 candidate), name=name)
@@ -630,6 +701,24 @@ class TestCertify:
         with pytest.raises(CertificateError, match="divergence witness failed recheck"):
             certify(fam, fam.label.reference, probe_battery(CUBE1))
 
+    def test_the_recheck_evaluates_the_witness_member(self, monkeypatch):
+        # two members share a name; the second one decides and must be rechecked
+        rechecked = []
+        member_gap = convergence._member_gap
+
+        def spy(member, mu_n, mu):
+            rechecked.append(member)
+            return member_gap(member, mu_n, mu)
+
+        monkeypatch.setattr(convergence, "_member_gap", spy)
+        fam = scenario("alternating", {"space": CUBE1, "a": (0.1,), "b": (0.9,)})
+        const = ScalarMember("v", Const(0.5), bound=0.5, lip=0.0)
+        tent = ScalarMember("v", Tent((0.1,), 0.5), bound=1.0, lip=2.0)
+        verdict = certify(fam, fam.label.reference, Battery(CUBE1, None, (const, tent), ()))
+        assert verdict.status == Status.DIVERGENT
+        assert (verdict.witness.member, verdict.witness.gap) == ("v", 1.0)
+        assert rechecked == [tent, tent]
+
     def test_inconclusive_constant_offset(self):
         fam = scenario("constant", {"space": CUBE1, "mu": dirac(CUBE1, (0.3,))})
         verdict = certify(fam, dirac(CUBE1, (0.2,)), probe_battery(CUBE1))
@@ -721,29 +810,29 @@ class TestEquivalenceReport:
         assert len(witness_names) == 2
 
     def test_each_distinct_form_is_validated_once(self, monkeypatch):
-        calls, checks = [], []
-        validate = funcs.validate_metadata
-        draw = ValidationDraws._draw
+        calls, draws = [], []
+        validate, draw = funcs.validate_metadata, funcs._draw_validation_samples
 
-        def counted_validate(space, form, **kwargs):
-            calls.append((space, form))
-            return validate(space, form, **kwargs)
+        def counted_validate(space, *forms, **kwargs):
+            calls.append(forms)
+            return validate(space, *forms, **kwargs)
 
-        def counted_draw(self, *args):
-            checks.append(args)  # reached only when the memo misses
-            return draw(self, *args)
+        def counted_draw(*args):
+            draws.append(args)
+            return draw(*args)
 
-        monkeypatch.setattr(funcs, "validate_metadata", counted_validate)
         monkeypatch.setattr(convergence, "validate_metadata", counted_validate)
-        monkeypatch.setattr(ValidationDraws, "_draw", counted_draw)
+        monkeypatch.setattr(funcs, "_draw_validation_samples", counted_draw)
         fam = scenario("dirac_drift", {"space": CUBE2, "s0": [0.2, 0.3], "v": [0.5, 0.1],
                                        "rate": "quadratic"})
         targets = suite_targets()
         equivalence_report(fam, targets, n_terms=16, seed=3)
-        # the scalar battery, then each target's vector coordinates; the
-        # targets' own scalar forms are drawn but never validated
-        assert len(calls) == 10 + sum(3 * t.dim for t in targets)
-        assert len(checks) == len(set(calls)) < len(calls)
+        # one call: the scalar battery, then each target's vector coordinates;
+        # the targets' own scalar forms are drawn but never validated
+        (forms,) = calls
+        assert len(forms) == 10 + sum(3 * t.dim for t in targets)
+        assert len(set(forms)) < len(forms)  # the call checks each distinct form once
+        assert draws == [(CUBE2, 7, 10_000)]
 
     @pytest.mark.parametrize("name", ["split-2d", "cycle3-finite"])
     def test_scalar_verdict_equals_public_certify(self, name):
@@ -752,7 +841,8 @@ class TestEquivalenceReport:
         rep = equivalence_report(fam, suite_targets(), seed=5)
         assert rep.oracle_status == rep.scalar_verdict.status == entry.expected
         # the same members: the scalar battery and the oracle's two witnesses
-        scalars = _scalar_members(fam.space, BatterySpec(), _battery_stream(5), ValidationDraws())
+        scalars = generate_battery(fam.space, None, BatterySpec(vector_members=0),
+                                   seed=5).scalar_members
         witnesses = []
         for member_name in rep.scalar_verdict.member_names[len(scalars):]:
             n = int(member_name[len("bl_witness[n="):-1])

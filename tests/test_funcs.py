@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from weakconv import DomainError
+from weakconv import DomainError, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
-                            Step, Sum, Tent, ValidationDraws, _draw_validation_samples,
+                            Step, Sum, Tent, _draw_validation_samples,
                             form_from_json, validate_metadata, vector_function)
 from weakconv.target import banach_space, omega_space
 
@@ -145,33 +145,43 @@ class LyingLipschitz(Tent):
 
 
 class TestSharedValidationDraws:
-    """Battery builds lend every form the same seeded samples."""
+    """The forms of one ``validate_metadata`` call share one seeded draw."""
 
     # the last form has the same fields as both liars, so a memo keyed by
     # the fields alone would let them through
     HONEST = (Tent((0.3,), 0.5), Clamp(-1, 1, DistTo((0.9,))),
               McShane(((0.2,), (0.8,)), (0.1, -0.4), 1.5), Tent((0.5,), 0.5))
 
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The arguments and result of every ``_draw_validation_samples`` call."""
+        calls = []
+
+        def counted(*args):
+            calls.append((args, draw(*args)))
+            return calls[-1][1]
+
+        draw = funcs._draw_validation_samples
+        monkeypatch.setattr(funcs, "_draw_validation_samples", counted)
+        return calls
+
     @pytest.mark.parametrize("liar", [LyingBound((0.5,), 0.5),
                                       LyingLipschitz((0.5,), 0.5)])
     def test_liar_after_honest_forms_still_caught(self, liar):
-        draws = ValidationDraws()
-        for form in self.HONEST:
-            validate_metadata(CUBE1, form, seed=7, draws=draws)
+        validate_metadata(CUBE1, *self.HONEST, seed=7)
         with pytest.raises(DomainError):
-            validate_metadata(CUBE1, liar, seed=7, draws=draws)
+            validate_metadata(CUBE1, *self.HONEST, liar, seed=7)
 
     @pytest.mark.parametrize("space", [CUBE2, unit_cube(8), PAIR])
-    def test_memoised_samples_equal_a_fresh_draw(self, space):
-        draws = ValidationDraws()
-        validate_metadata(space, Const(0.0), seed=7, draws=draws)
-        pts, qts, dists = draws.get(space, 7, 10_000)
+    def test_memoised_samples_equal_a_fresh_draw(self, space, drawn):
+        validate_metadata(space, Const(0.0), Const(1.0), seed=7)
+        ((args, draw),) = drawn
+        assert args == (space, 7, 10_000)
         rng = np.random.default_rng(7)
-        assert np.array_equal(pts, space.sample_points(rng, 10_000))
-        assert np.array_equal(qts, space.sample_points(rng, 10_000))
-        assert_allclose(dists, [space.distance(space.point_at(p), space.point_at(q))
-                                for p, q in zip(pts, qts)], rtol=0, atol=1e-15)
-        assert draws.get(space, 7, 10_000)[0] is pts  # drawn once, then reused
+        assert np.array_equal(draw.pts, space.sample_points(rng, 10_000))
+        assert np.array_equal(draw.qts, space.sample_points(rng, 10_000))
+        assert_allclose(draw.dists, [space.distance(space.point_at(p), space.point_at(q))
+                                     for p, q in zip(draw.pts, draw.qts)], rtol=0, atol=1e-15)
 
     def test_samples_are_read_only(self):
         class Scribbler(Const):
@@ -180,22 +190,19 @@ class TestSharedValidationDraws:
                 return super().evaluate(space, pts)
 
         with pytest.raises(ValueError):
-            validate_metadata(CUBE1, Scribbler(0.0), seed=7, draws=ValidationDraws())
+            validate_metadata(CUBE1, Const(0.0), Scribbler(0.0), seed=7)
 
     def test_draws_are_not_shared_between_unequal_carriers(self):
         # two 2-point carriers: a liar that passes at distance 1 must still
-        # be caught at distance 0.1 when both share one ValidationDraws
+        # be caught at distance 0.1 by the next call
         class SteepTent(Tent):
             def lipschitz(self, space):
                 return 1.0
 
         near = finite_space(("a", "b"), np.array([[0.0, 0.1], [0.1, 0.0]]))
-        draws = ValidationDraws()
-        validate_metadata(PAIR, SteepTent(0, 0.1), seed=7, draws=draws)
+        validate_metadata(PAIR, SteepTent(0, 0.1), seed=7)
         with pytest.raises(DomainError):
-            validate_metadata(near, SteepTent(0, 0.1), seed=7, draws=draws)
-        twin = finite_space(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert draws.get(twin, 7, 10_000)[0] is draws.get(PAIR, 7, 10_000)[0]
+            validate_metadata(near, SteepTent(0, 0.1), seed=7)
 
     def test_a_passed_form_is_not_checked_again(self):
         evaluated = []
@@ -208,20 +215,27 @@ class TestSharedValidationDraws:
         class Unhashable(Counted):
             __hash__ = None
 
-        draws = ValidationDraws()
-        for _ in range(3):
-            validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7, draws=draws)
+        validate_metadata(CUBE1, *[Counted((0.5,), 0.5)] * 3, seed=7)
         assert len(evaluated) == 2  # one bound and one Lipschitz evaluation
-        validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=8, draws=draws)
-        validate_metadata(CUBE2, Counted((0.5, 0.5), 0.5), seed=7, draws=draws)
+        validate_metadata(CUBE1, Counted((0.5,), 0.5), Counted((0.5,), 0.5), seed=7)
+        assert len(evaluated) == 4  # equal, not identical, forms are checked once too
+        evaluated.clear()
+        validate_metadata(CUBE1, *[Unhashable((0.5,), 0.5)] * 3, seed=7)
         assert len(evaluated) == 6
         evaluated.clear()
-        for _ in range(3):
-            validate_metadata(CUBE1, Unhashable((0.5,), 0.5), seed=7, draws=draws)
-        assert len(evaluated) == 6
-        evaluated.clear()
-        validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7, draws=ValidationDraws())
-        assert len(evaluated) == 2  # a new owner remembers nothing
+        validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7)
+        assert len(evaluated) == 2  # a new call remembers nothing
+
+    def test_one_draw_per_call(self, drawn):
+        target = omega_space(3)
+        forms = (Tent((0.5,) * 8, 0.5), Clamp(-1, 1, DistTo((0.1,) * 8)), Coord(3))
+        vector_function(unit_cube(8), target, forms, validate=True)
+        assert [args for args, _ in drawn] == [(unit_cube(8), 0, 10_000)]
+        validate_metadata(CUBE1, seed=7)
+        assert len(drawn) == 1  # no forms, no draw
+        validate_metadata(CUBE1, *self.HONEST, seed=7)
+        validate_metadata(CUBE2, Tent((0.5, 0.5), 0.5), seed=8)
+        assert [args for args, _ in drawn[1:]] == [(CUBE1, 7, 10_000), (CUBE2, 8, 10_000)]
 
 
 class TestJsonRoundTrip:
@@ -381,8 +395,8 @@ class TestFiniteCarrierRoute:
                     seen.add(None if want is None else want.split()[1])
                     assert outcome(lambda s, f: validate_metadata(s, f, seed=7),
                                    space, form) == want
-                    draws = ValidationDraws()
-                    assert outcome(lambda s, f: validate_metadata(s, f, seed=7, draws=draws),
+                    # and after honest forms that share its draw
+                    assert outcome(lambda s, f: validate_metadata(s, *children, f, seed=7),
                                    space, form) == want
         assert seen == {None, "bound", "Lipschitz"}
 
@@ -396,7 +410,7 @@ class TestFiniteCarrierRoute:
                 seen.append(np.array(pts))
                 return super().evaluate(space, pts)
 
-        validate_metadata(space, Counted(0, 0.5), seed=7, draws=ValidationDraws())
+        validate_metadata(space, Counted(0, 0.5), seed=7)
         assert len(seen) == 1
         rng = np.random.default_rng(7)
         sampled = np.concatenate([space.sample_points(rng, 10_000) for _ in range(2)])
