@@ -17,10 +17,10 @@ One builder, ``battery_members``, draws every member of a battery for
 ``generate_battery``, ``equivalence_report`` and the ``certify`` command.
 The scalar forms come from the Philox stream of the battery seed.  Each
 target's vector members come from the stream of that target's seed,
-resumed past the scalar forms; a target keyed by the battery seed
-restores the state saved after them.  The builder validates every member
-in one ``validate_metadata`` call, which draws the validation samples once
-and checks each distinct form once.
+resumed past the scalar forms, which that stream draws again and drops.
+The builder validates every member in one ``validate_metadata`` call,
+which draws the validation samples once and checks each distinct form
+once.
 
 One private kernel scores the members and applies this rule for
 ``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
@@ -251,23 +251,16 @@ def battery_members(space: CompactSpace, spec: BatterySpec, seed: int,
 
     The scalar forms come from the Philox stream of ``seed``.  A target's
     vector members come from the stream of its own seed, resumed past the
-    scalar forms: a target keyed by ``seed`` restores the state saved after
-    them, and any other stream draws its scalar forms and drops them.  All
-    members are validated in one ``validate_metadata`` call, so the samples
-    are drawn once and each distinct form is checked once.  Returns the
-    scalar members and one tuple of vector members per target.
+    scalar forms: that stream draws its own scalar forms and drops them.
+    All members are validated in one ``validate_metadata`` call, so the
+    samples are drawn once and each distinct form is checked once.  Returns
+    the scalar members and one tuple of vector members per target.
     """
-    stream = np.random.Generator(np.random.Philox(key=seed))
-    named = _draw_scalar_forms(space, stream, spec)
-    after = stream.bit_generator.state
+    named = _draw_scalar_forms(space, np.random.Generator(np.random.Philox(key=seed)), spec)
     functions = []
     for target, target_seed in targets:
-        if target_seed == seed:
-            stream.bit_generator.state = after
-            rng = stream
-        else:
-            rng = np.random.Generator(np.random.Philox(key=target_seed))
-            _draw_scalar_forms(space, rng, spec)
+        rng = np.random.Generator(np.random.Philox(key=target_seed))
+        _draw_scalar_forms(space, rng, spec)
         functions.append(_draw_vector_functions(space, target, spec, rng))
     validate_metadata(space, *(form for _, form in named),
                       *(f for vfs in functions for vf in vfs for f in vf.forms), seed=7)

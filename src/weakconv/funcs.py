@@ -477,7 +477,13 @@ def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0,
     alter what the next one sees.  Forms are frozen values, so a form
     equal to one already checked in the call is skipped; a form that
     cannot be hashed is checked every time.  Nothing is kept across calls.
+    ``seed`` and ``samples`` are keyword-only: a positional argument after
+    ``space`` that is not a ``Form`` raises ``TypeError``.
     """
+    for form in forms:
+        if not isinstance(form, Form):
+            raise TypeError(f"validate_metadata takes forms after the space, not "
+                            f"{type(form).__name__}; pass seed= and samples= by keyword")
     if not forms:
         return
     draw = _draw_validation_samples(space, seed, samples)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 
@@ -12,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weakconv import (CapacityError, CertificateError, DomainError, UnsupportedError,
-                      convergence, funcs)
+                      cli, convergence, funcs)
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, VectorMember, _Prefix, _battery_gaps,
@@ -30,6 +29,8 @@ from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
 
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
+FINITE4 = finite_space(("a", "b", "c", "d"), np.array(
+    [[0.0, 1.0, 2.0, 1.5], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0], [1.5, 2.0, 1.0, 0.0]]))
 
 
 TOTAL_MASS = ScalarMember("total_mass", Const(1.0), bound=1.0, lip=0.0)
@@ -137,7 +138,7 @@ class TestBatteryGeneration:
         (finite_space(("a", "b", "c"), 1.0 - np.eye(3)), omega_space(3), 2),
     ])
     def test_vector_members_helper_matches_generate_battery(self, space, target, seed):
-        # a target built after another one restores the state after the scalar forms
+        # a target built after another one still resumes the stream past the scalar forms
         full = generate_battery(space, target=target, seed=seed).vector_members
         _, (_, alone) = battery_members(space, BatterySpec(), seed,
                                         [(omega_space(2), seed), (target, seed)])
@@ -145,104 +146,55 @@ class TestBatteryGeneration:
         assert [(m.name, m.bounds, m.lips) for m in alone] \
             == [(m.name, m.bounds, m.lips) for m in full]
 
-    @pytest.mark.parametrize("space", [CUBE1, CUBE2, finite_space(("a", "b", "c"),
-                                                                  1.0 - np.eye(3))])
+    @pytest.mark.parametrize("space", [CUBE1, CUBE2, FINITE4, unit_cube(8)])
     def test_resumed_vector_members_equal_a_fresh_draw(self, space):
-        # one stream serves every target in turn, as in a report
-        spec, seed = BatterySpec(), 11
-        _, built = battery_members(space, spec, seed, [(t, seed) for t in suite_targets()])
-        for target, resumed in zip(suite_targets(), built):
+        # a report resumes the battery seed's stream for every target; the command
+        # line gives target k the stream seed + 1 + k, each past its scalar forms
+        for seed in range(5):
+            for route in ("report", "cli"):
+                self.check_fresh_draw(space, seed, route)
+
+    @staticmethod
+    def check_fresh_draw(space, seed, route):
+        spec = BatterySpec()
+        targets = suite_targets() + (target_from_json({"kind": "banach", "dim": 2,
+                                                       "family": "lp:2"}),)
+        if route == "report":
+            keys = [seed] * len(targets)
+            scalars, built = battery_members(space, spec, seed, [(t, seed) for t in targets])
+        else:
+            keys = [seed + 1 + k for k in range(len(targets))]
+            battery = cli._battery_from_doc(space, {}, seed, targets)
+            scalars, n = battery.scalar_members, spec.vector_members
+            built = [battery.vector_members[k * n:(k + 1) * n] for k in range(len(targets))]
+
+        def fresh(key):
             # the fresh draw, spelled out: the scalar forms, then each member's
-            rng = np.random.Generator(np.random.Philox(key=seed))
-            convergence._draw_scalar_forms(space, rng, spec)
-            shapes = ("tent", "mcshane", "dist")
-            fresh = [_lift_through_base(space, target, [
+            rng = np.random.Generator(np.random.Philox(key=key))
+            forms = [(f"{shape}[{i}]", convergence._random_scalar_form(space, rng, spec, shape))
+                     for shape, count in (("tent", spec.tents), ("dist", spec.distances),
+                                          ("mcshane", spec.mcshanes))
+                     for i in range(count)]
+            return forms, rng
+
+        assert [(m.name, m.form.to_json(), m.bound, m.lip) for m in scalars] \
+            == [(name, f.to_json(), f.bound(space), f.lipschitz(space))
+                for name, f in fresh(seed)[0]]
+        shapes = ("tent", "mcshane", "dist")
+        for target, key, resumed in zip(targets, keys, built):
+            rng = fresh(key)[1]
+            drawn = [_lift_through_base(space, target, [
                 convergence._random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
                 for k in range(target.dim)]) for i in range(spec.vector_members)]
-            assert len(resumed) == len(fresh) == spec.vector_members
-            for a, g in zip(resumed, fresh):
-                assert a.function.forms == g.forms
+            assert [(m.name, m.function.to_json(), m.bounds, m.lips) for m in resumed] \
+                == [(f"vec[{i}]", g.to_json(), tuple(g.bounds()), tuple(g.lipschitz_constants()))
+                    for i, g in enumerate(drawn)]
 
     def test_works_on_finite_spaces(self):
         from weakconv.carrier import finite_space
         space = finite_space(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
         batt = generate_battery(space, spec=BatterySpec(vector_members=0), seed=2)
         assert len(batt.scalar_members) == 10
-
-
-FINITE4 = finite_space(("a", "b", "c", "d"), np.array(
-    [[0.0, 1.0, 2.0, 1.5], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0], [1.5, 2.0, 1.0, 0.0]]))
-
-
-class TestStreamRoutes:
-    """The battery builder against the three routes that drew members before it,
-    spelled out here: ``generate_battery``'s one shared stream, the report's
-    copies of the stream resumed after the scalar forms, and the command
-    line's streams ``seed + 1 + k``, each advanced past its own scalar forms."""
-
-    TARGETS = suite_targets() + (target_from_json({"kind": "banach", "dim": 2,
-                                                   "family": "lp:2"}),)
-
-    @staticmethod
-    def scalar_forms(space, spec, rng):
-        return [(f"{shape}[{i}]", convergence._random_scalar_form(space, rng, spec, shape))
-                for shape, count in (("tent", spec.tents), ("dist", spec.distances),
-                                     ("mcshane", spec.mcshanes))
-                for i in range(count)]
-
-    @staticmethod
-    def vector_prints(space, spec, target, rng):
-        shapes = ("tent", "mcshane", "dist")
-        prints = []
-        for i in range(spec.vector_members):
-            vf = _lift_through_base(space, target, [
-                convergence._random_scalar_form(space, rng, spec, shapes[(i + k) % 3])
-                for k in range(target.dim)])
-            prints.append((f"vec[{i}]", vf.to_json(), tuple(vf.bounds()),
-                           tuple(vf.lipschitz_constants())))
-        return prints
-
-    @staticmethod
-    def prints(members):
-        return [(m.name, m.form.to_json(), m.bound, m.lip) if isinstance(m, ScalarMember)
-                else (m.name, m.function.to_json(), m.bounds, m.lips) for m in members]
-
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("space", [CUBE1, CUBE2, unit_cube(8), FINITE4],
-                             ids=["cube1", "cube2", "cube8", "finite4"])
-    def test_members_equal_the_spelled_out_routes(self, space, seed):
-        spec = BatterySpec()
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        scalars = [(name, form.to_json(), form.bound(space), form.lipschitz(space))
-                   for name, form in self.scalar_forms(space, spec, rng)]
-        after = copy.deepcopy(rng)
-
-        # generate_battery: the vector members continue the one stream
-        for target in self.TARGETS:
-            shared = copy.deepcopy(after)
-            battery = generate_battery(space, target, spec, seed=seed)
-            assert self.prints(battery.scalar_members) == scalars
-            assert self.prints(battery.vector_members) \
-                == self.vector_prints(space, spec, target, shared)
-        alone = generate_battery(space, None, BatterySpec(vector_members=0), seed=seed)
-        assert self.prints(alone.scalar_members) == scalars
-
-        # a report: each target resumes a copy of the stream after the scalar forms
-        built, vectors = battery_members(space, spec, seed,
-                                         [(target, seed) for target in self.TARGETS])
-        assert self.prints(built) == scalars
-        for target, members in zip(self.TARGETS, vectors):
-            assert self.prints(members) \
-                == self.vector_prints(space, spec, target, copy.deepcopy(after))
-
-        # the command line: target k reads stream seed + 1 + k past its scalar forms
-        built, vectors = battery_members(space, spec, seed, [
-            (target, seed + 1 + k) for k, target in enumerate(self.TARGETS)])
-        assert self.prints(built) == scalars
-        for k, (target, members) in enumerate(zip(self.TARGETS, vectors)):
-            own = np.random.Generator(np.random.Philox(key=seed + 1 + k))
-            self.scalar_forms(space, spec, own)
-            assert self.prints(members) == self.vector_prints(space, spec, target, own)
 
 
 class TestIntegralGap:

@@ -226,6 +226,11 @@ class TestSharedValidationDraws:
         validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7)
         assert len(evaluated) == 2  # a new call remembers nothing
 
+    def test_a_positional_seed_is_rejected(self, drawn):
+        with pytest.raises(TypeError, match="seed= and samples= by keyword"):
+            validate_metadata(CUBE1, Const(0.0), 5)
+        assert drawn == []
+
     def test_one_draw_per_call(self, drawn):
         target = omega_space(3)
         forms = (Tent((0.5,) * 8, 0.5), Clamp(-1, 1, DistTo((0.1,) * 8)), Coord(3))
