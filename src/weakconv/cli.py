@@ -196,8 +196,12 @@ def cmd_integrate(args) -> int:
     report = integrability_report(g, mu)
     # a bad schedule or a grid past its cap fails here, before any output
     cert = integrate(g, mu, schedule) if report.integrable else None
-    if cert is not None and args.out:
-        _write_out(args.out, cert.to_csv())
+    if args.out:
+        if cert is not None:
+            _write_out(args.out, cert.to_csv())
+        else:
+            print(f"no table written to {args.out}: the function is not integrable",
+                  file=sys.stderr)
     print("# weakconv integrate")
     print(f"integrable = {report.integrable}")
     if cert is None:

@@ -19,8 +19,8 @@ The scalar forms come from the Philox stream of the battery seed.  Each
 target's vector members come from the stream of that target's seed,
 resumed past the scalar forms, which that stream draws again and drops.
 The builder validates every member in one ``validate_metadata`` call,
-which draws the validation samples once and checks each distinct form
-once.
+which checks each distinct form once: on every point and pair of a
+finite carrier, and on one seeded draw on the cube.
 
 One private kernel scores the members and applies this rule for
 ``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
@@ -252,8 +252,8 @@ def battery_members(space: CompactSpace, spec: BatterySpec, seed: int,
     The scalar forms come from the Philox stream of ``seed``.  A target's
     vector members come from the stream of its own seed, resumed past the
     scalar forms: that stream draws its own scalar forms and drops them.
-    All members are validated in one ``validate_metadata`` call, so the
-    samples are drawn once and each distinct form is checked once.  Returns
+    All members are validated in one ``validate_metadata`` call, so each
+    distinct form is checked once, all on the same points.  Returns
     the scalar members and one tuple of vector members per target.
     """
     named = _draw_scalar_forms(space, np.random.Generator(np.random.Philox(key=seed)), spec)
@@ -280,8 +280,9 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
     McShane forms with seeded anchors.  Vector members (when a target
     with a base is supplied) lift fresh scalar forms through the base,
     one coefficient function per base vector, drawn from the same stream
-    after the scalar forms.  All declared metadata is spot-checked by
-    sampling at construction, every form on the same seeded samples.
+    after the scalar forms.  All declared metadata is checked at
+    construction: exhaustively on a finite carrier, and on one set of
+    seeded samples on the cube.
     """
     scalars, (vectors,) = battery_members(space, spec or BatterySpec(), seed, [(target, seed)])
     return Battery(space=space, target=target, scalar_members=scalars, vector_members=vectors)

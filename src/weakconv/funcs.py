@@ -15,13 +15,14 @@ failure paths of the integral construction.
 Vector-valued functions into a target space are tuples of scalar forms,
 one per coordinate of the target.
 
-``validate_metadata`` spot-checks the declared metadata of any number of
-forms on one seeded draw: one draw per call, and one check per distinct
-form in that call.  A battery build validates all its members in one
-call, and so does ``VectorFunction.validate``.  Measured on a 2-vCPU VM,
+``validate_metadata`` checks the declared metadata of any number of
+forms, once per distinct form in a call: exhaustively on a finite
+carrier (every point and every pair), and on one seeded draw of samples
+on the cube.  A battery build validates all its members in one call, and
+so does ``VectorFunction.validate``.  Measured on a 2-vCPU VM,
 validation takes about 43% of the op time of the suite-agreement
-benchmark and 47-50% of cli-mix, but each form already costs about two
-kernel passes over 20,000 points; a prototype that evaluated K forms as
+benchmark and 47-50% of cli-mix, but each cube form already costs about
+two kernel passes over 20,000 points; a prototype that evaluated K forms as
 one K x 10,000 batch ran at 0.5-0.8x this speed, from cache misses.
 """
 
@@ -382,36 +383,32 @@ _METADATA_SLACK = 1.01  # declared constants may be loose, never violated by >1%
 
 
 class _Samples:
-    """One validation draw, laid out for the checks of :func:`validate_metadata`.
+    """The points and pairs of :func:`validate_metadata`, shared by every form of a call.
 
-    ``pts`` and ``qts`` are the two sample sets and ``dists`` the distance
-    of each pair (pts[i], qts[i]).  A form is evaluated on ``points``; on
-    the cube that is ``pts``, and the Lipschitz check evaluates it on
-    ``qts`` too.  On a finite carrier ``points`` holds each sampled point
-    once, sorted; the bound check reads the values at ``bound_rows`` (the
-    points of ``pts``), and the Lipschitz check reads the pairs
-    (``p_rows[i]``, ``q_rows[i]``) of distinct sampled pairs, at distance
-    ``pair_dists[i]``.  ``apart`` masks the pairs far enough apart to bound
-    a Lipschitz ratio; it is None when every pair is.
+    A form is evaluated on ``pts``, and its Lipschitz ratio is checked on
+    pairs at distance ``dists``.  On the cube the pairs are (pts[i],
+    qts[i]), and the check evaluates the form on ``qts`` too.  On a finite
+    carrier ``pts`` is every point, ``qts`` is None, and the pairs are
+    (pts[p_rows[i]], pts[q_rows[i]]).  ``apart`` masks the pairs far
+    enough apart to bound a Lipschitz ratio; it is None when every pair is.
     """
 
-    def __init__(self, pts, qts, dists, points, bound_rows, p_rows, q_rows, pair_dists):
-        self.pts, self.qts, self.dists = pts, qts, dists
-        self.points, self.bound_rows = points, bound_rows
-        self.p_rows, self.q_rows, self.pair_dists = p_rows, q_rows, pair_dists
-        apart = pair_dists > 1e-9
+    def __init__(self, pts, dists, qts=None, p_rows=None, q_rows=None):
+        self.pts, self.dists, self.qts = pts, dists, qts
+        self.p_rows, self.q_rows = p_rows, q_rows
+        apart = dists > 1e-9
         self.apart = None if apart.all() else apart
-        for arr in (pts, qts, dists, points, bound_rows, p_rows, q_rows, pair_dists, apart):
+        for arr in (pts, dists, qts, p_rows, q_rows, apart):
             if arr is not None:
                 arr.setflags(write=False)
-        # scratch of the Lipschitz check, reused by every form on this draw
-        self._diff, self._rhs = np.empty(len(pair_dists)), np.empty(len(pair_dists))
-        self._hit = np.empty(len(pair_dists), dtype=bool)
+        # scratch of the Lipschitz check, reused by every form of the call
+        self._diff, self._rhs = np.empty(len(dists)), np.empty(len(dists))
+        self._hit = np.empty(len(dists), dtype=bool)
 
     def lipschitz_violated(self, left: np.ndarray, right: np.ndarray, lip: float) -> bool:
-        """any(|left - right| > lip * pair_dists * slack + 1e-12) over the pairs apart,
+        """any(|left - right| > lip * dists * slack + 1e-12) over the pairs apart,
         with the operations of that expression in its order."""
-        rhs = np.multiply(lip, self.pair_dists, out=self._rhs)
+        rhs = np.multiply(lip, self.dists, out=self._rhs)
         np.multiply(rhs, _METADATA_SLACK, out=rhs)
         np.add(rhs, 1e-12, out=rhs)
         diff = np.subtract(left, right, out=self._diff)
@@ -423,35 +420,22 @@ class _Samples:
 
 
 def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _Samples:
-    """The two seeded sample sets every form on this carrier is checked on.
+    """The points and pairs every form on this carrier is checked on.
 
-    On the cube the samples are stored column-major, so each coordinate
+    On a finite carrier (at most 64 points) that is every point and every
+    ordered pair farther apart than 1e-9, so nothing is drawn and the
+    check is exact.  On the cube it is two seeded sets of ``samples``
+    points, paired in order and stored column-major, so each coordinate
     column that ``CompactSpace.dist_to`` reads is contiguous, also when it
-    takes the distance of each pair (pts[i], qts[i]).  On a finite
-    carrier (at most 64 points) the distinct sampled points and the
-    distinct pairs are kept as well: a form's values there depend only on
-    the point, so checking each distinct point and pair once decides
-    exactly what checking all samples does.  Pairs too close to bound a
-    Lipschitz ratio are dropped, as the dense check masks them.
+    takes the distance of each pair (pts[i], qts[i]).
     """
+    if space.kind == "finite":
+        p, q = np.nonzero(space.dist_matrix > 1e-9)
+        return _Samples(np.arange(space.n_points), space.dist_to(p, q), p_rows=p, q_rows=q)
     rng = np.random.default_rng(seed)
-    pts = space.sample_points(rng, samples)
-    qts = space.sample_points(rng, samples)
-    if space.kind != "finite":
-        pts, qts = np.asfortranarray(pts), np.asfortranarray(qts)
-        dists = space.dist_to(pts, qts)
-        return _Samples(pts, qts, dists, pts, None, None, None, dists)
-    n = space.n_points
-    dists = space.dist_to(pts, qts)
-    in_pts = np.bincount(pts, minlength=n) > 0
-    points = np.flatnonzero(in_pts | (np.bincount(qts, minlength=n) > 0))
-    row = np.zeros(n, dtype=np.intp)
-    row[points] = np.arange(len(points))
-    p, q = np.divmod(np.flatnonzero(np.bincount(pts * n + qts, minlength=n * n)), n)
-    pair_dists = space.dist_to(p, q)
-    apart = pair_dists > 1e-9
-    return _Samples(pts, qts, dists, points, row[np.flatnonzero(in_pts)],
-                    row[p[apart]], row[q[apart]], pair_dists[apart])
+    pts = np.asfortranarray(space.sample_points(rng, samples))
+    qts = np.asfortranarray(space.sample_points(rng, samples))
+    return _Samples(pts, space.dist_to(pts, qts), qts=qts)
 
 
 def _exceeds(vals: np.ndarray, cap: float) -> bool:
@@ -459,34 +443,34 @@ def _exceeds(vals: np.ndarray, cap: float) -> bool:
     return vals.size > 0 and bool(np.fmax.reduce(vals) > cap or np.fmin.reduce(vals) < -cap)
 
 
-def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0,
-                      samples: int = _VALIDATION_SAMPLES) -> None:
-    """Spot-check the declared (B, L) metadata of ``forms`` by dense sampling.
+def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0) -> None:
+    """Check the declared (B, L) metadata of ``forms`` on the carrier.
 
     The bounds are computed, not fitted, so a failure here means a bug in
     the bound propagation rather than bad luck.  Raises ``DomainError``
-    for the first form that fails.  Every sample of ``pts`` must keep |f|
-    within the bound, and every pair (pts[i], qts[i]) farther apart than
-    1e-9 must keep the Lipschitz ratio, each with 1% slack.  On a finite
-    carrier a form is evaluated once, on the distinct sampled points, and
-    the checks read exactly the distinct points and pairs of the samples,
-    so they pass or fail as a check of every sample would.
+    for the first form that fails.  |f| must stay within the bound at
+    every checked point, and the Lipschitz ratio must hold on every
+    checked pair farther apart than 1e-9, each with 1% slack.  On a finite
+    carrier the check is exhaustive: a form is evaluated once on every
+    point, and every ordered pair is checked.  On the cube it is a spot
+    check on 10,000 + 10,000 samples drawn from ``default_rng(seed)``,
+    paired in order; ``seed`` affects only the cube.
 
-    One call draws the samples once, from ``default_rng(seed)``, and
-    checks every form on them; the arrays are read-only, so a form cannot
-    alter what the next one sees.  Forms are frozen values, so a form
-    equal to one already checked in the call is skipped; a form that
-    cannot be hashed is checked every time.  Nothing is kept across calls.
-    ``seed`` and ``samples`` are keyword-only: a positional argument after
-    ``space`` that is not a ``Form`` raises ``TypeError``.
+    The points of a call are laid out once and shared by every form; the
+    arrays are read-only, so a form cannot alter what the next one sees.
+    Forms are frozen values, so a form equal to one already checked in
+    the call is skipped; a form that cannot be hashed is checked every
+    time.  Nothing is kept across calls.  ``seed`` is keyword-only: a
+    positional argument after ``space`` that is not a ``Form`` raises
+    ``TypeError``.
     """
     for form in forms:
         if not isinstance(form, Form):
             raise TypeError(f"validate_metadata takes forms after the space, not "
-                            f"{type(form).__name__}; pass seed= and samples= by keyword")
+                            f"{type(form).__name__}; pass seed= by keyword")
     if not forms:
         return
-    draw = _draw_validation_samples(space, seed, samples)
+    draw = _draw_validation_samples(space, seed, _VALIDATION_SAMPLES)
     checked: set = set()
     for form in forms:
         try:
@@ -495,14 +479,13 @@ def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0,
             checked.add(form)
         except TypeError:  # an unhashable form is checked every time
             pass
-        vals = form.evaluate(space, draw.points)
+        vals = form.evaluate(space, draw.pts)
         b = form.bound(space)
-        at_pts = vals if draw.bound_rows is None else vals[draw.bound_rows]
-        if _exceeds(at_pts, b * _METADATA_SLACK + 1e-12):
+        if _exceeds(vals, b * _METADATA_SLACK + 1e-12):
             raise DomainError(f"declared bound {b} violated by {form.kind} form")
         lip = form.lipschitz(space)
         if math.isfinite(lip):
-            if draw.p_rows is None:
+            if draw.qts is not None:
                 left, right = vals, form.evaluate(space, draw.qts)
             else:
                 left, right = vals[draw.p_rows], vals[draw.q_rows]

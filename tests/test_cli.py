@@ -162,6 +162,26 @@ class TestIntegrate:
         assert "integrable = False" in out
         assert "offending_atoms = [0]" in out
 
+    def test_out_of_a_non_integrable_function_says_no_table_is_written(self, tmp_path,
+                                                                        capsys):
+        blown = {"kind": "scale", "factor": 1e308,
+                 "child": {"kind": "scale", "factor": 1e308,
+                           "child": {"kind": "const", "value": 1.0}}}
+        path = write(tmp_path, "blow.json", {
+            "space": CUBE1,
+            "measure": measure(([0.5], 1.0)),
+            "function": blown,
+        })
+        code, plain = run(capsys, "integrate", path)
+        out_path = tmp_path / "OUT.csv"
+        out_path.write_text("stale\n")
+        assert main(["integrate", path, "--out", str(out_path)]) == code == 1
+        captured = capsys.readouterr()
+        assert captured.out == plain  # stdout as without --out
+        assert (f"no table written to {out_path}: the function is not integrable"
+                in captured.err.splitlines())
+        assert out_path.read_text() == "stale\n"
+
     def test_vector_function_with_target(self, tmp_path, capsys):
         path = write(tmp_path, "vec.json", {
             "space": CUBE1,

@@ -46,6 +46,33 @@ def wobbling_family():
     return fam, finite_measure(CUBE2, [((0.5, 0.0), 2.0)])
 
 
+SHEARED_TARGET = {"kind": "frechet", "dim": 3, "family": "omega_max",
+                  "base": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, -2.0, 1.0]]}
+
+
+@st.composite
+def planar_carriers(draw):
+    """A finite carrier of 2-64 distinct points of [0, 3]^2, Euclidean."""
+    grid = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                         min_size=2, max_size=64, unique=True))
+    plane = np.array(grid) * 3e-6
+    return finite_space(tuple(range(len(grid))),
+                        np.linalg.norm(plane[:, None] - plane[None], axis=-1))
+
+
+@st.composite
+def battery_specs(draw):
+    """The JSON node of a battery spec, with small counts and valid ranges."""
+    def pair(lo, hi):
+        return sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2)))
+
+    count = st.integers(0, 6)
+    return {"tents": draw(count), "distances": draw(count), "mcshanes": draw(count),
+            "vector_members": draw(st.integers(0, 3)),
+            "mcshane_anchors": draw(st.integers(1, 6)),
+            "tent_radius": pair(1e-3, 10.0), "mcshane_lip": pair(0.0, 100.0)}
+
+
 def constant_family(mu):
     return MeasureFamily(space=mu.space, measure_fn=lambda n: mu, name="const")
 
@@ -119,6 +146,19 @@ class TestBatteryGeneration:
         for m in batt.scalar_members:
             validate_metadata(CUBE1, m.form, seed=11)
             assert m.bound <= 1.0 + 1e-12  # members live in the unit ball
+
+    @given(planar_carriers(), battery_specs(), st.integers(0, 2**64 - 1))
+    @settings(deadline=None)
+    def test_members_on_finite_carriers_pass_the_exhaustive_check(self, space, node, seed):
+        # a member the builder draws is honest, so the exhaustive finite
+        # check must never turn a valid certify or scenario input into exit 64
+        targets = [*suite_targets(), target_from_json(SHEARED_TARGET)]
+        spec = BatterySpec.from_json(node, targets)
+        scalars, vectors = battery_members(space, spec, seed,
+                                           [(t, seed + 1 + k) for k, t in enumerate(targets)])
+        validate_metadata(space, *(m.form for m in scalars),
+                          *(f for members in vectors for m in members for f in m.function.forms),
+                          seed=7)
 
     def test_vector_members_need_a_base(self):
         with pytest.raises(UnsupportedError):

@@ -115,7 +115,7 @@ class TestMetadata:
     def test_validate_metadata_passes_for_library_forms(self):
         for form in (Tent((0.3,), 0.5), Clamp(-1, 1, DistTo((0.9,))),
                      McShane(((0.2,), (0.8,)), (0.1, -0.4), 1.5)):
-            validate_metadata(CUBE1, form, seed=5, samples=2000)
+            validate_metadata(CUBE1, form, seed=5)
 
     def test_validate_metadata_catches_lying_bound(self):
         class Liar(Tent):
@@ -177,6 +177,11 @@ class TestSharedValidationDraws:
         validate_metadata(space, Const(0.0), Const(1.0), seed=7)
         ((args, draw),) = drawn
         assert args == (space, 7, 10_000)
+        if space.kind == "finite":  # every point and every ordered pair; nothing drawn
+            assert np.array_equal(draw.pts, [0, 1]) and draw.qts is None
+            assert np.array_equal(draw.p_rows, [0, 1]) and np.array_equal(draw.q_rows, [1, 0])
+            assert np.array_equal(draw.dists, [1.0, 1.0])
+            return
         rng = np.random.default_rng(7)
         assert np.array_equal(draw.pts, space.sample_points(rng, 10_000))
         assert np.array_equal(draw.qts, space.sample_points(rng, 10_000))
@@ -227,7 +232,7 @@ class TestSharedValidationDraws:
         assert len(evaluated) == 2  # a new call remembers nothing
 
     def test_a_positional_seed_is_rejected(self, drawn):
-        with pytest.raises(TypeError, match="seed= and samples= by keyword"):
+        with pytest.raises(TypeError, match="pass seed= by keyword"):
             validate_metadata(CUBE1, Const(0.0), 5)
         assert drawn == []
 
@@ -311,24 +316,21 @@ class TestVectorFunctions:
         assert forms == g.forms
 
 
-def dense_validate(space, form, seed=7, samples=10_000):
-    """The check as a plain dense route: every form on all 10,000 + 10,000 samples.
+def dense_validate(space, form):
+    """The check as a plain exhaustive route: every point, and every ordered pair.
 
-    The reference the distinct-point route of ``validate_metadata`` must
+    The reference the finite-carrier route of ``validate_metadata`` must
     agree with, pass for pass and message for message.
     """
-    rng = np.random.default_rng(seed)
-    pts = space.sample_points(rng, samples)
-    qts = space.sample_points(rng, samples)
-    dists = space.dist_matrix[pts, qts]
-    vals = form.evaluate(space, pts)
+    vals = form.evaluate(space, np.arange(space.n_points))
     b = form.bound(space)
     if np.any(np.abs(vals) > b * 1.01 + 1e-12):
         raise DomainError(f"declared bound {b} violated by {form.kind} form")
     lip = form.lipschitz(space)
     if math.isfinite(lip):
-        wals = form.evaluate(space, qts)
-        if np.any((np.abs(vals - wals) > lip * dists * 1.01 + 1e-12) & (dists > 1e-9)):
+        dists = space.dist_matrix
+        diffs = np.abs(vals[:, None] - vals[None, :])
+        if np.any((diffs > lip * dists * 1.01 + 1e-12) & (dists > 1e-9)):
             raise DomainError(f"declared Lipschitz constant {lip} violated by {form.kind} form")
 
 
@@ -367,7 +369,7 @@ def outcome(check, space, form):
 
 
 class TestFiniteCarrierRoute:
-    """On a finite carrier each distinct sampled point and pair is checked once."""
+    """On a finite carrier every point and every ordered pair is checked."""
 
     SPACES = {"pair": PAIR,
               "three": finite_space(("a", "b", "c"), np.array([[0.0, 1.0, 2.0],
@@ -381,16 +383,14 @@ class TestFiniteCarrierRoute:
         n = space.n_points
         children = [Tent(0, 0.7), Clamp(-1.0, 1.0, DistTo(n - 1)),
                     McShane((0, n - 1), (0.4, -0.3), 1.3), Scale(-2.0, DistTo(1))]
-        rng = np.random.default_rng(7)
-        pts, qts = space.sample_points(rng, 10_000), space.sample_points(rng, 10_000)
-        dists = space.dist_matrix[pts, qts]
+        dists = space.dist_matrix
         apart = dists > 1e-9
         seen = set()
         for child in children:
-            vals, wals = child.evaluate(space, pts), child.evaluate(space, qts)
+            vals = child.evaluate(space, np.arange(n))
             top = float(np.max(np.abs(vals)))
-            steep = float(np.max(np.abs(vals - wals)[apart] / dists[apart]))
-            # declared constants on both sides of what the samples reveal
+            steep = float(np.max(np.abs(vals[:, None] - vals[None, :])[apart] / dists[apart]))
+            # declared constants on both sides of the true ones
             for b in (0.0, 0.5 * top, (top - 1e-12) / 1.01 * (1 - 1e-12),
                       (top - 1e-12) / 1.01 * (1 + 1e-12), top, 2.0 * top):
                 for lip in (0.0, 0.5 * steep, steep / 1.01 * (1 - 1e-9),
@@ -400,7 +400,7 @@ class TestFiniteCarrierRoute:
                     seen.add(None if want is None else want.split()[1])
                     assert outcome(lambda s, f: validate_metadata(s, f, seed=7),
                                    space, form) == want
-                    # and after honest forms that share its draw
+                    # and after honest forms that share its points
                     assert outcome(lambda s, f: validate_metadata(s, *children, f, seed=7),
                                    space, form) == want
         assert seen == {None, "bound", "Lipschitz"}
@@ -417,9 +417,31 @@ class TestFiniteCarrierRoute:
 
         validate_metadata(space, Counted(0, 0.5), seed=7)
         assert len(seen) == 1
-        rng = np.random.default_rng(7)
-        sampled = np.concatenate([space.sample_points(rng, 10_000) for _ in range(2)])
-        assert np.array_equal(seen[0], np.unique(sampled))
+        assert np.array_equal(seen[0], np.arange(space.n_points))
+
+    def test_each_ordered_pair_is_checked_at_its_own_distance(self):
+        # not a metric: d(a, b) = 1 but d(b, a) = 0.1, so f = 1 at b and 0 at
+        # a has ratio 1 from a to b and 10 from b to a
+        space = finite_space(("a", "b"), np.array([[0.0, 1.0], [0.1, 0.0]]), validate=False)
+        form = Tent(1, 0.5)
+        validate_metadata(space, Declared(form, 1.0, 10.0), seed=7)
+        with pytest.raises(DomainError, match="Lipschitz constant 2.0 violated"):
+            validate_metadata(space, Declared(form, 1.0, 2.0), seed=7)
+
+    def test_a_liar_on_one_pair_of_sixty_four_points_is_caught(self):
+        # d(0, 31) = 1 and every other distance 2: f = 1.5 at point 31 and 0
+        # elsewhere has Lipschitz constant 1.5 on pair (0, 31) and 0.75 on
+        # every other pair.  The 10,000 seed-7 pairs a sampled check would
+        # draw never hold that pair.
+        dist = np.full((64, 64), 2.0)
+        np.fill_diagonal(dist, 0.0)
+        dist[0, 31] = dist[31, 0] = 1.0
+        space = finite_space(tuple(range(64)), dist)
+        form = Scale(1.5, Tent(31, 1.0))
+        assert np.array_equal(np.flatnonzero(form.evaluate(space, np.arange(64))), [31])
+        validate_metadata(space, Declared(form, 1.5, 1.5), seed=7)
+        with pytest.raises(DomainError, match="Lipschitz constant 1.0 violated"):
+            validate_metadata(space, Declared(form, 1.5, 1.0), seed=7)
 
 
 def spiky_space():
