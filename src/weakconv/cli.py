@@ -13,7 +13,10 @@ Exit codes encode the verdict where there is one: 0 for the positive
 outcome (certified / convergent-evidence / selftest pass), 1 for the
 established negative (not certified / divergent / selftest failure), 2
 for inconclusive.  Malformed input and domain violations exit 64,
-capacity overruns 65, internal failures 70.  An ``--out`` file that
+capacity overruns 65, internal failures 70.  A form whose values break
+its declared bound or Lipschitz constant is a domain violation: the
+battery builder checks its members, ``integrate`` checks the function it
+certifies, and ``vector_function`` always checks.  An ``--out`` file that
 cannot be written (a missing directory, a directory, no permission)
 exits 64 with ``cannot write PATH: ...``; the file is written before
 anything is printed, so a failed write leaves standard output empty.  A
@@ -44,7 +47,7 @@ from .carrier import (choice, integer, items, known, need, number, numbers, poin
 from .convergence import (DEFAULT_PREFIX, DEFAULT_TOL, MAX_PREFIX, Battery, BatterySpec,
                           Status, battery_members, certify, equivalence_report)
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
-from .funcs import form_from_json, vector_function
+from .funcs import VectorFunction, form_from_json
 from .integral import integrability_report, integrate
 from .measure import bl_distance, measure_from_json, scenario
 from .suite import AGREEMENT_SEED_OFFSET, bundled_suite, selftest, suite_targets
@@ -186,15 +189,22 @@ def cmd_integrate(args) -> int:
         known(fn_node, ("coords",), "vector function")
         target = target_from_json(need(doc, "target"))
         forms = tuple(form_from_json(c, space) for c in items(fn_node["coords"], "'coords'"))
-        g = vector_function(space, target, forms, validate=False)
+        g = VectorFunction(space=space, target=target, forms=forms)  # integrate checks it
+    elif "target" in doc:
+        raise DomainError("integrate document with a scalar function has no 'target' "
+                          "field; a vector function gives 'coords'")
     else:
         g = form_from_json(fn_node, space)
+    if space.kind == "finite" and "schedule" in doc:
+        raise DomainError("integrate document on a finite carrier has no 'schedule' "
+                          "field; a finite carrier is integrated on its own points")
     schedule = doc.get("schedule")
     if schedule is not None:
         schedule = numbers(schedule, "'schedule'")
 
     report = integrability_report(g, mu)
-    # a bad schedule or a grid past its cap fails here, before any output
+    # a bad schedule, a grid past its cap or broken metadata fails here,
+    # before any output
     cert = integrate(g, mu, schedule) if report.integrable else None
     if args.out:
         if cert is not None:

@@ -18,12 +18,14 @@ one per coordinate of the target.
 ``validate_metadata`` checks the declared metadata of any number of
 forms, once per distinct form in a call: exhaustively on a finite
 carrier (every point and every pair), and on one seeded draw of samples
-on the cube.  A battery build validates all its members in one call, and
-so does ``VectorFunction.validate``.  Measured on a 2-vCPU VM,
-validation takes about 43% of the op time of the suite-agreement
-benchmark and 47-50% of cli-mix, but each cube form already costs about
-two kernel passes over 20,000 points; a prototype that evaluated K forms as
-one K x 10,000 batch ran at 0.5-0.8x this speed, from cache misses.
+on the cube.  The check runs where the constants are read: the battery
+builder checks its members in one call, ``integral.integrate`` checks
+the function it certifies, and ``vector_function`` always checks.
+Measured on a 2-vCPU VM, validation takes about 43% of the op time of
+the suite-agreement benchmark and 47-50% of cli-mix, but each cube form
+already costs about two kernel passes over 20,000 points; a prototype
+that evaluated K forms as one K x 10,000 batch ran at 0.5-0.8x this
+speed, from cache misses.
 """
 
 from __future__ import annotations
@@ -543,9 +545,8 @@ class VectorFunction:
         return {"coords": [f.to_json() for f in self.forms]}
 
 
-def vector_function(space: CompactSpace, target, forms: Sequence[Form],
-                    validate: bool = True) -> VectorFunction:
+def vector_function(space: CompactSpace, target, forms: Sequence[Form]) -> VectorFunction:
+    """A vector function whose coordinate forms' metadata is checked."""
     vf = VectorFunction(space=space, target=target, forms=tuple(forms))
-    if validate:
-        vf.validate()
+    vf.validate()
     return vf

@@ -38,7 +38,7 @@ import numpy as np
 
 from .carrier import CompactSpace, Partition, grid_partition, trivial_partition
 from .errors import DomainError
-from .funcs import Form, VectorFunction, vector_function
+from .funcs import Form, VectorFunction, validate_metadata
 from .measure import FiniteMeasure
 from .target import TargetSpace, banach_space
 
@@ -86,11 +86,14 @@ def approximate_by_simple(g: VectorFunction, partition: Partition,
 
 
 def as_vector_function(g, space: CompactSpace) -> VectorFunction:
-    """Coerce a scalar form into a vector function into the real line."""
+    """Coerce a scalar form into a vector function into the real line.
+
+    The form is not checked here; ``integrate`` checks what it certifies.
+    """
     if isinstance(g, VectorFunction):
         return g
     if isinstance(g, Form):
-        return vector_function(space, banach_space(1, p=1), (g,), validate=False)
+        return VectorFunction(space=space, target=banach_space(1, p=1), forms=(g,))
     raise DomainError(f"not an integrable function: {g!r}")
 
 
@@ -160,6 +163,14 @@ def integrate(g: VectorFunction, mu: FiniteMeasure,
     for the means, with r = h_final * max(1, sqrt(d) / 2), which covers a
     cell's half-diagonal).  Non-finite function values at an atom
     are a domain error; use ``integrability_report`` to classify them.
+
+    The tolerances are built from the declared Lipschitz constants, so
+    the forms' metadata is checked first (``validate_metadata``): a
+    violated bound or constant is a ``DomainError``.  The check runs
+    where the constants are read: the battery builder checks its
+    members, ``integrate`` checks the function it certifies, and
+    ``vector_function`` always checks.  A schedule is read on the cube
+    only; a finite carrier is integrated on its own points.
     """
     g = as_vector_function(g, mu.space)
     space = g.space
@@ -171,6 +182,7 @@ def integrate(g: VectorFunction, mu: FiniteMeasure,
     exact = g.evaluate(mu.points)
     if not np.all(np.isfinite(exact)):
         raise DomainError("g takes a non-finite value at an atom")
+    validate_metadata(space, *g.forms)
 
     # discontinuous forms carry an infinite constant; the construction still
     # runs, but an infinite envelope certifies nothing, so the tolerance

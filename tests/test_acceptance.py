@@ -17,7 +17,7 @@ from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (Battery, BatterySpec, ScalarMember, Status,
                                   certify, generate_battery)
 from weakconv.funcs import (Clamp, DistTo, McShane, Scale, Tent,
-                            VectorFunction, vector_function)
+                            VectorFunction)
 from weakconv.integral import (as_vector_function, atomic_oracle,
                                continuity_integrability_harness, integrate,
                                integrability_report)
@@ -86,7 +86,7 @@ def seeded_function(space, rng, target, style):
     if style < 3:
         return form(style)
     coords = tuple(form(k % 3) for k in range(target.dim))
-    return vector_function(space, target, coords, validate=False)
+    return VectorFunction(space=space, target=target, forms=coords)
 
 
 # ---------------------------------------------------------------------------

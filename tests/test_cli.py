@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from weakconv import convergence
+from weakconv import convergence, funcs
 from weakconv import measure as measure_module
 from weakconv.cli import main
 from weakconv.measure import bl_distance
@@ -180,6 +180,22 @@ class TestIntegrate:
         assert captured.out == plain  # stdout as without --out
         assert (f"no table written to {out_path}: the function is not integrable"
                 in captured.err.splitlines())
+        assert out_path.read_text() == "stale\n"
+
+    def test_an_under_declared_lipschitz_constant_exits_64(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(funcs.Tent, "lipschitz", lambda self, space: 0.5 / self.radius)
+        path = write(tmp_path, "int.json", {
+            "space": CUBE1,
+            "measure": measure(([0.25], 0.5), ([0.75], 0.5)),
+            "function": {"kind": "tent", "point": [0.5], "radius": 0.5},
+        })
+        out_path = tmp_path / "cert.csv"
+        out_path.write_text("stale\n")
+        assert main(["integrate", path, "--out", str(out_path)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: declared Lipschitz constant 1.0 violated by tent form" in captured.err
         assert out_path.read_text() == "stale\n"
 
     def test_vector_function_with_target(self, tmp_path, capsys):

@@ -152,6 +152,16 @@ class TestBatteryGeneration:
     def test_members_on_finite_carriers_pass_the_exhaustive_check(self, space, node, seed):
         # a member the builder draws is honest, so the exhaustive finite
         # check must never turn a valid certify or scenario input into exit 64
+        self.check_members(space, node, seed)
+
+    @given(st.sampled_from([CUBE1, CUBE2, unit_cube(8)]), battery_specs(),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_members_on_cubes_pass_the_sampled_check(self, space, node, seed):
+        self.check_members(space, node, seed)
+
+    @staticmethod
+    def check_members(space, node, seed):
         targets = [*suite_targets(), target_from_json(SHEARED_TARGET)]
         spec = BatterySpec.from_json(node, targets)
         scalars, vectors = battery_members(space, spec, seed,

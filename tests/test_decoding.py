@@ -195,6 +195,13 @@ INTEGRATE_CASES = [
      64, "function node 'coord' has no 'axes' field"),
     ("vector function key 'coord'", with_(VECTOR, function={**VECTOR["function"], "coord": []}),
      64, "vector function has no 'coord' field"),
+    # ignored, and exited 0
+    ("schedule on a finite carrier",
+     {"space": PAIR, "measure": atoms((0, 1.0)),
+      "function": {"kind": "tent", "point": 1, "radius": 2.0}, "schedule": [0.5, 0.9]},
+     64, "integrate document on a finite carrier has no 'schedule' field"),
+    ("target beside a scalar function", with_(INTEGRATE, target=5), 64,
+     "integrate document with a scalar function has no 'target' field"),
 ]
 
 

@@ -11,9 +11,11 @@ from numpy.testing import assert_allclose
 from weakconv import DomainError, funcs
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
-                            Step, Sum, Tent, _draw_validation_samples,
+                            Step, Sum, Tent, VectorFunction, _draw_validation_samples,
                             form_from_json, validate_metadata, vector_function)
 from weakconv.target import banach_space, omega_space
+
+from test_convergence import planar_carriers
 
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
@@ -239,7 +241,7 @@ class TestSharedValidationDraws:
     def test_one_draw_per_call(self, drawn):
         target = omega_space(3)
         forms = (Tent((0.5,) * 8, 0.5), Clamp(-1, 1, DistTo((0.1,) * 8)), Coord(3))
-        vector_function(unit_cube(8), target, forms, validate=True)
+        vector_function(unit_cube(8), target, forms)
         assert [args for args, _ in drawn] == [(unit_cube(8), 0, 10_000)]
         validate_metadata(CUBE1, seed=7)
         assert len(drawn) == 1  # no forms, no draw
@@ -283,6 +285,69 @@ class TestJsonRoundTrip:
     def test_bad_nodes_rejected(self, node):
         with pytest.raises(DomainError):
             form_from_json(node, CUBE1)
+
+
+@st.composite
+def form_trees(draw, space):
+    """The JSON node of a random form tree on ``space``, from the whole
+    vocabulary (coordinates and steps on the cube only)."""
+    cube = space.kind == "cube"
+    point = (st.lists(st.floats(0.0, 1.0), min_size=space.dim, max_size=space.dim) if cube
+             else st.integers(0, space.n_points - 1))
+    value = st.floats(-10.0, 10.0)
+
+    def mcshane(pairs, lip):
+        return {"kind": "mcshane", "anchors": [a for a, _ in pairs],
+                "values": [v for _, v in pairs], "lip": lip}
+
+    leaves = [st.builds(lambda v: {"kind": "const", "value": v}, value),
+              st.builds(lambda p: {"kind": "dist", "point": p}, point),
+              st.builds(lambda p, r: {"kind": "tent", "point": p, "radius": r},
+                        point, st.floats(1e-3, 10.0)),
+              st.builds(mcshane, st.lists(st.tuples(point, value), min_size=1, max_size=4),
+                        st.floats(0.0, 100.0))]
+    if cube:
+        axis = st.integers(0, space.dim - 1)
+        leaves += [st.builds(lambda a: {"kind": "coord", "axis": a}, axis),
+                   st.builds(lambda a, t: {"kind": "step", "axis": a, "threshold": t},
+                             axis, st.floats(0.0, 1.0))]
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda lo_hi, c: {"kind": "clamp", "lo": min(lo_hi), "hi": max(lo_hi),
+                                        "child": c}, st.tuples(value, value), children),
+            st.builds(lambda cs: {"kind": "sum", "children": cs},
+                      st.lists(children, min_size=1, max_size=3)),
+            st.builds(lambda f, c: {"kind": "scale", "factor": f, "child": c}, value, children))
+
+    return draw(st.recursive(st.one_of(leaves), extend, max_leaves=8))
+
+
+@st.composite
+def carriers_and_trees(draw):
+    """A carrier (the 1-, 2- or 8-cube, or a planar finite carrier) and 1-3 form trees on it."""
+    space = draw(st.one_of(st.sampled_from([CUBE1, CUBE2, unit_cube(8)]), planar_carriers()))
+    return space, draw(st.lists(form_trees(space), min_size=1, max_size=3))
+
+
+def subtrees(form):
+    """``form`` and every form below it."""
+    kids = (form.children if isinstance(form, Sum)
+            else (form.child,) if isinstance(form, (Clamp, Scale)) else ())
+    return [form, *(sub for kid in kids for sub in subtrees(kid))]
+
+
+class TestValidDocuments:
+    @given(carriers_and_trees(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_every_form_tree_passes_the_check(self, case, seed):
+        # declared metadata is computed, never fitted, so no valid document
+        # can fail the check that integrate and the battery builder run;
+        # every subtree is checked too, so a leaf's rule cannot hide under
+        # a clamp or a sum
+        space, nodes = case
+        forms = [sub for n in nodes for sub in subtrees(form_from_json(n, space))]
+        validate_metadata(space, *forms, seed=seed)
 
 
 class TestVectorFunctions:
@@ -504,7 +569,7 @@ class TestInPlaceKernels:
                 return super().evaluate(space, pts)
 
         form = Counted((0.5,), 0.5)
-        g = vector_function(CUBE1, omega_space(4), (form,) * 4, validate=False)
+        g = VectorFunction(space=CUBE1, target=omega_space(4), forms=(form,) * 4)
         pts = CUBE1.points_array([(0.1,), (0.5,), (0.9,)])
         vals = g.evaluate(pts)
         assert len(calls) == 1

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from weakconv import DomainError
 from weakconv.carrier import finite_space, grid_partition, unit_cube
 from weakconv.funcs import (Clamp, Coord, Const, DistTo, Scale, Step, Sum,
-                            Tent, vector_function)
+                            Tent, VectorFunction, vector_function)
 from weakconv.integral import (SimpleFunction, approximate_by_simple,
                                as_vector_function, atomic_oracle,
                                continuity_integrability_harness, integrate,
@@ -19,13 +19,15 @@ from weakconv.integral import (SimpleFunction, approximate_by_simple,
 from weakconv.measure import dirac, finite_measure
 from weakconv.target import banach_space, omega_space
 
+from test_funcs import Declared
+
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
 LINE = banach_space(1, p=1)
 
 
 def scalar(form, space=CUBE1):
-    return vector_function(space, LINE, (form,), validate=False)
+    return VectorFunction(space=space, target=LINE, forms=(form,))
 
 
 class TestSimpleFunctions:
@@ -87,8 +89,8 @@ class TestOccupiedCells:
         # flat C-order index of the atom's cell
         d, m, pts, weights, anchor = case
         space = unit_cube(d)
-        g = vector_function(space, omega_space(3),
-                            (Tent(anchor, 0.7), DistTo(anchor), Coord(d - 1)), validate=False)
+        g = VectorFunction(space=space, target=omega_space(3),
+                           forms=(Tent(anchor, 0.7), DistTo(anchor), Coord(d - 1)))
         mu = finite_measure(space, list(zip(pts, weights)))
         part = grid_partition(space, 1.0 / m)
         assert part.cells_per_axis == m
@@ -233,6 +235,45 @@ class TestRefiningSchedule:
         assert len(cert.rows[-1].mean_gaps) == target.family.depth
         for gap, tol in zip(cert.rows[-1].mean_gaps, cert.mean_tolerances):
             assert gap <= tol
+
+
+class TestMetadataCheck:
+    """integrate checks the declared metadata its tolerances are built from."""
+
+    TENT = Tent((0.5,), 0.5)  # bound 1, Lipschitz 2
+    MU = finite_measure(CUBE1, [((0.25,), 0.5), ((0.75,), 0.5)])
+
+    def test_an_under_declared_lipschitz_constant_raises(self):
+        assert integrate(scalar(Declared(self.TENT, 1.0, 2.0)), self.MU).certified
+        liar = Declared(self.TENT, 1.0, 1.0)
+        for g in (scalar(liar), liar,
+                  VectorFunction(space=CUBE1, target=omega_space(2), forms=(self.TENT, liar))):
+            with pytest.raises(DomainError, match="Lipschitz constant 1.0 violated"):
+                integrate(g, self.MU)
+
+    def test_an_under_declared_bound_raises(self):
+        with pytest.raises(DomainError, match="declared bound 0.5 violated"):
+            integrate(scalar(Declared(self.TENT, 0.5, 2.0)), self.MU)
+
+    def test_a_liar_on_a_finite_carrier_raises(self):
+        space = finite_space(("a", "b"), np.array([[0.0, 0.4], [0.4, 0.0]]))
+        mu = finite_measure(space, [(0, 0.25), (1, 0.75)])
+        assert integrate(scalar(Declared(DistTo(0), 0.4, 1.0), space), mu).certified
+        with pytest.raises(DomainError, match="Lipschitz constant 0.5 violated"):
+            integrate(scalar(Declared(DistTo(0), 0.4, 0.5), space), mu)
+
+    def test_carrier_and_non_finite_checks_come_first(self):
+        liar = Declared(self.TENT, 1.0, 1.0)
+        with pytest.raises(DomainError, match="different carriers"):
+            integrate(scalar(liar), dirac(CUBE2, (0.5, 0.5)))
+        blown = Declared(Scale(1e300, Scale(1e300, self.TENT)), 1.0, 1.0)
+        with pytest.raises(DomainError, match="non-finite value"):
+            integrate(scalar(blown), dirac(CUBE1, (0.5,)))
+
+    def test_the_report_and_the_oracle_read_no_metadata(self):
+        liar = scalar(Declared(self.TENT, 0.5, 1.0))
+        assert integrability_report(liar, self.MU).integrable
+        assert_allclose(atomic_oracle(liar, self.MU), [0.5])
 
 
 class TestIntegrability:
