@@ -21,11 +21,13 @@ carrier (every point and every pair), and on one seeded draw of samples
 on the cube.  The check runs where the constants are read: the battery
 builder checks its members in one call, ``integral.integrate`` checks
 the function it certifies, and ``vector_function`` always checks.
-Measured on a 2-vCPU VM, validation takes about 43% of the op time of
-the suite-agreement benchmark and 47-50% of cli-mix, but each cube form
+Measured on a 2-vCPU VM, validation takes about 45% of the op time of
+the suite-agreement benchmark and of cli-mix, but each cube form
 already costs about two kernel passes over 20,000 points; a prototype
 that evaluated K forms as one K x 10,000 batch ran at 0.5-0.8x this
-speed, from cache misses.
+speed, from cache misses.  The kernels are plain numpy expressions:
+in-place variants, and buffers reused by the Lipschitz check, gave the
+same bits 5-7% slower.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,13 +72,6 @@ class Form(ABC):
     def __call__(self, space: CompactSpace, point: Point) -> float:
         pts = space.points_array([point])
         return float(self.evaluate(space, pts)[0])
-
-
-def _scratch(values) -> Optional[np.ndarray]:
-    """``values`` if a ufunc may write its float64 result into it, else None."""
-    if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.writeable:
-        return values
-    return None
 
 
 @dataclass(frozen=True)
@@ -158,12 +153,7 @@ class Tent(Form):
             raise DomainError("tent radius must be positive")
 
     def evaluate(self, space, pts):
-        # max(0, 1 - d / r), in place on the fresh distance array
-        d = space.dist_to(pts, self.center)
-        out = _scratch(d)
-        d = np.true_divide(d, self.radius, out=out)
-        d = np.subtract(1.0, d, out=out)
-        return np.maximum(0.0, d, out=out)
+        return np.maximum(0.0, 1.0 - space.dist_to(pts, self.center) / self.radius)
 
     def bound(self, space):
         return 1.0
@@ -196,14 +186,10 @@ class McShane(Form):
             raise DomainError("mcshane Lipschitz constant must be nonnegative")
 
     def evaluate(self, space, pts):
-        # min over anchors of value + lip * d, each column built in place
         out = None
         for value, anchor in zip(self.values, self.anchors):
-            col = space.dist_to(pts, anchor)
-            buf = _scratch(col)
-            col = np.multiply(self.lip, col, out=buf)
-            col = np.add(value, col, out=buf)
-            out = col if out is None else np.minimum(out, col, out=_scratch(out))
+            col = value + self.lip * space.dist_to(pts, anchor)
+            out = col if out is None else np.minimum(out, col)
         return out
 
     def bound(self, space):
@@ -236,8 +222,7 @@ class Clamp(Form):
         return self.child.continuous
 
     def evaluate(self, space, pts):
-        vals = self.child.evaluate(space, pts)
-        return np.clip(vals, self.lo, self.hi, out=_scratch(vals))
+        return np.clip(self.child.evaluate(space, pts), self.lo, self.hi)
 
     def bound(self, space):
         return max(abs(self.lo), abs(self.hi))
@@ -289,8 +274,9 @@ class Scale(Form):
         return self.child.continuous
 
     def evaluate(self, space, pts):
-        # overflow to inf is intentional behaviour for the negative tests
-        with np.errstate(over="ignore"):
+        # overflow to inf and 0 * inf = NaN are values, not faults: the
+        # integrability and metadata checks report them
+        with np.errstate(over="ignore", invalid="ignore"):
             return self.factor * self.child.evaluate(space, pts)
 
     def bound(self, space):
@@ -403,22 +389,14 @@ class _Samples:
         for arr in (pts, dists, qts, p_rows, q_rows, apart):
             if arr is not None:
                 arr.setflags(write=False)
-        # scratch of the Lipschitz check, reused by every form of the call
-        self._diff, self._rhs = np.empty(len(dists)), np.empty(len(dists))
-        self._hit = np.empty(len(dists), dtype=bool)
 
     def lipschitz_violated(self, left: np.ndarray, right: np.ndarray, lip: float) -> bool:
-        """any(|left - right| > lip * dists * slack + 1e-12) over the pairs apart,
-        with the operations of that expression in its order."""
-        rhs = np.multiply(lip, self.dists, out=self._rhs)
-        np.multiply(rhs, _METADATA_SLACK, out=rhs)
-        np.add(rhs, 1e-12, out=rhs)
-        diff = np.subtract(left, right, out=self._diff)
-        np.abs(diff, out=diff)
-        hit = np.greater(diff, rhs, out=self._hit)
+        """Whether |left - right| <= lip * dists * slack + 1e-12 fails on a pair
+        apart; a NaN difference fails it."""
+        ok = np.abs(left - right) <= lip * self.dists * _METADATA_SLACK + 1e-12
         if self.apart is not None:
-            hit &= self.apart
-        return bool(hit.any())
+            ok |= ~self.apart
+        return not ok.all()
 
 
 def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _Samples:
@@ -441,8 +419,10 @@ def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _S
 
 
 def _exceeds(vals: np.ndarray, cap: float) -> bool:
-    """any(|vals| > cap), read off the extremes; NaN values count for neither."""
-    return vals.size > 0 and bool(np.fmax.reduce(vals) > cap or np.fmin.reduce(vals) < -cap)
+    """Whether |vals| <= cap fails somewhere, read off the extremes; a NaN
+    value (or a NaN cap) fails it."""
+    return vals.size > 0 and not (np.maximum.reduce(vals) <= cap
+                                  and -cap <= np.minimum.reduce(vals))
 
 
 def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0) -> None:
@@ -452,9 +432,10 @@ def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0) -> None:
     the bound propagation rather than bad luck.  Raises ``DomainError``
     for the first form that fails.  |f| must stay within the bound at
     every checked point, and the Lipschitz ratio must hold on every
-    checked pair farther apart than 1e-9, each with 1% slack.  On a finite
-    carrier the check is exhaustive: a form is evaluated once on every
-    point, and every ordered pair is checked.  On the cube it is a spot
+    checked pair farther apart than 1e-9, each with 1% slack.  A NaN value
+    breaks the bound, and a NaN difference any finite Lipschitz constant.
+    On a finite carrier the check is exhaustive: a form is evaluated once
+    on every point, and every ordered pair is checked.  On the cube it is a spot
     check on 10,000 + 10,000 samples drawn from ``default_rng(seed)``,
     paired in order; ``seed`` affects only the cube.
 
@@ -538,9 +519,6 @@ class VectorFunction:
     def at_point(self, point: Point) -> np.ndarray:
         return self.evaluate(self.space.points_array([point]))[0]
 
-    def validate(self, seed: int = 0) -> None:
-        validate_metadata(self.space, *self.forms, seed=seed)
-
     def to_json(self) -> dict:
         return {"coords": [f.to_json() for f in self.forms]}
 
@@ -548,5 +526,5 @@ class VectorFunction:
 def vector_function(space: CompactSpace, target, forms: Sequence[Form]) -> VectorFunction:
     """A vector function whose coordinate forms' metadata is checked."""
     vf = VectorFunction(space=space, target=target, forms=tuple(forms))
-    vf.validate()
+    validate_metadata(space, *vf.forms)
     return vf

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,9 +89,11 @@ class FiniteMeasure:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
-        return float(self.weights.sum())
+        # weights that are each finite may sum to inf: callers report that
+        with np.errstate(over="ignore"):
+            return float(self.weights.sum())
 
     @property
     def is_probability(self) -> bool:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,19 @@ from weakconv.measure import bl_distance
 CUBE1 = {"kind": "cube", "dim": 1}
 CUBE2 = {"kind": "cube", "dim": 2}
 PAIR = {"kind": "finite", "labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+# 0 * (1e300 * (1e300 * tent)): the declared bound is 0 * inf = NaN, and
+# the values are NaN wherever the tent is positive; the atom sits outside it
+ZERO_SCALE = {
+    "space": CUBE1,
+    "measure": {"atoms": [{"point": [0.9], "weight": 1.0}]},
+    "function": {"kind": "scale", "factor": 0.0,
+                 "child": {"kind": "scale", "factor": 1e300,
+                           "child": {"kind": "scale", "factor": 1e300,
+                                     "child": {"kind": "tent", "point": [0.5],
+                                               "radius": 0.1}}}},
+}
 
 
 def run(capsys, *argv):
@@ -110,6 +124,27 @@ class TestBL:
         assert main(["bl", path]) == 64
         err = capsys.readouterr().err
         assert message in err and "internal error" not in err
+
+
+class TestNoRuntimeWarnings:
+    """Documents the decoders accept print their error, not a numpy warning."""
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("bl", {"space": CUBE1, "mu": measure(([0.1], 1e308), ([0.9], 1e308)),
+                "nu": measure(([0.5], 1.0))},
+         "error: the two total masses must have a finite sum"),
+        ("integrate", ZERO_SCALE, "error: declared bound nan violated by scale form"),
+    ], ids=["mass-overflow", "nan-bound"])
+    def test_exit_64_with_no_warning(self, tmp_path, capsys, command, doc, message):
+        path = write(tmp_path, "doc.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, path]) == 64
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err.splitlines()
+        assert "Warning" not in captured.err
 
 
 class TestImportCost:

@@ -389,13 +389,13 @@ def dense_validate(space, form):
     """
     vals = form.evaluate(space, np.arange(space.n_points))
     b = form.bound(space)
-    if np.any(np.abs(vals) > b * 1.01 + 1e-12):
+    if not np.all(np.abs(vals) <= b * 1.01 + 1e-12):
         raise DomainError(f"declared bound {b} violated by {form.kind} form")
     lip = form.lipschitz(space)
     if math.isfinite(lip):
         dists = space.dist_matrix
         diffs = np.abs(vals[:, None] - vals[None, :])
-        if np.any((diffs > lip * dists * 1.01 + 1e-12) & (dists > 1e-9)):
+        if np.any(~(diffs <= lip * dists * 1.01 + 1e-12) & (dists > 1e-9)):
             raise DomainError(f"declared Lipschitz constant {lip} violated by {form.kind} form")
 
 
@@ -509,6 +509,56 @@ class TestFiniteCarrierRoute:
             validate_metadata(space, Declared(form, 1.5, 1.0), seed=7)
 
 
+class Pattern(Form):
+    """The values ``pattern`` repeated over the points, in order."""
+
+    kind = "pattern"
+
+    def __init__(self, *pattern):
+        self.pattern = np.array(pattern)
+
+    def evaluate(self, space, pts):
+        return np.resize(self.pattern, len(pts))
+
+    def bound(self, space):
+        return math.inf
+
+    def lipschitz(self, space):
+        return math.inf
+
+    def to_json(self):
+        return {}
+
+
+class TestNaNAndThresholds:
+    """A NaN breaks every finite declared constant; a value on a threshold meets it."""
+
+    @pytest.mark.parametrize("space", [CUBE2, PAIR], ids=["cube2", "pair"])
+    @pytest.mark.parametrize("pattern", [(math.nan,), (0.0, math.nan)], ids=["nan", "half-nan"])
+    def test_a_nan_value_breaks_the_declared_bound(self, space, pattern):
+        with pytest.raises(DomainError, match="declared bound 1.0 violated"):
+            validate_metadata(space, Declared(Pattern(*pattern), 1.0, 2.0), seed=7)
+
+    @pytest.mark.parametrize("space", [CUBE2, PAIR], ids=["cube2", "pair"])
+    def test_a_nan_difference_breaks_a_finite_lipschitz_constant(self, space):
+        # inf - inf is NaN on every pair, while the declared bound inf holds
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DomainError, match="declared Lipschitz constant 1.0 violated"):
+            validate_metadata(space, Declared(Pattern(math.inf), math.inf, 1.0), seed=7)
+        validate_metadata(space, Declared(Pattern(math.inf), math.inf, math.inf), seed=7)
+
+    def test_values_on_the_thresholds_pass(self):
+        # f(a) = 1 * 1.01 + 1e-12 is the cap of the bound B = 1, and
+        # |f(a) - f(b)| the cap of the Lipschitz constant L = 1 at d(a, b) = 1
+        top = 1.0 * 1.0 * 1.01 + 1e-12
+        validate_metadata(PAIR, Declared(Pattern(top, 0.0), 1.0, 1.0), seed=7)
+        above = float(np.nextafter(top, 2.0))
+        with pytest.raises(DomainError, match="declared bound 1.0 violated"):
+            validate_metadata(PAIR, Declared(Pattern(above, 0.0), 1.0, math.inf), seed=7)
+        with pytest.raises(DomainError, match="declared Lipschitz constant 1.0 violated"):
+            validate_metadata(PAIR, Declared(Pattern(above, 0.0), 2.0, 1.0), seed=7)
+
+
 def spiky_space():
     """A 'carrier' whose distances to point 0 are the awkward floats."""
     col = np.array([0.0, -0.0, np.nan, np.inf, 1e308, 5e-324, 0.3])
@@ -518,7 +568,7 @@ def spiky_space():
 
 
 class TestInPlaceKernels:
-    """The in-place kernels equal their old expressions, on ±0, NaN and overflow."""
+    """The kernels equal their reference expressions, on ±0, NaN and overflow."""
 
     SPACE = spiky_space()
     PTS = np.arange(7)
