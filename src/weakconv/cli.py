@@ -13,20 +13,20 @@ Exit codes encode the verdict where there is one: 0 for the positive
 outcome (certified / convergent-evidence / selftest pass), 1 for the
 established negative (not certified / divergent / selftest failure), 2
 for inconclusive.  Malformed input and domain violations exit 64,
-capacity overruns 65, internal failures 70.  A form whose values break
-its declared bound or Lipschitz constant is a domain violation: the
-battery builder checks its members, ``integrate`` checks the function it
-certifies, and ``vector_function`` always checks.  An ``--out`` file that
-cannot be written (a missing directory, a directory, no permission)
-exits 64 with ``cannot write PATH: ...``; the file is written before
-anything is printed, so a failed write leaves standard output empty.  A
-computed answer that fails its own certificate check (a
-``CertificateError``: a BL plan and witness that do not check, or a
-divergence witness that a fresh per-term evaluation does not reproduce)
-exits 3, with no verdict printed.  A reader that closes standard output
-early (``weakconv bl FILE --witness | head``) ends the command with exit
-141, 128 + SIGPIPE, as a shell reports a process that SIGPIPE stopped;
-the rest of the output is discarded.
+capacity overruns 65, internal failures 70.  A form read from a document
+whose values break its declared bound or Lipschitz constant is a domain
+violation: ``integrate`` checks the function it certifies.  An ``--out``
+file that cannot be written (a missing directory, a directory, no
+permission) exits 64 with ``cannot write PATH: ...``; the file is
+written before anything is printed, so a failed write leaves standard
+output empty.  A computed answer that fails its own certificate check (a
+``CertificateError``: a BL plan and witness that do not check, a
+divergence witness that a fresh per-term evaluation does not reproduce,
+or a battery member whose window gap exceeds max(B, L) times the BL
+distance) exits 3, with no verdict printed.  A reader that closes
+standard output early (``weakconv bl FILE --witness | head``) ends the
+command with exit 141, 128 + SIGPIPE, as a shell reports a process that
+SIGPIPE stopped; the rest of the output is discarded.
 
 Standard output is byte-deterministic for a fixed input and flag set;
 the wall-clock note goes to standard error.

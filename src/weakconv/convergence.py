@@ -18,9 +18,8 @@ One builder, ``battery_members``, draws every member of a battery for
 The scalar forms come from the Philox stream of the battery seed.  Each
 target's vector members come from the stream of that target's seed,
 resumed past the scalar forms, which that stream draws again and drops.
-The builder validates every member in one ``validate_metadata`` call,
-which checks each distinct form once: on every point and pair of a
-finite carrier, and on one seeded draw on the cube.
+The builder does not check the members' declared constants: the verdict
+does, where it reads them.
 
 One private kernel scores the members and applies this rule for
 ``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
@@ -33,6 +32,11 @@ are therefore calibrated through the same gap functional, evaluated on
 the constant vector (tol, ..., tol).  On Banach targets this is just the
 norm of that vector; monotonicity of the built-in families makes the
 calibration order-faithful.
+
+A member with |f| <= B and Lipschitz constant L has a gap of at most
+max(B, L) times the BL distance.  The verdict checks every window gap
+against that cap and raises ``CertificateError`` for a gap above it;
+the terms before the window are not checked.
 
 Each prefix is inspected once per distinct term.  Terms are keyed by
 their canonical atoms (carrier, point shape and dtype, point and weight
@@ -87,8 +91,7 @@ import numpy as np
 
 from .carrier import CompactSpace, integer, numbers
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
-from .funcs import (Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, VectorFunction,
-                    validate_metadata)
+from .funcs import Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, VectorFunction
 from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
                       bl_distance, check_bl_inputs)
 from .target import TargetSpace, gap_value
@@ -99,8 +102,9 @@ DEFAULT_TOL = 0.05
 # Caps on the counts a JSON document sets, from measured cost (2-vCPU VM, Python
 # 3.11): certify on an 8-atom empirical law in the 8-cube takes 0.6 s at 4096 terms
 # (2.3 s at 16384); with one battery count at 1024, 0.3-1.3 s (2.9 s at 10000 tents).
-# Drawing and validating McShane forms costs about 0.35 ms per anchor on the 8-cube,
-# so the products of counts are capped too.  A 16-term certify on the 8-cube took
+# Drawing and validating McShane forms cost about 0.35 ms per anchor on the 8-cube
+# (measured when the builder validated its members), so the products of counts are
+# capped too.  A 16-term certify on the 8-cube took
 # 23 s at mcshanes = mcshane_anchors = 256 and 4.0 s at 64 vector members of a
 # dim-64 target; at a product of 4096 it takes 1.7-1.8 s (mcshanes 16 x 256 anchors,
 # 1024 x 4) and 0.8-2.7 s per target (vector_members x dim x mcshane_anchors:
@@ -110,6 +114,9 @@ MAX_PREFIX = 4096
 MAX_BATTERY_COUNT = 1024
 MAX_BATTERY_PRODUCT = 4096
 _WITNESS_RECHECK_TOL = 1e-9
+# a solved BL value is within _BL_CERT_TOL * max(1, mu_n(X), mu(X)) of the
+# exact distance: the tolerance of the oracle's certificate
+_BL_CERT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +259,9 @@ def battery_members(space: CompactSpace, spec: BatterySpec, seed: int,
     The scalar forms come from the Philox stream of ``seed``.  A target's
     vector members come from the stream of its own seed, resumed past the
     scalar forms: that stream draws its own scalar forms and drops them.
-    All members are validated in one ``validate_metadata`` call, so each
-    distinct form is checked once, all on the same points.  Returns
-    the scalar members and one tuple of vector members per target.
+    The declared constants are not checked here; the verdict checks them
+    against the oracle.  Returns the scalar members and one tuple of
+    vector members per target.
     """
     named = _draw_scalar_forms(space, np.random.Generator(np.random.Philox(key=seed)), spec)
     functions = []
@@ -262,8 +269,6 @@ def battery_members(space: CompactSpace, spec: BatterySpec, seed: int,
         rng = np.random.Generator(np.random.Philox(key=target_seed))
         _draw_scalar_forms(space, rng, spec)
         functions.append(_draw_vector_functions(space, target, spec, rng))
-    validate_metadata(space, *(form for _, form in named),
-                      *(f for vfs in functions for vf in vfs for f in vf.forms), seed=7)
     scalars = tuple(ScalarMember(name=name, form=form, bound=form.bound(space),
                                  lip=form.lipschitz(space)) for name, form in named)
     vectors = [tuple(VectorMember(name=f"vec[{i}]", function=vf, bounds=tuple(vf.bounds()),
@@ -280,9 +285,8 @@ def generate_battery(space: CompactSpace, target: Optional[TargetSpace] = None,
     McShane forms with seeded anchors.  Vector members (when a target
     with a base is supplied) lift fresh scalar forms through the base,
     one coefficient function per base vector, drawn from the same stream
-    after the scalar forms.  All declared metadata is checked at
-    construction: exhaustively on a finite carrier, and on one set of
-    seeded samples on the cube.
+    after the scalar forms.  The members' declared constants are checked
+    by each verdict that scores them, against max(B, L) * BL.
     """
     scalars, (vectors,) = battery_members(space, spec or BatterySpec(), seed, [(target, seed)])
     return Battery(space=space, target=target, scalar_members=scalars, vector_members=vectors)
@@ -423,6 +427,44 @@ def _member_thresholds(members: Sequence, tol: float) -> tuple:
         else:
             out.append((tol, 10.0 * tol))
     return tuple(out)
+
+
+def _domination_caps(members: Sequence, prefix: _Prefix, ts: np.ndarray) -> np.ndarray:
+    """Each member's cap on its gap at the distinct terms ``ts``: one row a member.
+
+    f / max(B, L) lies in the oracle's unit ball, so a scalar gap is at most
+    c * BL_n with c = max(B, L) (Dudley, Real Analysis and Probability,
+    11.3).  The cap is c * (BL_n + eps_n + (a + 2) * 2^-52 * (mu_n(X) +
+    mu(X))) for a atoms in all: eps_n is the certificate's tolerance, and
+    the last term bounds the rounding of two dot products of magnitude at
+    most c * mass and their difference.  A vector member's cap is its
+    target's gap functional on the coordinate caps, one call per target.
+    That is valid as each built-in functional is monotone in each |x_j|:
+    lp:1, lp:2 and lp:inf are a sum, a root of a sum of squares and a
+    maximum of the |x_j|; an omega_max level is a maximum and a
+    cumulative_l1 level a sum of leading |x_j|, and the paranorm adds
+    increasing t / (1 + t) of the levels.  An infinite or NaN cap passes any
+    gap.
+    """
+    limit = prefix.limit
+    terms = [prefix.distinct[t] for t in ts]
+    mass = np.array([mu.total_mass for mu in terms])
+    atoms = np.array([mu.n_atoms for mu in terms]) + limit.n_atoms
+    scale = (np.array([res.value for res in prefix.bl(ts.tolist())])
+             + _BL_CERT_TOL * np.maximum(1.0, np.maximum(mass, limit.total_mass))
+             + (atoms + 2) * 2.0 ** -52 * (mass + limit.total_mass))
+    caps = np.empty((len(members), len(terms)))
+    stacks: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, m in enumerate(members):
+            if isinstance(m, VectorMember):
+                stacks.setdefault(id(m.function.target), (m.function.target, []))[1].append(k)
+            else:
+                caps[k] = np.maximum(m.bound, m.lip) * scale
+        for target, ks in stacks.values():
+            c = np.array([np.maximum(members[k].bounds, members[k].lips) for k in ks])
+            caps[ks] = gap_value(target, c[:, None] * scale[:, None])
+    return caps
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +616,13 @@ def _verdict(prefix: _Prefix, window_start: int, members: Sequence, tol: float) 
     thresholds = _member_thresholds(members, tol)
     status, witness, k = _window_rule(names, window_gaps, thresholds, window_start)
     results, oracle = _window_oracle(prefix, window_start, tol)
+    caps = _domination_caps(members, prefix, window)
+    over = np.argwhere(gaps > caps)
+    if len(over):
+        j, i = over[0]
+        n = window_start + int(np.argmax(at == i))
+        raise CertificateError(f"member {names[j]} breaks gap <= max(B, L) * BL at n={n}: "
+                               f"{float(gaps[j, i])!r} > {float(caps[j, i])!r}")
     if witness is not None:
         # the witness must be reproducible from scratch, not an artefact
         # of the batched sweep above, so it is recomputed by the per-term route
@@ -651,8 +700,9 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     largest-gap indices of the tail window, extended by McShane and, for
     vector verdicts, lifted through each target's base.  Augmentation
     cannot flip a convergent verdict (a unit-ball member's gap is at most
-    the oracle value) but guarantees the batteries can see any divergence
-    the oracle sees.
+    the oracle value, which each verdict checks) but guarantees the
+    batteries can see any divergence the oracle sees.  A lift declares
+    its own constants, which a sheared base scales.
     """
     if family.label.kind == "unknown":
         raise DomainError("equivalence reports need a labeled scenario")
@@ -685,12 +735,12 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
 
     vector_verdicts = []
     for (target, _), members in zip(keyed, vectors):
-        lifted = tuple(
-            VectorMember(name=f"{m.name}:lift",
-                         function=_lift_through_base(family.space, target,
-                                                     [m.form] * target.dim),
-                         bounds=(m.bound,) * target.dim, lips=(m.lip,) * target.dim)
-            for m in witness_members)
+        lifts = [_lift_through_base(family.space, target, [m.form] * target.dim)
+                 for m in witness_members]
+        lifted = tuple(VectorMember(name=f"{m.name}:lift", function=vf,
+                                    bounds=tuple(vf.bounds()),
+                                    lips=tuple(vf.lipschitz_constants()))
+                       for m, vf in zip(witness_members, lifts))
         verdict = _verdict(prefix, window_start, members + lifted, tol)
         vector_verdicts.append((target.family.name, verdict))
 

@@ -18,16 +18,16 @@ one per coordinate of the target.
 ``validate_metadata`` checks the declared metadata of any number of
 forms, once per distinct form in a call: exhaustively on a finite
 carrier (every point and every pair), and on one seeded draw of samples
-on the cube.  The check runs where the constants are read: the battery
-builder checks its members in one call, ``integral.integrate`` checks
-the function it certifies, and ``vector_function`` always checks.
-Measured on a 2-vCPU VM, validation takes about 45% of the op time of
-the suite-agreement benchmark and of cli-mix, but each cube form
-already costs about two kernel passes over 20,000 points; a prototype
-that evaluated K forms as one K x 10,000 batch ran at 0.5-0.8x this
-speed, from cache misses.  The kernels are plain numpy expressions:
-in-place variants, and buffers reused by the Lipschitz check, gave the
-same bits 5-7% slower.
+on the cube.  It checks forms that come from outside the program:
+``integral.integrate`` checks the function it certifies, and
+``vector_function`` always checks.  Battery members are not checked
+here: a certification verdict checks each of their window gaps against
+max(B, L) times the BL distance, which fails loudly (``convergence``).
+Each cube form costs about two kernel passes over 20,000 points; a
+prototype that evaluated K forms as one K x 10,000 batch ran at
+0.5-0.8x this speed, from cache misses.  The kernels are plain numpy
+expressions: in-place variants, and buffers reused by the Lipschitz
+check, gave the same bits 5-7% slower.
 """
 
 from __future__ import annotations
@@ -187,9 +187,11 @@ class McShane(Form):
 
     def evaluate(self, space, pts):
         out = None
-        for value, anchor in zip(self.values, self.anchors):
-            col = value + self.lip * space.dist_to(pts, anchor)
-            out = col if out is None else np.minimum(out, col)
+        # lip * distance past the float range is inf, a value the checks report
+        with np.errstate(over="ignore"):
+            for value, anchor in zip(self.values, self.anchors):
+                col = value + self.lip * space.dist_to(pts, anchor)
+                out = col if out is None else np.minimum(out, col)
         return out
 
     def bound(self, space):
@@ -392,8 +394,9 @@ class _Samples:
 
     def lipschitz_violated(self, left: np.ndarray, right: np.ndarray, lip: float) -> bool:
         """Whether |left - right| <= lip * dists * slack + 1e-12 fails on a pair
-        apart; a NaN difference fails it."""
-        ok = np.abs(left - right) <= lip * self.dists * _METADATA_SLACK + 1e-12
+        apart; a NaN difference fails it, as inf - inf does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.abs(left - right) <= lip * self.dists * _METADATA_SLACK + 1e-12
         if self.apart is not None:
             ok |= ~self.apart
         return not ok.all()

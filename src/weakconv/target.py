@@ -305,7 +305,8 @@ def target_from_json(node: dict) -> TargetSpace:
                 for row in items(base, "bad target spec: 'base'")]
     fam = _FAMILY_BUILDERS[family](dim)
     base = _resolve_base(dim, base)
-    kind_expected = "banach" if fam.depth == 1 else "frechet"
+    # as the builders do: an lp norm is banach, the other families frechet at every dim
+    kind_expected = "banach" if family.startswith("lp:") else "frechet"
     if kind != kind_expected:
         raise DomainError(f"family {family!r} implies kind {kind_expected!r}")
     return TargetSpace(kind=kind, dim=dim, family=fam, base=base)

@@ -33,6 +33,14 @@ ZERO_SCALE = {
 }
 
 
+# lip * distance overflows to inf away from the anchor, and inf - inf is NaN
+MCSHANE_OVERFLOW = {
+    "space": {"kind": "cube", "dim": 8},
+    "measure": {"atoms": [{"point": [0.5] * 8, "weight": 1.0}]},
+    "function": {"kind": "mcshane", "anchors": [[0.0] * 8], "values": [0.0], "lip": 1e308},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -134,7 +142,9 @@ class TestNoRuntimeWarnings:
                 "nu": measure(([0.5], 1.0))},
          "error: the two total masses must have a finite sum"),
         ("integrate", ZERO_SCALE, "error: declared bound nan violated by scale form"),
-    ], ids=["mass-overflow", "nan-bound"])
+        ("integrate", MCSHANE_OVERFLOW,
+         "error: declared Lipschitz constant 1e+308 violated by mcshane form"),
+    ], ids=["mass-overflow", "nan-bound", "mcshane-overflow"])
     def test_exit_64_with_no_warning(self, tmp_path, capsys, command, doc, message):
         path = write(tmp_path, "doc.json", doc)
         with warnings.catch_warnings(record=True) as caught:
@@ -461,6 +471,17 @@ class TestCertificateFailure:
             "sequence": {"kind": "alternating", "params": {"a": [0.0], "b": [1.0]}},
         })
         self.check(capsys, ["certify", path], "divergence witness failed recheck")
+
+    def test_certify_with_a_halved_tent_lipschitz_constant(self, tmp_path, capsys, monkeypatch):
+        # the verdict checks each window gap against max(B, L) * BL_n, so a
+        # tent that declares half its Lipschitz constant is caught there
+        lipschitz = funcs.Tent.lipschitz
+        monkeypatch.setattr(funcs.Tent, "lipschitz", lambda self, space: lipschitz(self, space) / 2)
+        path = write(tmp_path, "drift.json", {
+            "space": CUBE1,
+            "sequence": {"kind": "dirac_drift", "params": {"s0": [0.2], "v": [0.5]}},
+        })
+        self.check(capsys, ["certify", path], "member tent[0] breaks gap <= max(B, L) * BL at n=")
 
 
 class TestUnwritableOut:

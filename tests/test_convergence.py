@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -784,6 +787,63 @@ class TestNormalizingPath:
                                                   rel=1e-12)
 
 
+class TestBLDomination:
+    """A window gap above max(B, L) * BL_n is a CertificateError."""
+
+    DRIFT = scenario("dirac_drift", {"space": CUBE1, "s0": [0.2], "v": [0.5]})
+
+    def certify_drift(self, *members):
+        battery = Battery(CUBE1, None, tuple(m for m in members if isinstance(m, ScalarMember)),
+                          tuple(m for m in members if isinstance(m, VectorMember)))
+        return certify(self.DRIFT, self.DRIFT.label.reference, battery)
+
+    def test_a_halved_scalar_lipschitz_constant_is_caught(self):
+        # a tent of radius 0.1 on the limit's atom has L = 10: its gap is
+        # 10 * BL_n on the window, twice the cap of a declared L = 5
+        tent = Tent((0.2,), 0.1)
+        self.certify_drift(ScalarMember("tent", tent, bound=1.0, lip=10.0))
+        with pytest.raises(CertificateError, match=r"member tent breaks gap <= max\(B, L\) "
+                                                   r"\* BL at n=49: "):
+            self.certify_drift(ScalarMember("tent", tent, bound=1.0, lip=5.0))
+
+    @pytest.mark.parametrize("target", [banach_space(2, p=2), omega_space(2),
+                                        cumulative_l1_space(2)], ids=lambda t: t.family.name)
+    def test_a_halved_coordinate_lipschitz_constant_is_caught(self, target):
+        vf = vector_function(CUBE1, target, (Const(0.5), Tent((0.2,), 0.1)))
+        self.certify_drift(VectorMember("vec", vf, bounds=(0.5, 1.0), lips=(0.0, 10.0)))
+        with pytest.raises(CertificateError, match="member vec breaks"):
+            self.certify_drift(VectorMember("vec", vf, bounds=(0.5, 1.0), lips=(0.0, 5.0)))
+
+    def test_the_check_reads_the_window_only(self):
+        # term 2 sits at 0.45, on the peak of a tent that is flat on the
+        # window: the declared L = 0.1 breaks there (gap 1 > BL_2 = 0.25)
+        # but on no window term, which is all the verdict reads
+        verdict = self.certify_drift(ScalarMember("tent", Tent((0.45,), 0.1), bound=1.0,
+                                                  lip=0.1))
+        assert verdict.gaps[0][1] == 1.0 > verdict.bl_values[1] == 0.25
+        assert set(verdict.window_gaps[0]) == {0.0}
+
+    def test_infinite_and_nan_caps_pass_without_a_warning(self):
+        vf = vector_function(CUBE1, omega_space(2), (Tent((0.2,), 0.1), Const(0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.certify_drift(ScalarMember("huge", Tent((0.2,), 0.1), bound=1e300, lip=1e300),
+                               ScalarMember("nan", Tent((0.2,), 0.1), bound=1.0, lip=math.nan),
+                               VectorMember("inf", vf, bounds=(1.0, 0.0),
+                                            lips=(math.inf, 0.0)))
+
+    def test_normalized_masses_meet_the_cap_of_total_mass(self):
+        # f = 1 attains BL between equal-point Diracs of different masses,
+        # so total_mass (c = 1) sits on its cap at every term
+        def masses(n):
+            return finite_measure(CUBE1, [((0.5,), 1.0 + 1.0 / n)])
+
+        fam = MeasureFamily(space=CUBE1, measure_fn=masses, name="settling")
+        verdict = certify(fam, finite_measure(CUBE1, [((0.5,), 3.0)]), probe_battery(CUBE1),
+                          n_terms=16, normalize_inputs=True)
+        assert verdict.gaps[1] == pytest.approx(verdict.bl_values, rel=1e-15)
+
+
 class TestEquivalenceReport:
     def test_convergent_scenario_agrees(self):
         fam = scenario("dirac_drift", {"space": CUBE1, "s0": [0.2], "v": [0.5],
@@ -811,30 +871,40 @@ class TestEquivalenceReport:
                          if name.startswith("bl_witness[n=")]
         assert len(witness_names) == 2
 
-    def test_each_distinct_form_is_validated_once(self, monkeypatch):
-        calls, draws = [], []
-        validate, draw = funcs.validate_metadata, funcs._draw_validation_samples
-
-        def counted_validate(space, *forms, **kwargs):
-            calls.append(forms)
-            return validate(space, *forms, **kwargs)
-
-        def counted_draw(*args):
-            draws.append(args)
-            return draw(*args)
-
-        monkeypatch.setattr(convergence, "validate_metadata", counted_validate)
-        monkeypatch.setattr(funcs, "_draw_validation_samples", counted_draw)
-        fam = scenario("dirac_drift", {"space": CUBE2, "s0": [0.2, 0.3], "v": [0.5, 0.1],
+    @pytest.mark.parametrize("dim,digest", [
+        (2, "aac8ec4e41a858c60c29f684042cea45720d0b0d820dab819898030c0d2ea370"),
+        (8, "901d4389a258e7a84d266543fe7899928babc527ee4da5e08acc8a0252844377")],
+        ids=["cube2", "cube8"])
+    def test_battery_build_makes_no_metadata_check(self, monkeypatch, dim, digest):
+        # the verdict checks the members' constants against the oracle, so
+        # the builder draws the same members as when it validated them, and
+        # checks none of them
+        calls = []
+        monkeypatch.setattr(funcs, "validate_metadata", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(funcs, "_draw_validation_samples", lambda *a: calls.append(a))
+        space, targets = unit_cube(dim), suite_targets()
+        fam = scenario("dirac_drift", {"space": space, "s0": [0.2] * dim, "v": [0.5] * dim,
                                        "rate": "quadratic"})
-        targets = suite_targets()
         equivalence_report(fam, targets, n_terms=16, seed=3)
-        # one call: the scalar battery, then each target's vector coordinates;
-        # the targets' own scalar forms are drawn but never validated
-        (forms,) = calls
-        assert len(forms) == 10 + sum(3 * t.dim for t in targets)
-        assert len(set(forms)) < len(forms)  # the call checks each distinct form once
-        assert draws == [(CUBE2, 7, 10_000)]
+        scalars, vectors = battery_members(space, BatterySpec(), 3,
+                                           [(t, 4 + k) for k, t in enumerate(targets)])
+        assert calls == []
+        doc = [[m.name, m.form.to_json(), m.bound, m.lip] for m in scalars] + [
+            [m.name, m.function.to_json(), list(m.bounds), list(m.lips)]
+            for members in vectors for m in members]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+
+    def test_lifted_witnesses_declare_the_constants_of_the_lift(self):
+        # through a sheared base the lift of a unit-ball witness is no longer
+        # in the unit ball: its coordinates are 2f, 3f and f
+        target = target_from_json(SHEARED_TARGET)
+        fam = scenario("alternating", {"space": CUBE1, "a": (0.0,), "b": (1.0,)})
+        rep = equivalence_report(fam, (target,), n_terms=16, seed=3)
+        assert rep.agreement
+        lifts = [m for m in rep.vector_verdicts[0][1]._members if m.name.endswith(":lift")]
+        assert len(lifts) == 2
+        for m in lifts:
+            assert m.bounds == m.lips == (2.0, 3.0, 1.0)
 
     @pytest.mark.parametrize("name", ["split-2d", "cycle3-finite"])
     def test_scalar_verdict_equals_public_certify(self, name):

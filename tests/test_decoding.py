@@ -149,6 +149,12 @@ SEQUENCE_CASES = [
      "target spec has no 'famly' field"),
     ("cube space key 'dims'", with_(CERTIFY, space={**CUBE1, "dims": 2}), 64,
      "cube space has no 'dims' field"),
+    # a dim-1 omega_max target: its own to_json() was refused, and the banach
+    # kind it asked for scored gaps by the norm
+    ("dim-1 frechet omega_max", with_(CERTIFY, sequence=ALTERNATING,
+                                      targets=[{**TARGET, "dim": 1}]), 1, ""),
+    ("dim-1 banach omega_max", with_(CERTIFY, targets=[{**TARGET, "dim": 1, "kind": "banach"}]),
+     64, "family 'omega_max' implies kind 'frechet'"),
     # capped
     ("n 2**70", with_(CERTIFY, run={"n": 2 ** 70}), 65, f"'n' is capped at {MAX_PREFIX}"),
     ("tents 10**9", with_(CERTIFY, battery={"tents": 10 ** 9}), 65,

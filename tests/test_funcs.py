@@ -10,9 +10,11 @@ from numpy.testing import assert_allclose
 
 from weakconv import DomainError, funcs
 from weakconv.carrier import finite_space, unit_cube
+from weakconv.convergence import ScalarMember, _battery_gaps, _domination_caps, _Prefix
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
                             Step, Sum, Tent, VectorFunction, _draw_validation_samples,
                             form_from_json, validate_metadata, vector_function)
+from weakconv.measure import finite_measure
 from weakconv.target import banach_space, omega_space
 
 from test_convergence import planar_carriers
@@ -348,6 +350,48 @@ class TestValidDocuments:
         space, nodes = case
         forms = [sub for n in nodes for sub in subtrees(form_from_json(n, space))]
         validate_metadata(space, *forms, seed=seed)
+
+
+@st.composite
+def measure_pairs(draw, space):
+    """Two measures of 1-4 atoms on ``space``, of weights in [0.01, 2], so
+    their masses may differ; the second moves some of the first's atoms a
+    little, where a Lipschitz bound is tight."""
+    if space.kind == "cube":
+        point = st.lists(st.floats(0.0, 1.0), min_size=space.dim, max_size=space.dim)
+    else:
+        point = st.integers(0, space.n_points - 1)
+    weight = st.floats(0.01, 2.0)
+    mu = draw(st.lists(st.tuples(point, weight), min_size=1, max_size=4))
+    nu = draw(st.lists(st.tuples(point, weight), min_size=0, max_size=3))
+    for p, _ in mu[:draw(st.integers(0, len(mu)))]:
+        if space.kind == "cube":
+            step = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=space.dim,
+                                 max_size=space.dim))
+            p = [min(1.0, max(0.0, x + dx)) for x, dx in zip(p, step)]
+        nu.append((p, draw(weight)))
+    if not nu:
+        nu.append(draw(st.tuples(point, weight)))
+    return tuple(finite_measure(space, [(tuple(p) if space.kind == "cube" else p, w)
+                                        for p, w in atoms]) for atoms in (mu, nu))
+
+
+class TestBLDomination:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_form_tree_is_dominated_by_the_oracle(self, data):
+        # |integral f d mu - integral f d nu| <= max(B, L) * BL(mu, nu), up to
+        # the certificate's tolerance and the float bound, for every subtree
+        # of a valid document: the cap the verdict checks every window gap by
+        space, nodes = data.draw(carriers_and_trees())
+        mu, nu = data.draw(measure_pairs(space))
+        forms = [sub for n in nodes for sub in subtrees(form_from_json(n, space))]
+        members = [ScalarMember(f"f{i}", f, bound=f.bound(space), lip=f.lipschitz(space))
+                   for i, f in enumerate(forms)]
+        prefix, ts = _Prefix([mu], nu), np.array([0])
+        gaps = _battery_gaps(members, prefix, nu, ts)
+        caps = _domination_caps(members, prefix, ts)
+        assert not (gaps > caps).any(), (gaps.ravel(), caps.ravel())
 
 
 class TestVectorFunctions:

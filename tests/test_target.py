@@ -254,9 +254,29 @@ class TestTargetJson:
         assert again.dim == space.dim
         assert again.family.name == space.family.name
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("build", [
+        lambda d: banach_space(d, p=1), lambda d: banach_space(d, p=2),
+        lambda d: banach_space(d, p=np.inf), omega_space, cumulative_l1_space],
+        ids=["lp:1", "lp:2", "lp:inf", "omega_max", "cumulative_l1"])
+    def test_every_builtin_family_round_trips(self, build, dim):
+        # a one-level omega_max or cumulative_l1 family is still frechet,
+        # scored by the paranorm, as its builder made it
+        space = build(dim)
+        again = target_from_json(space.to_json())
+        assert again.to_json() == space.to_json()
+        x = np.linspace(0.5, -1.5, dim)
+        assert gap_value(again, x) == gap_value(space, x)
+
     def test_family_implies_kind(self):
         with pytest.raises(DomainError):
             target_from_json({"kind": "banach", "dim": 4, "family": "omega_max"})
+
+    @pytest.mark.parametrize("family,kind", [("omega_max", "banach"),
+                                             ("cumulative_l1", "banach"), ("lp:2", "frechet")])
+    def test_family_implies_kind_at_dim_1(self, family, kind):
+        with pytest.raises(DomainError, match=f"family '{family}' implies kind"):
+            target_from_json({"kind": kind, "dim": 1, "family": family})
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
