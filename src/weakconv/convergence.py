@@ -102,14 +102,14 @@ DEFAULT_TOL = 0.05
 # Caps on the counts a JSON document sets, from measured cost (2-vCPU VM, Python
 # 3.11): certify on an 8-atom empirical law in the 8-cube takes 0.6 s at 4096 terms
 # (2.3 s at 16384); with one battery count at 1024, 0.3-1.3 s (2.9 s at 10000 tents).
-# Drawing and validating McShane forms cost about 0.35 ms per anchor on the 8-cube
-# (measured when the builder validated its members), so the products of counts are
-# capped too.  A 16-term certify on the 8-cube took
-# 23 s at mcshanes = mcshane_anchors = 256 and 4.0 s at 64 vector members of a
-# dim-64 target; at a product of 4096 it takes 1.7-1.8 s (mcshanes 16 x 256 anchors,
-# 1024 x 4) and 0.8-2.7 s per target (vector_members x dim x mcshane_anchors:
-# 16 x 1 x 256, 64 x 64 x 1, 1024 x 4 x 1, 4 x 256 x 4).  The default spec stays
-# within the cap on every target up to MAX_TARGET_DIM (3 x 256 x 3 = 2304).
+# The products of counts set the size of the McShane forms, so they are capped too.
+# The cap dates from when the builder validated its members (a 16-term certify on the
+# 8-cube then took 23 s at mcshanes = mcshane_anchors = 256, and up to 2.7 s at a
+# product of 4096).  Without that check the same certify at a product of 4096 takes
+# 0.04-0.19 s of wall clock (mcshanes 16 x 256 anchors, 1024 x 4; vector_members x
+# dim x mcshane_anchors: 16 x 1 x 256, 64 x 64 x 1, 1024 x 4 x 1, 4 x 256 x 4), so
+# the cap is loose.  The default spec stays within the cap on every target up to
+# MAX_TARGET_DIM (3 x 256 x 3 = 2304).
 MAX_PREFIX = 4096
 MAX_BATTERY_COUNT = 1024
 MAX_BATTERY_PRODUCT = 4096

@@ -15,19 +15,15 @@ failure paths of the integral construction.
 Vector-valued functions into a target space are tuples of scalar forms,
 one per coordinate of the target.
 
-``validate_metadata`` checks the declared metadata of any number of
-forms, once per distinct form in a call: exhaustively on a finite
-carrier (every point and every pair), and on one seeded draw of samples
-on the cube.  It checks forms that come from outside the program:
-``integral.integrate`` checks the function it certifies, and
-``vector_function`` always checks.  Battery members are not checked
-here: a certification verdict checks each of their window gaps against
-max(B, L) times the BL distance, which fails loudly (``convergence``).
-Each cube form costs about two kernel passes over 20,000 points; a
-prototype that evaluated K forms as one K x 10,000 batch ran at
-0.5-0.8x this speed, from cache misses.  The kernels are plain numpy
-expressions: in-place variants, and buffers reused by the Lipschitz
-check, gave the same bits 5-7% slower.
+``validate_metadata`` checks the declared metadata of forms, one form
+at a time: exhaustively on a finite carrier (every point and every
+pair), and on one seeded draw of samples on the cube.  It checks forms
+that come from outside the program: ``integral.integrate`` checks the
+function it certifies, and ``vector_function`` always checks.  Battery
+members are not checked here: a certification verdict checks each of
+their window gaps against max(B, L) times the BL distance, which fails
+loudly (``convergence``).  The kernels are plain numpy expressions;
+README lists the batched and in-place variants that were slower.
 """
 
 from __future__ import annotations
@@ -372,55 +368,6 @@ _VALIDATION_SAMPLES = 10_000
 _METADATA_SLACK = 1.01  # declared constants may be loose, never violated by >1%
 
 
-class _Samples:
-    """The points and pairs of :func:`validate_metadata`, shared by every form of a call.
-
-    A form is evaluated on ``pts``, and its Lipschitz ratio is checked on
-    pairs at distance ``dists``.  On the cube the pairs are (pts[i],
-    qts[i]), and the check evaluates the form on ``qts`` too.  On a finite
-    carrier ``pts`` is every point, ``qts`` is None, and the pairs are
-    (pts[p_rows[i]], pts[q_rows[i]]).  ``apart`` masks the pairs far
-    enough apart to bound a Lipschitz ratio; it is None when every pair is.
-    """
-
-    def __init__(self, pts, dists, qts=None, p_rows=None, q_rows=None):
-        self.pts, self.dists, self.qts = pts, dists, qts
-        self.p_rows, self.q_rows = p_rows, q_rows
-        apart = dists > 1e-9
-        self.apart = None if apart.all() else apart
-        for arr in (pts, dists, qts, p_rows, q_rows, apart):
-            if arr is not None:
-                arr.setflags(write=False)
-
-    def lipschitz_violated(self, left: np.ndarray, right: np.ndarray, lip: float) -> bool:
-        """Whether |left - right| <= lip * dists * slack + 1e-12 fails on a pair
-        apart; a NaN difference fails it, as inf - inf does."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            ok = np.abs(left - right) <= lip * self.dists * _METADATA_SLACK + 1e-12
-        if self.apart is not None:
-            ok |= ~self.apart
-        return not ok.all()
-
-
-def _draw_validation_samples(space: CompactSpace, seed: int, samples: int) -> _Samples:
-    """The points and pairs every form on this carrier is checked on.
-
-    On a finite carrier (at most 64 points) that is every point and every
-    ordered pair farther apart than 1e-9, so nothing is drawn and the
-    check is exact.  On the cube it is two seeded sets of ``samples``
-    points, paired in order and stored column-major, so each coordinate
-    column that ``CompactSpace.dist_to`` reads is contiguous, also when it
-    takes the distance of each pair (pts[i], qts[i]).
-    """
-    if space.kind == "finite":
-        p, q = np.nonzero(space.dist_matrix > 1e-9)
-        return _Samples(np.arange(space.n_points), space.dist_to(p, q), p_rows=p, q_rows=q)
-    rng = np.random.default_rng(seed)
-    pts = np.asfortranarray(space.sample_points(rng, samples))
-    qts = np.asfortranarray(space.sample_points(rng, samples))
-    return _Samples(pts, space.dist_to(pts, qts), qts=qts)
-
-
 def _exceeds(vals: np.ndarray, cap: float) -> bool:
     """Whether |vals| <= cap fails somewhere, read off the extremes; a NaN
     value (or a NaN cap) fails it."""
@@ -442,11 +389,8 @@ def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0) -> None:
     check on 10,000 + 10,000 samples drawn from ``default_rng(seed)``,
     paired in order; ``seed`` affects only the cube.
 
-    The points of a call are laid out once and shared by every form; the
-    arrays are read-only, so a form cannot alter what the next one sees.
-    Forms are frozen values, so a form equal to one already checked in
-    the call is skipped; a form that cannot be hashed is checked every
-    time.  Nothing is kept across calls.  ``seed`` is keyword-only: a
+    The points are laid out once per call and are read-only, so a form
+    cannot alter what the next one sees.  ``seed`` is keyword-only: a
     positional argument after ``space`` that is not a ``Form`` raises
     ``TypeError``.
     """
@@ -456,28 +400,37 @@ def validate_metadata(space: CompactSpace, *forms: Form, seed: int = 0) -> None:
                             f"{type(form).__name__}; pass seed= by keyword")
     if not forms:
         return
-    draw = _draw_validation_samples(space, seed, _VALIDATION_SAMPLES)
-    checked: set = set()
+    if space.kind == "finite":  # the pairs are (pts[p[i]], pts[q[i]])
+        pts, qts = np.arange(space.n_points), None
+        p, q = np.nonzero(space.dist_matrix > 1e-9)
+        dists = space.dist_to(p, q)
+    else:  # the pairs are (pts[i], qts[i])
+        rng = np.random.default_rng(seed)
+        # column-major: dist_to reads each coordinate column contiguously
+        pts = np.asfortranarray(space.sample_points(rng, _VALIDATION_SAMPLES))
+        qts = np.asfortranarray(space.sample_points(rng, _VALIDATION_SAMPLES))
+        qts.setflags(write=False)
+        dists = space.dist_to(pts, qts)
+    pts.setflags(write=False)
+    near = dists <= 1e-9
     for form in forms:
-        try:
-            if form in checked:
-                continue
-            checked.add(form)
-        except TypeError:  # an unhashable form is checked every time
-            pass
-        vals = form.evaluate(space, draw.pts)
+        vals = form.evaluate(space, pts)
         b = form.bound(space)
         if _exceeds(vals, b * _METADATA_SLACK + 1e-12):
             raise DomainError(f"declared bound {b} violated by {form.kind} form")
         lip = form.lipschitz(space)
-        if math.isfinite(lip):
-            if draw.qts is not None:
-                left, right = vals, form.evaluate(space, draw.qts)
-            else:
-                left, right = vals[draw.p_rows], vals[draw.q_rows]
-            if draw.lipschitz_violated(left, right, lip):
-                raise DomainError(f"declared Lipschitz constant {lip} violated by "
-                                  f"{form.kind} form")
+        if not math.isfinite(lip):
+            continue
+        if qts is None:
+            left, right = vals[p], vals[q]
+        else:
+            left, right = vals, form.evaluate(space, qts)
+        # a NaN difference fails the comparison, as inf - inf does
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = np.abs(left - right) <= lip * dists * _METADATA_SLACK + 1e-12
+        if not (ok | near).all():
+            raise DomainError(f"declared Lipschitz constant {lip} violated by "
+                              f"{form.kind} form")
 
 
 # ---------------------------------------------------------------------------

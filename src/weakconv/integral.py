@@ -166,11 +166,11 @@ def integrate(g: VectorFunction, mu: FiniteMeasure,
 
     The tolerances are built from the declared Lipschitz constants, so
     the forms' metadata is checked first (``validate_metadata``): a
-    violated bound or constant is a ``DomainError``.  The check runs
-    where the constants are read: the battery builder checks its
-    members, ``integrate`` checks the function it certifies, and
-    ``vector_function`` always checks.  A schedule is read on the cube
-    only; a finite carrier is integrated on its own points.
+    violated bound or constant is a ``DomainError``.  ``integrate``
+    checks the function it certifies, and ``vector_function`` always
+    checks; battery members are checked by the verdict instead
+    (``convergence``).  A schedule is read on the cube only; a finite
+    carrier is integrated on its own points.
     """
     g = as_vector_function(g, mu.space)
     space = g.space

@@ -172,18 +172,18 @@ def coordinate_base(dim: int) -> SchauderBase:
 class TargetSpace:
     """R^D with a seminorm family and an optional Schauder base."""
 
-    kind: str  # "banach" | "frechet"
     dim: int
     family: SeminormFamily
     base: Optional[SchauderBase] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("banach", "frechet"):
-            raise DomainError(f"unknown target kind {self.kind!r}")
-        if self.kind == "banach" and self.family.depth != 1:
-            raise DomainError("banach targets use a single-level family")
         if self.base is not None and self.base.dim != self.dim:
             raise DomainError("base dimension does not match the target")
+
+    @property
+    def kind(self) -> str:
+        """banach for an lp norm and frechet for every other family, at every dim."""
+        return "banach" if self.family.name.startswith("lp:") else "frechet"
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim, "family": self.family.name}
@@ -276,19 +276,19 @@ def _resolve_base(dim: int, base) -> Optional[SchauderBase]:
 
 def banach_space(dim: int, p=2, base="coordinate") -> TargetSpace:
     """R^dim with an lp norm (p in {1, 2, inf})."""
-    return TargetSpace(kind="banach", dim=dim, family=constant_lp_family(dim, p),
+    return TargetSpace(dim=dim, family=constant_lp_family(dim, p),
                        base=_resolve_base(dim, base))
 
 
 def omega_space(dim: int, base="coordinate") -> TargetSpace:
     """Frechet instance with truncated-max levels (a finite slice of omega)."""
-    return TargetSpace(kind="frechet", dim=dim, family=omega_max_family(dim),
+    return TargetSpace(dim=dim, family=omega_max_family(dim),
                        base=_resolve_base(dim, base))
 
 
 def cumulative_l1_space(dim: int, base="coordinate") -> TargetSpace:
     """Frechet instance with cumulative-l1 levels."""
-    return TargetSpace(kind="frechet", dim=dim, family=cumulative_l1_family(dim),
+    return TargetSpace(dim=dim, family=cumulative_l1_family(dim),
                        base=_resolve_base(dim, base))
 
 
@@ -303,13 +303,11 @@ def target_from_json(node: dict) -> TargetSpace:
     if base is not None and not isinstance(base, str):
         base = [numbers(row, "bad target spec: 'base' row", dim)
                 for row in items(base, "bad target spec: 'base'")]
-    fam = _FAMILY_BUILDERS[family](dim)
-    base = _resolve_base(dim, base)
-    # as the builders do: an lp norm is banach, the other families frechet at every dim
-    kind_expected = "banach" if family.startswith("lp:") else "frechet"
-    if kind != kind_expected:
-        raise DomainError(f"family {family!r} implies kind {kind_expected!r}")
-    return TargetSpace(kind=kind, dim=dim, family=fam, base=base)
+    space = TargetSpace(dim=dim, family=_FAMILY_BUILDERS[family](dim),
+                        base=_resolve_base(dim, base))
+    if kind != space.kind:
+        raise DomainError(f"family {family!r} implies kind {space.kind!r}")
+    return space
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from weakconv import DomainError, funcs
-from weakconv.carrier import finite_space, unit_cube
+from weakconv.carrier import CompactSpace, finite_space, unit_cube
 from weakconv.convergence import ScalarMember, _battery_gaps, _domination_caps, _Prefix
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
-                            Step, Sum, Tent, VectorFunction, _draw_validation_samples,
-                            form_from_json, validate_metadata, vector_function)
+                            Step, Sum, Tent, VectorFunction, form_from_json, validate_metadata, vector_function)
 from weakconv.measure import finite_measure
 from weakconv.target import banach_space, omega_space
 
@@ -151,22 +150,22 @@ class LyingLipschitz(Tent):
 class TestSharedValidationDraws:
     """The forms of one ``validate_metadata`` call share one seeded draw."""
 
-    # the last form has the same fields as both liars, so a memo keyed by
-    # the fields alone would let them through
+    # the last form has the same fields as both liars, so a check that
+    # skipped forms equal to one already passed would let them through
     HONEST = (Tent((0.3,), 0.5), Clamp(-1, 1, DistTo((0.9,))),
               McShane(((0.2,), (0.8,)), (0.1, -0.4), 1.5), Tent((0.5,), 0.5))
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """The arguments and result of every ``_draw_validation_samples`` call."""
+        """The carrier and size of every ``CompactSpace.sample_points`` call."""
         calls = []
 
-        def counted(*args):
-            calls.append((args, draw(*args)))
-            return calls[-1][1]
+        def counted(space, rng, n):
+            calls.append((space, n))
+            return draw(space, rng, n)
 
-        draw = funcs._draw_validation_samples
-        monkeypatch.setattr(funcs, "_draw_validation_samples", counted)
+        draw = CompactSpace.sample_points
+        monkeypatch.setattr(CompactSpace, "sample_points", counted)
         return calls
 
     @pytest.mark.parametrize("liar", [LyingBound((0.5,), 0.5),
@@ -177,20 +176,26 @@ class TestSharedValidationDraws:
             validate_metadata(CUBE1, *self.HONEST, liar, seed=7)
 
     @pytest.mark.parametrize("space", [CUBE2, unit_cube(8), PAIR])
-    def test_memoised_samples_equal_a_fresh_draw(self, space, drawn):
-        validate_metadata(space, Const(0.0), Const(1.0), seed=7)
-        ((args, draw),) = drawn
-        assert args == (space, 7, 10_000)
-        if space.kind == "finite":  # every point and every ordered pair; nothing drawn
-            assert np.array_equal(draw.pts, [0, 1]) and draw.qts is None
-            assert np.array_equal(draw.p_rows, [0, 1]) and np.array_equal(draw.q_rows, [1, 0])
-            assert np.array_equal(draw.dists, [1.0, 1.0])
+    def test_memoised_samples_equal_a_fresh_draw(self, space):
+        # every form of a call is evaluated on default_rng(seed)'s first
+        # 10,000 points, and on the next 10,000 for the Lipschitz check;
+        # on a finite carrier on every point, once
+        seen = []
+
+        class Recording(Const):
+            def evaluate(self, space, pts):
+                seen.append(np.array(pts))
+                return super().evaluate(space, pts)
+
+        validate_metadata(space, Recording(0.0), Recording(1.0), seed=7)
+        if space.kind == "finite":
+            assert [p.tolist() for p in seen] == [[0, 1], [0, 1]]
             return
         rng = np.random.default_rng(7)
-        assert np.array_equal(draw.pts, space.sample_points(rng, 10_000))
-        assert np.array_equal(draw.qts, space.sample_points(rng, 10_000))
-        assert_allclose(draw.dists, [space.distance(space.point_at(p), space.point_at(q))
-                                     for p, q in zip(draw.pts, draw.qts)], rtol=0, atol=1e-15)
+        pts, qts = space.sample_points(rng, 10_000), space.sample_points(rng, 10_000)
+        assert len(seen) == 4
+        for got, want in zip(seen, [pts, qts, pts, qts]):
+            assert np.array_equal(got, want)
 
     def test_samples_are_read_only(self):
         class Scribbler(Const):
@@ -213,43 +218,23 @@ class TestSharedValidationDraws:
         with pytest.raises(DomainError):
             validate_metadata(near, SteepTent(0, 0.1), seed=7)
 
-    def test_a_passed_form_is_not_checked_again(self):
-        evaluated = []
-
-        class Counted(Tent):
-            def evaluate(self, space, pts):
-                evaluated.append(self)
-                return super().evaluate(space, pts)
-
-        class Unhashable(Counted):
-            __hash__ = None
-
-        validate_metadata(CUBE1, *[Counted((0.5,), 0.5)] * 3, seed=7)
-        assert len(evaluated) == 2  # one bound and one Lipschitz evaluation
-        validate_metadata(CUBE1, Counted((0.5,), 0.5), Counted((0.5,), 0.5), seed=7)
-        assert len(evaluated) == 4  # equal, not identical, forms are checked once too
-        evaluated.clear()
-        validate_metadata(CUBE1, *[Unhashable((0.5,), 0.5)] * 3, seed=7)
-        assert len(evaluated) == 6
-        evaluated.clear()
-        validate_metadata(CUBE1, Counted((0.5,), 0.5), seed=7)
-        assert len(evaluated) == 2  # a new call remembers nothing
-
     def test_a_positional_seed_is_rejected(self, drawn):
         with pytest.raises(TypeError, match="pass seed= by keyword"):
             validate_metadata(CUBE1, Const(0.0), 5)
         assert drawn == []
 
     def test_one_draw_per_call(self, drawn):
+        # the cube draws its two sample sets once, whatever the number of forms
         target = omega_space(3)
         forms = (Tent((0.5,) * 8, 0.5), Clamp(-1, 1, DistTo((0.1,) * 8)), Coord(3))
         vector_function(unit_cube(8), target, forms)
-        assert [args for args, _ in drawn] == [(unit_cube(8), 0, 10_000)]
+        assert drawn == [(unit_cube(8), 10_000)] * 2
         validate_metadata(CUBE1, seed=7)
-        assert len(drawn) == 1  # no forms, no draw
+        assert len(drawn) == 2  # no forms, no draw
+        validate_metadata(PAIR, Const(0.0), Tent(0, 0.5), seed=7)
+        assert len(drawn) == 2  # a finite carrier draws nothing
         validate_metadata(CUBE1, *self.HONEST, seed=7)
-        validate_metadata(CUBE2, Tent((0.5, 0.5), 0.5), seed=8)
-        assert [args for args, _ in drawn[1:]] == [(CUBE1, 7, 10_000), (CUBE2, 8, 10_000)]
+        assert drawn[2:] == [(CUBE1, 10_000)] * 2
 
 
 class TestJsonRoundTrip:
@@ -344,7 +329,7 @@ class TestValidDocuments:
     @settings(max_examples=100, deadline=None)
     def test_every_form_tree_passes_the_check(self, case, seed):
         # declared metadata is computed, never fitted, so no valid document
-        # can fail the check that integrate and the battery builder run;
+        # can fail the check that integrate and vector_function run;
         # every subtree is checked too, so a leaf's rule cannot hide under
         # a clamp or a sum
         space, nodes = case
@@ -672,17 +657,17 @@ class TestInPlaceKernels:
 
 
 class TestValidationDrawDistances:
-    """The cube draw's pair distances are the row norms of the row-major draw."""
+    """``dist_to`` on the column-major pairs that ``validate_metadata``
+    lays out on the cube equals the row norms of C-ordered copies."""
 
     @staticmethod
     def assert_row_norms(d, seed, samples):
-        draw = _draw_validation_samples(unit_cube(d), seed, samples)
         rng = np.random.default_rng(seed)
         pts, qts = rng.random((samples, d)), rng.random((samples, d))
-        assert np.array_equal(draw.pts, pts) and np.array_equal(draw.qts, qts)
+        got = unit_cube(d).dist_to(np.asfortranarray(pts), np.asfortranarray(qts))
         ref = np.linalg.norm(pts - qts, axis=1)
-        assert draw.dists.dtype == ref.dtype and draw.dists.shape == ref.shape
-        assert draw.dists.tobytes() == ref.tobytes()
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
     @given(st.integers(1, 8), st.integers(0, 2**64 - 1), st.integers(1, 400))
     @settings(deadline=None)

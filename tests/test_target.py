@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose
 
 from weakconv import DomainError, UnsupportedError
 from weakconv.suite import suite_targets
-from weakconv.target import (BaseCriterionReport, SchauderBase, SeminormFamily, TargetSpace,
-                             banach_space, base_continuity_probe,
-                             base_criterion_report, convergence_equivalence_report,
+from weakconv.target import (_FAMILY_BUILDERS, BaseCriterionReport, SchauderBase,
+                             SeminormFamily, TargetSpace, banach_space,
+                             base_continuity_probe, base_criterion_report,
+                             constant_lp_family, convergence_equivalence_report,
                              coordinate_functional, cumulative_l1_space, expand,
-                             gap_value, omega_space, paranorm,
+                             gap_value, omega_max_family, omega_space, paranorm,
                              paranorm_axioms_report, reconstruct, seminorm,
                              target_from_json)
 
@@ -193,7 +194,7 @@ class TestBaseCriterion:
     def test_no_ratio_above_0_leaves_no_witness(self):
         zero = SeminormFamily(name="zero", depth=1, level_fn=lambda n, x: np.zeros(x.shape[:-1]),
                               vector_lip_fn=lambda n, lips: 0.0)
-        space = TargetSpace(kind="banach", dim=2, family=zero, base=SchauderBase(np.eye(2)))
+        space = TargetSpace(dim=2, family=zero, base=SchauderBase(np.eye(2)))
         rep = base_criterion_report(space, p_level=1, q_level=1, samples=20)
         assert rep == looped_base_criterion(space, 1, 1, samples=20)
         assert (rep.worst_ratio, rep.worst_coeffs, rep.worst_pair) == (0.0, (), (0, 0))
@@ -281,3 +282,21 @@ class TestTargetJson:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             target_from_json({"kind": "banach", "dim": 2, "family": "lp:3"})
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_builtin_family_has_the_kind_json_requires(self, dim):
+        kinds = {"lp:1": "banach", "lp:2": "banach", "lp:inf": "banach",
+                 "omega_max": "frechet", "cumulative_l1": "frechet"}
+        assert set(kinds) == set(_FAMILY_BUILDERS)
+        for family, kind in kinds.items():
+            space = TargetSpace(dim=dim, family=_FAMILY_BUILDERS[family](dim))
+            assert space.kind == kind
+            assert target_from_json({"kind": kind, "dim": dim, "family": family}).kind == kind
+
+    def test_an_api_target_scores_as_its_family_does(self):
+        # the kind follows the family, so no target can be scored as the other kind
+        api = TargetSpace(dim=1, family=omega_max_family(1))
+        assert gap_value(api, np.array([0.5])) == gap_value(omega_space(1), np.array([0.5]))
+        assert gap_value(api, np.array([0.5])) == pytest.approx(1 / 3)
+        lp2 = TargetSpace(dim=2, family=constant_lp_family(2, 2))
+        assert gap_value(lp2, np.array([3.0, 4.0])) == 5.0
