@@ -44,16 +44,15 @@ bytes); canonical measures make equal terms byte-equal, so the periodic
 and constant scenarios solve the oracle once per phase, not once per
 index.  A missed match only costs time.
 
-Certification is window-first.  The rule reads only the window, so the
-oracle solves, and the members score, only the distinct terms that
-indices window_start..N reference; the status, the oracle's status,
-the report's oracle witnesses and the divergence recheck come from
-those values.  The oracle's results are a memo on the prefix, shared by
-every verdict of a report.  The earlier terms are solved the first time
-``Verdict.bl_values``, ``csv_rows``, ``==``, ``hash`` or ``repr`` reads
-them, once per report, so a certificate failure among them shows
-there; ``Verdict.gaps`` scores them without solving.  The oracle's input
-checks run on every term at once, so a bad term raises at the call.
+Certification reads the window only.  The oracle solves, and the
+members score, only the distinct terms that indices window_start..N
+reference; the status, the oracle's status, the report's oracle
+witnesses and the divergence recheck come from those values, and a
+``Verdict`` holds them and nothing else.  The oracle's results are a
+memo on the prefix, shared by every verdict of a report.  The terms
+before the window are built and input-checked (their mass, and the
+oracle's input checks against the limit), so a bad term raises at the
+call, but they are never solved or scored.
 
 The gap sweep is batched.  The atoms of the distinct terms being scored
 are concatenated, the limit's atoms follow them, and each member is
@@ -83,7 +82,6 @@ contains a member that sees it too.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -486,21 +484,14 @@ class DivergenceWitness:
     gap: float
 
 
-_VERDICT_FIELDS = ("status", "n_terms", "tol", "window_start", "member_names", "gaps",
-                   "thresholds", "bl_values", "witness")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Verdict:
-    """A certification verdict, decided from the window window_start..N.
+    """A certification verdict: the values it was decided from, over the
+    window window_start..N.
 
-    ``window_gaps`` and ``window_bl`` hold the values the verdict reads:
-    each member's gaps and the oracle's values over the window.  ``gaps``
-    and ``bl_values`` hold indices 1..N.  ``gaps`` scores every term
-    without the oracle; ``bl_values`` solves the terms before the window
-    the first time it is read, once for every verdict that shares the
-    prefix.  Equality, hashing and ``repr`` go by the fields in
-    ``_VERDICT_FIELDS``, the full series included.
+    ``window_gaps`` holds each member's gaps and ``window_bl`` the
+    oracle's values at indices window_start..N.  The terms before the
+    window are built and input-checked, but never solved or scored.
     """
 
     status: Status
@@ -512,35 +503,6 @@ class Verdict:
     window_gaps: tuple       # one tuple of gaps per member, indices window_start..N
     window_bl: tuple         # the oracle's values, indices window_start..N
     witness: Optional[DivergenceWitness]
-    _prefix: _Prefix
-    _members: tuple
-
-    @functools.cached_property
-    def gaps(self) -> tuple:
-        """One tuple of gaps per member, indices 1..N."""
-        prefix = self._prefix
-        gaps = _battery_gaps(self._members, prefix, prefix.limit,
-                             np.arange(len(prefix.distinct)))
-        return tuple(map(tuple, gaps[:, prefix.where].tolist()))
-
-    @property
-    def bl_values(self) -> tuple:
-        """The oracle's values, indices 1..N."""
-        return tuple(res.value for res in self._prefix.bl(self._prefix.where.tolist()))
-
-    def _fields(self) -> tuple:
-        return tuple((name, getattr(self, name)) for name in _VERDICT_FIELDS)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"Verdict({', '.join(f'{name}={value!r}' for name, value in self._fields())})"
 
     def to_json(self) -> dict:
         out = {
@@ -556,14 +518,6 @@ class Verdict:
             out["witness"] = {"member": self.witness.member, "n1": self.witness.n1,
                               "n2": self.witness.n2, "gap": self.witness.gap}
         return out
-
-    def csv_rows(self, scenario_name: str = "") -> List[str]:
-        rows = []
-        bl_values = self.bl_values
-        for name, gaps in zip(self.member_names, self.gaps):
-            for n, gap in enumerate(gaps, start=1):
-                rows.append(f"{scenario_name},{name},{n},{gap!r},{bl_values[n - 1]!r}")
-        return rows
 
 
 def _window_start(n_terms: int, tol: float) -> int:
@@ -636,7 +590,7 @@ def _verdict(prefix: _Prefix, window_start: int, members: Sequence, tol: float) 
     return Verdict(status=status, n_terms=len(prefix.terms), tol=tol,
                    window_start=window_start, member_names=names, thresholds=thresholds,
                    window_gaps=window_gaps, window_bl=tuple(res.value for res in results),
-                   witness=witness, _prefix=prefix, _members=members)
+                   witness=witness)
 
 
 def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
@@ -702,8 +656,11 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
     cannot flip a convergent verdict (a unit-ball member's gap is at most
     the oracle value, which each verdict checks) but guarantees the
     batteries can see any divergence the oracle sees.  A lift declares
-    its own constants, which a sheared base scales.
+    its own constants, which a sheared base scales.  So every target
+    needs a base, with or without vector members of its own.
     """
+    if any(target.base is None for target in targets):
+        raise UnsupportedError("vector members need a target with a base")
     if family.label.kind == "unknown":
         raise DomainError("equivalence reports need a labeled scenario")
     candidate = family.label.reference

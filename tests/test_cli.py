@@ -402,6 +402,21 @@ class TestScenarioRun:
         doc = json.loads(out_path.read_text())
         assert doc["agreement"] is True
 
+    def test_a_target_without_a_base_exits_64(self, tmp_path, capsys):
+        # the oracle's witnesses are lifted through each target's base, with
+        # or without vector members of the target's own
+        doc = {"space": CUBE1,
+               "sequence": {"kind": "alternating", "params": {"a": [0.0], "b": [1.0]}},
+               "targets": [{"kind": "banach", "family": "lp:2", "dim": 2, "base": None}]}
+        for battery in ({"vector_members": 0}, None):
+            if battery is not None:
+                doc["battery"] = battery
+            path = write(tmp_path, "baseless.json", doc)
+            assert main(["scenario", "run", path]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: vector members need a target with a base\n")
+
 
 class TestSelftest:
     def test_quick_passes_and_is_deterministic(self, capsys):

@@ -17,7 +17,7 @@ from weakconv import (CapacityError, CertificateError, DomainError, UnsupportedE
                       cli, convergence, funcs, integral)
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
-                                  Status, VectorMember, _Prefix, _battery_gaps,
+                                  Status, Verdict, VectorMember, _Prefix, _battery_gaps,
                                   _lift_through_base, battery_members,
                                   bl_witness_function, certify,
                                   distribution_convergence_report,
@@ -324,17 +324,15 @@ class TestBatchedGapsExact:
         batteries += [generate_battery(fam.space, t, seed=idx) for t in suite_targets()]
         prefix = fam.prefix(DEFAULT_PREFIX)
         for battery in batteries:
-            verdict = certify(fam, limit, battery)
-            assert verdict.gaps == per_term_gaps(battery, prefix, limit)
+            assert_window_series(certify(fam, limit, battery), battery.members, prefix, limit)
 
     def test_normalizing_path(self):
         # finite inputs are scored raw, with the constant 1 as the last member
         fam, limit = wobbling_family()
         battery = generate_battery(CUBE2, omega_space(3), seed=4)
         verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True)
-        with_mass = Battery(CUBE2, None, battery.members + (TOTAL_MASS,), ())
         assert verdict.member_names[-1] == "total_mass"
-        assert verdict.gaps == per_term_gaps(with_mass, fam.prefix(16), limit)
+        assert_window_series(verdict, battery.members + (TOTAL_MASS,), fam.prefix(16), limit)
 
     @given(carrier_prefixes())
     @settings(max_examples=30, deadline=None)
@@ -348,7 +346,7 @@ class TestBatchedGapsExact:
             == len(terms.distinct)
         assert all_term_gaps(battery.members, terms, limit) \
             == per_term_gaps(battery, prefix, limit)
-        # scoring the terms apart, as the window and the completion do, changes no bit
+        # scoring the terms apart, as verdicts on different windows do, changes no bit
         ts = np.arange(len(terms.distinct))
         whole = _battery_gaps(battery.members, terms, limit, ts)
         for part in (ts[::2], ts[1::2]):
@@ -390,41 +388,45 @@ class TestRepeatedCoordinateForms:
             assert series == tuple(integral_gap(g, mu, limit) for mu in prefix)
 
 
+def window_oracle(fam, limit, start):
+    """Reference: one bl_distance call per term, at indices start..DEFAULT_PREFIX."""
+    return tuple(bl_distance(mu, limit).value for mu in fam.prefix(DEFAULT_PREFIX)[start - 1:])
+
+
 class TestDistinctTerms:
-    """The oracle runs once per distinct term, and its values are the per-term ones."""
+    """The oracle runs once per distinct term, and its window values are the per-term ones."""
 
     @pytest.mark.parametrize("idx", range(20))
     def test_bl_values_equal_per_term_oracle(self, idx):
         entry = bundled_suite()[idx]
         fam, limit = entry.family, entry.family.label.reference
-        per_term = tuple(bl_distance(mu, limit).value for mu in fam.prefix(DEFAULT_PREFIX))
         spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
         battery = generate_battery(fam.space, None, dataclasses.replace(spec, vector_members=0),
                                    seed=idx)
-        assert certify(fam, limit, battery).bl_values == per_term
+        verdict = certify(fam, limit, battery)
+        per_term = window_oracle(fam, limit, verdict.window_start)
+        assert verdict.window_bl == per_term
         rep = equivalence_report(fam, suite_targets(), seed=idx, spec=spec)
-        for verdict in (rep.scalar_verdict,) + tuple(v for _, v in rep.vector_verdicts):
-            assert verdict.bl_values == per_term
+        for verdict in verdicts_of(rep):
+            assert verdict.window_bl == per_term
 
     @pytest.mark.parametrize("name,period", [("alternating-1d", 2), ("cycle4-1d", 4)])
     def test_one_oracle_call_per_distinct_term(self, bl_calls, name, period):
         entry = next(e for e in bundled_suite() if e.name == name)
         fam, limit = entry.family, entry.family.label.reference
-        per_term = tuple(bl_distance(mu, limit).value for mu in fam.prefix(DEFAULT_PREFIX))
         spec = BatterySpec(tents=1, distances=1, mcshanes=1, vector_members=1)
         rep = equivalence_report(fam, suite_targets(), seed=3, spec=spec)
         assert rep.oracle_status == Status.DIVERGENT
         # every phase recurs in the window, so the window solves them all
         assert bl_calls == fam.prefix(period)
         bl_calls.clear()
+        per_term = window_oracle(fam, limit, rep.scalar_verdict.window_start)
         for verdict in verdicts_of(rep):
-            assert verdict.bl_values == per_term
-        assert bl_calls == []  # and the completion has nothing left to solve
+            assert verdict.window_bl == per_term
         verdict = certify(fam, limit, generate_battery(fam.space, None,
                                                        BatterySpec(vector_members=0), seed=3))
         assert bl_calls == fam.prefix(period)
-        assert verdict.bl_values == per_term
-        assert bl_calls == fam.prefix(period)
+        assert verdict.window_bl == per_term
 
 
 def verdicts_of(report):
@@ -452,25 +454,29 @@ def report_members(fam, report, targets, seed):
     return members
 
 
-def assert_eager_series(verdict, members, prefix, limit, name="s"):
-    """The full series of ``verdict`` equal the per-term route's, and its window is theirs."""
-    per_term_bl = tuple(bl_distance(mu, limit).value for mu in prefix)
+def assert_window_series(verdict, members, prefix, limit):
+    """The window of ``verdict`` holds the per-term route's values, whose every
+    term the batched sweep reproduces."""
     battery = Battery(limit.space, None, tuple(members), ())
     gaps = per_term_gaps(battery, prefix, limit)
     assert verdict.member_names == tuple(m.name for m in members)
-    assert verdict.gaps == gaps
-    assert verdict.bl_values == per_term_bl
-    assert verdict.csv_rows(name) == [f"{name},{member},{n},{gap!r},{per_term_bl[n - 1]!r}"
-                                      for member, series in zip(verdict.member_names, gaps)
-                                      for n, gap in enumerate(series, start=1)]
+    assert all_term_gaps(battery.members, _Prefix(prefix, limit), limit) == gaps
     start = verdict.window_start
     assert verdict.window_gaps == tuple(series[start - 1:] for series in gaps)
-    assert verdict.window_bl == per_term_bl[start - 1:]
+    assert verdict.window_bl == tuple(bl_distance(mu, limit).value for mu in prefix[start - 1:])
+
+
+def read_every_way(verdict):
+    """Compare, hash, print and serialise ``verdict``."""
+    assert verdict == dataclasses.replace(verdict)
+    hash(verdict)
+    repr(verdict)
+    verdict.to_json()
 
 
 class TestWindowFirst:
     """The oracle solves, and the battery scores, the window's distinct terms
-    before the verdict; the earlier terms wait for the first full read."""
+    only; no read of a verdict solves another term."""
 
     @pytest.mark.parametrize("idx", range(20))
     def test_bundled_reports(self, bl_calls, idx):
@@ -480,14 +486,13 @@ class TestWindowFirst:
         rep = equivalence_report(fam, targets, seed=seed)
         prefix = fam.prefix(DEFAULT_PREFIX)
         start = rep.scalar_verdict.window_start
-        window = distinct_terms(prefix, start)
-        assert bl_calls == window
+        assert bl_calls == distinct_terms(prefix, start)
         members = report_members(fam, rep, targets, seed)  # solves its witnesses afresh
         bl_calls.clear()
         for verdict, verdict_members in zip(verdicts_of(rep), members):
-            assert_eager_series(verdict, verdict_members, prefix, limit, entry.name)
-        # one completion for the report: each earlier distinct term solved once
-        assert bl_calls == [mu for mu in distinct_terms(prefix) if mu not in window]
+            assert_window_series(verdict, verdict_members, prefix, limit)
+            read_every_way(verdict)
+        assert bl_calls == []
 
     @pytest.mark.parametrize("idx", range(20))
     def test_bundled_certify(self, bl_calls, idx):
@@ -496,39 +501,43 @@ class TestWindowFirst:
         battery = generate_battery(fam.space, suite_targets()[idx % 3], seed=1000 + idx)
         verdict = certify(fam, limit, battery)
         prefix = fam.prefix(DEFAULT_PREFIX)
-        assert bl_calls == distinct_terms(prefix, verdict.window_start)
-        doc = verdict.to_json()  # reads the window only
-        assert bl_calls == distinct_terms(prefix, verdict.window_start)
-        assert_eager_series(verdict, battery.members, prefix, limit, entry.name)
-        assert doc == verdict.to_json()
-        assert len(bl_calls) == len(distinct_terms(prefix))
+        window = distinct_terms(prefix, verdict.window_start)
+        assert bl_calls == window
+        assert_window_series(verdict, battery.members, prefix, limit)
+        read_every_way(verdict)
+        assert bl_calls == window
 
     def test_normalizing_certify(self, bl_calls):
         fam, limit = wobbling_family()
         battery = generate_battery(CUBE2, omega_space(3), seed=4)
         verdict = certify(fam, limit, battery, n_terms=16, normalize_inputs=True)
         prefix = fam.prefix(16)
-        assert bl_calls == distinct_terms(prefix, verdict.window_start)
+        window = distinct_terms(prefix, verdict.window_start)
+        assert bl_calls == window
         assert verdict.window_gaps[-1] == pytest.approx(
             [abs(mu.total_mass - 2.0) for mu in prefix[verdict.window_start - 1:]], abs=1e-15)
-        assert_eager_series(verdict, battery.members + (TOTAL_MASS,), prefix, limit, "wobbling")
-        window = distinct_terms(prefix, verdict.window_start)
-        assert bl_calls == window + [mu for mu in distinct_terms(prefix) if mu not in window]
-
-    def test_one_completion_for_four_verdicts(self, bl_calls):
-        entry = next(e for e in bundled_suite() if e.name == "drift-geometric-1d")
-        fam, limit = entry.family, entry.family.label.reference
-        rep = equivalence_report(fam, suite_targets(), seed=3)
-        verdicts = verdicts_of(rep)
-        assert len(verdicts) == 4
-        prefix = fam.prefix(DEFAULT_PREFIX)
-        window = distinct_terms(prefix, rep.scalar_verdict.window_start)
+        assert_window_series(verdict, battery.members + (TOTAL_MASS,), prefix, limit)
+        read_every_way(verdict)
         assert bl_calls == window
-        per_term = tuple(bl_distance(mu, limit).value for mu in prefix)
-        for verdict in verdicts:
-            assert verdict.bl_values == per_term
-        early = [mu for mu in distinct_terms(prefix) if mu not in window]
-        assert len(early) == 48 and bl_calls == window + early
+
+    @pytest.mark.parametrize("name", ["drift-geometric-1d", "split-2d"])
+    def test_reading_a_verdict_solves_nothing(self, bl_calls, name):
+        # the terms before the window are never solved: not by the call,
+        # and not by comparing, hashing, printing or serialising its verdicts
+        entry = next(e for e in bundled_suite() if e.name == name)
+        fam, limit = entry.family, entry.family.label.reference
+        prefix = fam.prefix(DEFAULT_PREFIX)
+        rep = equivalence_report(fam, suite_targets(), seed=3)
+        verdict = certify(fam, limit, generate_battery(fam.space, omega_space(3), seed=3))
+        window = distinct_terms(prefix, verdict.window_start)
+        assert len(window) < len(distinct_terms(prefix))
+        assert bl_calls == window + window  # one prefix for the report, one for certify
+        for v in verdicts_of(rep) + (verdict,):
+            read_every_way(v)
+        assert bl_calls == window + window
+        assert [f.name for f in dataclasses.fields(Verdict)] == [
+            "status", "n_terms", "tol", "window_start", "member_names", "thresholds",
+            "window_gaps", "window_bl", "witness"]
 
     def test_window_reads_do_not_complete(self, bl_calls):
         entry = next(e for e in bundled_suite() if e.name == "split-2d")
@@ -537,33 +546,9 @@ class TestWindowFirst:
         battery = generate_battery(fam.space, banach_space(2, p=2), seed=3)
         rep = distribution_convergence_report(elements, RandomElement(limit), battery)
         assert len(bl_calls) == 16 and rep.verdict.to_json()["status"] == rep.verdict.status.value
+        assert rep.expectation_tails == tuple(g[-1] for g in rep.verdict.window_gaps[10:])
+        read_every_way(rep.verdict)
         assert len(bl_calls) == 16
-        assert rep.expectation_tails == tuple(g[-1] for g in rep.verdict.gaps[10:])
-        assert len(bl_calls) == 16  # the gaps are scored without the oracle
-        assert len(rep.verdict.bl_values) == DEFAULT_PREFIX
-        assert len(bl_calls) == DEFAULT_PREFIX
-
-    def test_a_certificate_failure_before_the_window_waits_for_bl_values(self, monkeypatch):
-        entry = next(e for e in bundled_suite() if e.name == "drift-geometric-1d")
-        fam, limit = entry.family, entry.family.label.reference
-        prefix = fam.prefix(DEFAULT_PREFIX)
-        calls = []
-
-        def failing(mu, nu):
-            calls.append(mu)
-            if mu == prefix[0]:
-                raise CertificateError("BL certificate failed")
-            return bl_distance(mu, nu)
-
-        monkeypatch.setattr(convergence, "bl_distance", failing)
-        battery = generate_battery(fam.space, None, BatterySpec(vector_members=0), seed=3)
-        verdict = certify(fam, limit, battery)
-        assert verdict.to_json()["status"] == verdict.status.value
-        assert calls == distinct_terms(prefix, verdict.window_start)
-        assert verdict.gaps == per_term_gaps(battery, prefix, limit)
-        assert calls == distinct_terms(prefix, verdict.window_start)  # gaps call no oracle
-        with pytest.raises(CertificateError, match="BL certificate failed"):
-            verdict.bl_values
 
     @staticmethod
     def family_with_bad_term(case):
@@ -753,9 +738,8 @@ class TestCertify:
         assert doc["status"] == "divergent"
         assert doc["witness"]["member"] == "probe"
         assert doc["bl_tail_max"] == pytest.approx(1.0)
-        rows = verdict.csv_rows("alt")
-        assert len(rows) == 16  # one member, indices 1..16
-        assert rows[0].startswith("alt,probe,1,")
+        assert doc["window_start"] == 13
+        assert len(verdict.window_gaps[0]) == len(verdict.window_bl) == 4  # indices 13..16
 
 
 class TestNormalizingPath:
@@ -780,11 +764,11 @@ class TestNormalizingPath:
         verdict = certify(fam, limit, probe_battery(CUBE1), n_terms=16, normalize_inputs=True)
         assert verdict.status == Status.CONVERGENT_EVIDENCE
         assert verdict.member_names == ("probe", "total_mass")
-        assert verdict.gaps == per_term_gaps(Battery(CUBE1, None, probe_battery(CUBE1).members
-                                                     + (TOTAL_MASS,), ()), fam.prefix(16), limit)
+        assert_window_series(verdict, probe_battery(CUBE1).members + (TOTAL_MASS,),
+                             fam.prefix(16), limit)
         # the oracle reads the raw terms: bl(mu_n, mu) is the mass error 1/n^2
-        assert verdict.bl_values == pytest.approx([1.0 / (n * n) for n in range(1, 17)],
-                                                  rel=1e-12)
+        assert verdict.window_bl == pytest.approx(
+            [1.0 / (n * n) for n in range(verdict.window_start, 17)], rel=1e-12)
 
 
 class TestBLDomination:
@@ -818,10 +802,11 @@ class TestBLDomination:
         # term 2 sits at 0.45, on the peak of a tent that is flat on the
         # window: the declared L = 0.1 breaks there (gap 1 > BL_2 = 0.25)
         # but on no window term, which is all the verdict reads
-        verdict = self.certify_drift(ScalarMember("tent", Tent((0.45,), 0.1), bound=1.0,
-                                                  lip=0.1))
-        assert verdict.gaps[0][1] == 1.0 > verdict.bl_values[1] == 0.25
-        assert set(verdict.window_gaps[0]) == {0.0}
+        tent = Tent((0.45,), 0.1)
+        verdict = self.certify_drift(ScalarMember("tent", tent, bound=1.0, lip=0.1))
+        term, limit = self.DRIFT.measure(2), self.DRIFT.label.reference
+        assert integral_gap(tent, term, limit) == 1.0 > bl_distance(term, limit).value == 0.25
+        assert verdict.window_start > 2 and set(verdict.window_gaps[0]) == {0.0}
 
     def test_infinite_and_nan_caps_pass_without_a_warning(self):
         vf = vector_function(CUBE1, omega_space(2), (Tent((0.2,), 0.1), Const(0.0)))
@@ -839,9 +824,12 @@ class TestBLDomination:
             return finite_measure(CUBE1, [((0.5,), 1.0 + 1.0 / n)])
 
         fam = MeasureFamily(space=CUBE1, measure_fn=masses, name="settling")
-        verdict = certify(fam, finite_measure(CUBE1, [((0.5,), 3.0)]), probe_battery(CUBE1),
-                          n_terms=16, normalize_inputs=True)
-        assert verdict.gaps[1] == pytest.approx(verdict.bl_values, rel=1e-15)
+        limit = finite_measure(CUBE1, [((0.5,), 3.0)])
+        verdict = certify(fam, limit, probe_battery(CUBE1), n_terms=16, normalize_inputs=True)
+        assert verdict.window_gaps[1] == pytest.approx(verdict.window_bl, rel=1e-15)
+        for mu in fam.prefix(16):
+            assert integral_gap(Const(1.0), mu, limit) == pytest.approx(
+                bl_distance(mu, limit).value, rel=1e-15)
 
 
 class TestEquivalenceReport:
@@ -894,14 +882,23 @@ class TestEquivalenceReport:
             for members in vectors for m in members]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
-    def test_lifted_witnesses_declare_the_constants_of_the_lift(self):
+    def test_lifted_witnesses_declare_the_constants_of_the_lift(self, monkeypatch):
         # through a sheared base the lift of a unit-ball witness is no longer
         # in the unit ball: its coordinates are 2f, 3f and f
+        scored = []
+        verdict = convergence._verdict
+
+        def spy(prefix, window_start, members, tol):
+            scored.append(members)
+            return verdict(prefix, window_start, members, tol)
+
+        monkeypatch.setattr(convergence, "_verdict", spy)
         target = target_from_json(SHEARED_TARGET)
         fam = scenario("alternating", {"space": CUBE1, "a": (0.0,), "b": (1.0,)})
         rep = equivalence_report(fam, (target,), n_terms=16, seed=3)
         assert rep.agreement
-        lifts = [m for m in rep.vector_verdicts[0][1]._members if m.name.endswith(":lift")]
+        assert len(scored) == 2  # the scalar verdict, then the target's
+        lifts = [m for m in scored[1] if m.name.endswith(":lift")]
         assert len(lifts) == 2
         for m in lifts:
             assert m.bounds == m.lips == (2.0, 3.0, 1.0)
@@ -928,6 +925,16 @@ class TestEquivalenceReport:
         fam = constant_family(dirac(CUBE1, (0.5,)))
         with pytest.raises(DomainError):
             equivalence_report(fam, targets=(), n_terms=8)
+
+    def test_a_target_without_a_base_is_unsupported(self, bl_calls):
+        # the oracle's witnesses are lifted through every target's base,
+        # so a baseless target is refused before any solve
+        fam = scenario("alternating", {"space": CUBE1, "a": (0.0,), "b": (1.0,)})
+        with pytest.raises(UnsupportedError) as got:
+            equivalence_report(fam, (banach_space(2, base=None),), n_terms=16,
+                               spec=BatterySpec(vector_members=0))
+        assert str(got.value) == "vector members need a target with a base"
+        assert bl_calls == []
 
 
 class TestRandomElements:
