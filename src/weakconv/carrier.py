@@ -68,6 +68,8 @@ class CompactSpace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompactSpace):
             return NotImplemented
+        if self is other:
+            return True
         if self.kind != other.kind:
             return False
         if self.kind == "cube":
@@ -365,15 +367,23 @@ def metric_axioms_report(space: CompactSpace, samples: int = _TRIPLE_SAMPLES,
     """Check nonnegativity, identity, symmetry and the triangle inequality.
 
     Finite carriers are checked exhaustively (their point count is capped,
-    so all n^3 triples fit comfortably).  Cube carriers are spot-checked on
-    ``samples`` seeded random triples through ``dist_to``, the kernel every
-    caller uses; the Euclidean metric is exact, so this is a guard against
-    representation bugs rather than a proof.
+    so all n^3 triples fit comfortably), once every entry of the matrix is
+    finite: a NaN or infinite entry is the only violation reported.  Cube
+    carriers are spot-checked on ``samples`` seeded random triples through
+    ``dist_to``, the kernel every caller uses; the Euclidean metric is
+    exact, so this is a guard against representation bugs rather than a
+    proof.
     """
     violations: list[str] = []
     if space.kind == "finite":
         m = space.dist_matrix
         n = space.n_points
+        if not np.all(np.isfinite(m)):
+            # NaN compares False with everything and inf - inf is NaN, so the
+            # checks below would pass such a matrix, or warn on it
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            return MetricAxiomsReport(ok=False, checked_pairs=n * n, checked_triples=0,
+                                      violations=(f"non-finite distance at ({i},{j})",))
         if np.any(m < 0):
             i, j = np.argwhere(m < 0)[0]
             violations.append(f"negative distance at ({i},{j})")

@@ -17,13 +17,15 @@ One builder, ``battery_members``, draws every member of a battery for
 ``generate_battery``, ``equivalence_report`` and the ``certify`` command.
 The scalar forms come from the Philox stream of the battery seed.  Each
 target's vector members come from the stream of that target's seed,
-resumed past the scalar forms, which that stream draws again and drops.
+resumed past the scalar forms, which are drawn once per distinct seed.
 The builder does not check the members' declared constants: the verdict
 does, where it reads them.
 
-One private kernel scores the members and applies this rule for
-``certify``, ``equivalence_report`` and ``distribution_convergence_report``;
-the oracle's own status is the same rule applied to its values.
+One private kernel, ``_verdicts``, scores lists of members on one window
+and applies this rule to each list, for ``certify`` (one list),
+``equivalence_report`` (the scalar list, then one per target) and
+``distribution_convergence_report``; the oracle's own status is the same
+rule applied to its values.
 
 Gaps of vector members are measured by the target's norm or paranorm.
 A paranorm compresses scale (it never exceeds 1), so the raw scalar
@@ -54,23 +56,24 @@ before the window are built and input-checked (their mass, and the
 oracle's input checks against the limit), so a bad term raises at the
 call, but they are never solved or scored.
 
-The gap sweep is batched.  The atoms of the distinct terms being scored
-are concatenated, the limit's atoms follow them, and each member is
-evaluated once on all of them (a vector member evaluates each distinct
-coordinate-form object once).  Values are pointwise, so each part
-equals an evaluation of its own.  Terms with the same atom count form a
-group, and one stacked ``matmul`` of the group's weights, shape
-(G, 1, a), with its values, (G, a, 1) or (G, a, D), gives every
-integral of the group: each stack runs the same dot product as a
-one-term ``weights @ values``.  The limit's integral is taken once per
-member, vector gaps are scored for all those terms in one call of the
-target's gap functional, and the gaps are then expanded to the indices
-that reference each term.  Every gap is bit-identical to the per-term route
-(``integral_gap``), which evaluates a member on one measure at a time
-and integrates the limit afresh.  That per-term route is kept as the
-independent recheck of a divergence witness: the two gaps that decide a
-divergent verdict are recomputed by it, sharing no evaluation with the
-sweep, and must agree with the sweep (or ``CertificateError`` is raised).
+The gap sweep is batched, once for all the lists a kernel call scores.
+The atoms of the distinct terms being scored are concatenated, the
+limit's atoms follow them, and each distinct form object (a scalar
+member's form or a vector member's coordinate form) is evaluated once on
+all of them.  Values are pointwise, so each part equals an evaluation of
+its own.  Terms with the same atom count form a group, and one stacked
+``matmul`` per member of the group's weights, shape (G, 1, a), with its
+values, (G, a, 1) or (G, a, D), gives every integral of the group: each
+stack runs the same dot product as a one-term ``weights @ values``.  The
+limit's integral is taken once per member, the vector gaps of each
+target are scored in one call of its gap functional, and the gaps are
+then expanded to the indices that reference each term.  Every gap is
+bit-identical to the per-term route (``integral_gap``), which evaluates
+a member on one measure at a time and integrates the limit afresh.  That
+per-term route is kept as the independent recheck of a divergence
+witness: the two gaps that decide a divergent verdict are recomputed by
+it, sharing no evaluation with the sweep, and must agree with the sweep
+(or ``CertificateError`` is raised).
 
 The bounded-Lipschitz oracle is the independent route: its LP witness
 can be lifted back into the battery (as a clamped McShane extension of
@@ -193,7 +196,7 @@ class Battery:
 def _random_point(space: CompactSpace, rng: np.random.Generator):
     if space.kind == "finite":
         return int(rng.integers(0, space.n_points))
-    return tuple(float(x) for x in rng.random(space.dim))
+    return tuple(rng.random(space.dim).tolist())
 
 
 def _random_scalar_form(space: CompactSpace, rng: np.random.Generator,
@@ -204,7 +207,7 @@ def _random_scalar_form(space: CompactSpace, rng: np.random.Generator,
     if shape == "dist":
         return Clamp(-1.0, 1.0, DistTo(_random_point(space, rng)))
     anchors = tuple(_random_point(space, rng) for _ in range(spec.mcshane_anchors))
-    values = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=len(anchors)))
+    values = tuple(rng.uniform(-1.0, 1.0, size=len(anchors)).tolist())
     lip = float(rng.uniform(*spec.mcshane_lip))
     return Clamp(-1.0, 1.0, McShane(anchors, values, lip))
 
@@ -256,17 +259,26 @@ def battery_members(space: CompactSpace, spec: BatterySpec, seed: int,
 
     The scalar forms come from the Philox stream of ``seed``.  A target's
     vector members come from the stream of its own seed, resumed past the
-    scalar forms: that stream draws its own scalar forms and drops them.
-    The declared constants are not checked here; the verdict checks them
-    against the oracle.  Returns the scalar members and one tuple of
-    vector members per target.
+    scalar forms: each distinct seed's scalar forms are drawn once, and a
+    stream resumes a copy of the state after them.  The declared
+    constants are not checked here; the verdict checks them against the
+    oracle.  Returns the scalar members and one tuple of vector members
+    per target.
     """
-    named = _draw_scalar_forms(space, np.random.Generator(np.random.Philox(key=seed)), spec)
-    functions = []
-    for target, target_seed in targets:
-        rng = np.random.Generator(np.random.Philox(key=target_seed))
-        _draw_scalar_forms(space, rng, spec)
-        functions.append(_draw_vector_functions(space, target, spec, rng))
+    drawn: dict = {}
+
+    def stream(key: int) -> tuple:
+        """``key``'s scalar forms, and its stream resumed past them."""
+        rng = np.random.Generator(np.random.Philox(key=key))
+        if key in drawn:
+            rng.bit_generator.state = drawn[key][1]
+        else:
+            drawn[key] = (_draw_scalar_forms(space, rng, spec), rng.bit_generator.state)
+        return drawn[key][0], rng
+
+    named, _ = stream(seed)
+    functions = [_draw_vector_functions(space, target, spec, stream(target_seed)[1])
+                 for target, target_seed in targets]
     scalars = tuple(ScalarMember(name=name, form=form, bound=form.bound(space),
                                  lip=form.lipschitz(space)) for name, form in named)
     vectors = [tuple(VectorMember(name=f"vec[{i}]", function=vf, bounds=tuple(vf.bounds()),
@@ -366,17 +378,20 @@ class _Prefix:
 
 def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure,
                   ts: np.ndarray) -> np.ndarray:
-    """Every member's gap on the distinct terms ``ts``, one member evaluation each.
+    """Every member's gap on the distinct terms ``ts``, one evaluation a form.
 
-    Returns one row per member and one column per term of ``ts``.  A
-    member is evaluated once, on the atoms of those terms followed by the
-    limit's atoms; values are pointwise, so each part equals an evaluation
-    on its own.  Terms with the same atom count form a group, and the
-    integrals of a group are a stacked ``matmul``, (G, 1, a) weights with
-    (G, a, 1) or (G, a, D) values, whose every stack runs the same dot
-    product, on the same operands in the same order, as the per-term
-    ``mu.weights @ vals``; so every gap equals ``integral_gap`` bit for
-    bit, whichever terms are scored together.
+    Returns one row per member and one column per term of ``ts``.  Each
+    distinct form object is evaluated once, on the atoms of those terms
+    followed by the limit's atoms; values are pointwise, so each part
+    equals an evaluation on its own.  Terms with the same atom count form
+    a group, and a member's integrals on a group are a stacked ``matmul``,
+    (G, 1, a) weights with (G, a, 1) or (G, a, D) values, whose every
+    stack runs the same dot product, on the same operands in the same
+    order, as the per-term ``mu.weights @ vals``.  One member a
+    ``matmul``: several members' columns in one change the bits.  The
+    gap functional scores each row alike, so it takes one target's vector
+    differences in one call.  So every gap equals ``integral_gap`` bit for
+    bit, whichever terms and members are scored together.
     """
     terms = [prefix.distinct[t] for t in ts]
     sizes = [mu.n_atoms for mu in terms]
@@ -389,20 +404,35 @@ def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure,
     groups = [(np.array(rows), np.stack([terms[i].weights for i in rows])[:, None],
                starts[rows][:, None] + np.arange(size))
               for size, rows in by_size.items()]
+    values: dict = {}
+
+    def evaluate(form: Form) -> np.ndarray:
+        if id(form) not in values:
+            values[id(form)] = form.evaluate(limit.space, points)
+        return values[id(form)]
+
     gaps = np.empty((len(members), len(terms)))
+    stacks: dict = {}
     for k, member in enumerate(members):
         if isinstance(member, VectorMember):
-            both = member.function.evaluate(points)
+            both = np.stack([evaluate(f) for f in member.function.forms], axis=-1)
         else:
-            both = member.form.evaluate(limit.space, points)
+            both = evaluate(member.form)
         vals, at_limit = both[:split], both[split:].copy()
         cols = vals[:, None] if vals.ndim == 1 else vals
         sums = np.empty((len(terms), cols.shape[1]))
         for rows, weights, atoms in groups:
             sums[rows] = (weights @ cols[atoms])[:, 0]
         diff = (sums if vals.ndim > 1 else sums[:, 0]) - limit.weights @ at_limit
-        gaps[k] = (gap_value(member.function.target, diff)
-                   if isinstance(member, VectorMember) else np.abs(diff))
+        if isinstance(member, VectorMember):
+            target = member.function.target
+            stack = stacks.setdefault(id(target), (target, [], []))
+            stack[1].append(k)
+            stack[2].append(diff)
+        else:
+            gaps[k] = np.abs(diff)
+    for target, ks, diffs in stacks.values():
+        gaps[ks] = gap_value(target, np.stack(diffs))
     return gaps
 
 
@@ -561,36 +591,49 @@ def _window_oracle(prefix: _Prefix, window_start: int, tol: float) -> tuple:
     return results, status
 
 
-def _verdict(prefix: _Prefix, window_start: int, members: Sequence, tol: float) -> Verdict:
-    """Score the members over the window and decide: the one certification kernel."""
-    names = tuple(m.name for m in members)
-    window, at = np.unique(prefix.where[window_start - 1:], return_inverse=True)
-    gaps = _battery_gaps(members, prefix, prefix.limit, window)
-    window_gaps = tuple(map(tuple, gaps[:, at].tolist()))
-    thresholds = _member_thresholds(members, tol)
-    status, witness, k = _window_rule(names, window_gaps, thresholds, window_start)
-    results, oracle = _window_oracle(prefix, window_start, tol)
-    caps = _domination_caps(members, prefix, window)
-    over = np.argwhere(gaps > caps)
-    if len(over):
-        j, i = over[0]
-        n = window_start + int(np.argmax(at == i))
-        raise CertificateError(f"member {names[j]} breaks gap <= max(B, L) * BL at n={n}: "
-                               f"{float(gaps[j, i])!r} > {float(caps[j, i])!r}")
-    if witness is not None:
-        # the witness must be reproducible from scratch, not an artefact
-        # of the batched sweep above, so it is recomputed by the per-term route
-        for n in (witness.n1, witness.n2):
-            fresh = _member_gap(members[k], prefix.terms[n - 1], prefix.limit)
-            if abs(fresh - window_gaps[k][n - window_start]) > _WITNESS_RECHECK_TOL:
-                raise CertificateError("divergence witness failed recheck")
-    elif oracle is not Status.CONVERGENT_EVIDENCE:
-        status = Status.INCONCLUSIVE
+def _verdicts(prefix: _Prefix, window_start: int, member_lists: Sequence[Sequence],
+              tol: float) -> List[Verdict]:
+    """Score each list of members over the window and decide: the one
+    certification kernel.
 
-    return Verdict(status=status, n_terms=len(prefix.terms), tol=tol,
-                   window_start=window_start, member_names=names, thresholds=thresholds,
-                   window_gaps=window_gaps, window_bl=tuple(res.value for res in results),
-                   witness=witness)
+    The gaps, caps and oracle results are computed once for all the
+    lists; the checks then run list by list, so the first list's errors
+    come first.
+    """
+    everyone = [m for members in member_lists for m in members]
+    window, at = np.unique(prefix.where[window_start - 1:], return_inverse=True)
+    all_gaps = _battery_gaps(everyone, prefix, prefix.limit, window)
+    results, oracle = _window_oracle(prefix, window_start, tol)
+    all_caps = _domination_caps(everyone, prefix, window)
+    window_bl = tuple(res.value for res in results)
+    ends = np.cumsum([len(members) for members in member_lists])[:-1]
+    verdicts = []
+    for members, gaps, caps in zip(member_lists, np.split(all_gaps, ends),
+                                   np.split(all_caps, ends)):
+        names = tuple(m.name for m in members)
+        window_gaps = tuple(map(tuple, gaps[:, at].tolist()))
+        thresholds = _member_thresholds(members, tol)
+        status, witness, k = _window_rule(names, window_gaps, thresholds, window_start)
+        over = np.argwhere(gaps > caps)
+        if len(over):
+            j, i = over[0]
+            n = window_start + int(np.argmax(at == i))
+            raise CertificateError(f"member {names[j]} breaks gap <= max(B, L) * BL at n={n}: "
+                                   f"{float(gaps[j, i])!r} > {float(caps[j, i])!r}")
+        if witness is not None:
+            # the witness must be reproducible from scratch, not an artefact
+            # of the batched sweep above, so it is recomputed by the per-term route
+            for n in (witness.n1, witness.n2):
+                fresh = _member_gap(members[k], prefix.terms[n - 1], prefix.limit)
+                if abs(fresh - window_gaps[k][n - window_start]) > _WITNESS_RECHECK_TOL:
+                    raise CertificateError("divergence witness failed recheck")
+        elif oracle is not Status.CONVERGENT_EVIDENCE:
+            status = Status.INCONCLUSIVE
+        verdicts.append(Verdict(status=status, n_terms=len(prefix.terms), tol=tol,
+                                window_start=window_start, member_names=names,
+                                thresholds=thresholds, window_gaps=window_gaps,
+                                window_bl=window_bl, witness=witness))
+    return verdicts
 
 
 def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
@@ -613,7 +656,7 @@ def certify(family: MeasureFamily, limit: FiniteMeasure, battery: Battery,
     elif not (limit.is_probability and all(mu.is_probability for mu in prefix)):
         raise DomainError("certify needs probability measures "
                           "(or normalize_inputs=True)")
-    return _verdict(_Prefix(prefix, limit), window_start, members, tol)
+    return _verdicts(_Prefix(prefix, limit), window_start, [members], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -686,24 +729,21 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                                             bound=member.bound, lip=member.lip))
 
     # each target's vector members resume the battery stream after the scalar forms
-    keyed = [(target, seed) for target in targets]
-    scalars, vectors = battery_members(family.space, spec or BatterySpec(), seed, keyed)
-    scalar_verdict = _verdict(prefix, window_start, scalars + tuple(witness_members), tol)
-
-    vector_verdicts = []
-    for (target, _), members in zip(keyed, vectors):
+    scalars, vectors = battery_members(family.space, spec or BatterySpec(), seed,
+                                       [(target, seed) for target in targets])
+    member_lists = [scalars + tuple(witness_members)]
+    for target, members in zip(targets, vectors):
         lifts = [_lift_through_base(family.space, target, [m.form] * target.dim)
                  for m in witness_members]
-        lifted = tuple(VectorMember(name=f"{m.name}:lift", function=vf,
-                                    bounds=tuple(vf.bounds()),
-                                    lips=tuple(vf.lipschitz_constants()))
-                       for m, vf in zip(witness_members, lifts))
-        verdict = _verdict(prefix, window_start, members + lifted, tol)
-        vector_verdicts.append((target.family.name, verdict))
-
+        member_lists.append(members + tuple(
+            VectorMember(name=f"{m.name}:lift", function=vf, bounds=tuple(vf.bounds()),
+                         lips=tuple(vf.lipschitz_constants()))
+            for m, vf in zip(witness_members, lifts)))
+    scalar_verdict, *verdicts = _verdicts(prefix, window_start, member_lists, tol)
     return EquivalenceReport(family_name=family.name, label_kind=family.label.kind,
                              oracle_status=oracle_status, scalar_verdict=scalar_verdict,
-                             vector_verdicts=tuple(vector_verdicts))
+                             vector_verdicts=tuple((target.family.name, verdict)
+                                                   for target, verdict in zip(targets, verdicts)))
 
 
 # ---------------------------------------------------------------------------

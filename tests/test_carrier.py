@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +65,31 @@ class TestSpaces:
         assert unit_cube(2) != unit_cube(3)
         assert three_point_space() == three_point_space()
         assert three_point_space() != unit_cube(1)
+
+    @pytest.mark.parametrize("matrix,where", [
+        ([[0.0, math.nan], [math.nan, 0.0]], "(0,1)"),
+        ([[math.nan, 1.0], [1.0, 0.0]], "(0,0)"),
+        ([[0.0, math.inf], [math.inf, 0.0]], "(0,1)")], ids=["nan", "nan-diagonal", "inf"])
+    def test_non_finite_matrix_rejected(self, matrix, where):
+        # NaN compares False with everything, so every axiom check passed it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=re.escape(f"non-finite distance at {where}")):
+                finite_space(("a", "b"), np.array(matrix))
+            rep = metric_axioms_report(finite_space(("a", "b"), np.array(matrix),
+                                                    validate=False))
+        assert not rep.ok
+        assert rep.violations == (f"non-finite distance at {where}",)
+
+    def test_equality_is_reflexive_without_comparing_matrices(self, monkeypatch):
+        space = finite_space(("a", "b"), np.array([[0.0, math.nan], [math.nan, 0.0]]),
+                             validate=False)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("compared the matrices of one carrier")
+
+        monkeypatch.setattr(np, "array_equal", unused)
+        assert space == space
 
 
 # a coordinate of [0, 1], with the cube's faces drawn often

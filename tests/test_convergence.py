@@ -886,22 +886,96 @@ class TestEquivalenceReport:
         # through a sheared base the lift of a unit-ball witness is no longer
         # in the unit ball: its coordinates are 2f, 3f and f
         scored = []
-        verdict = convergence._verdict
+        verdicts = convergence._verdicts
 
-        def spy(prefix, window_start, members, tol):
-            scored.append(members)
-            return verdict(prefix, window_start, members, tol)
+        def spy(prefix, window_start, member_lists, tol):
+            scored.append(member_lists)
+            return verdicts(prefix, window_start, member_lists, tol)
 
-        monkeypatch.setattr(convergence, "_verdict", spy)
+        monkeypatch.setattr(convergence, "_verdicts", spy)
         target = target_from_json(SHEARED_TARGET)
         fam = scenario("alternating", {"space": CUBE1, "a": (0.0,), "b": (1.0,)})
         rep = equivalence_report(fam, (target,), n_terms=16, seed=3)
         assert rep.agreement
-        assert len(scored) == 2  # the scalar verdict, then the target's
-        lifts = [m for m in scored[1] if m.name.endswith(":lift")]
+        assert len(scored) == 1
+        assert len(scored[0]) == 2  # the scalar list, then the target's
+        lifts = [m for m in scored[0][1] if m.name.endswith(":lift")]
         assert len(lifts) == 2
         for m in lifts:
             assert m.bounds == m.lips == (2.0, 3.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["alternating-1d", "split-2d"])
+    def test_one_sweep_scores_every_verdict_of_a_report(self, monkeypatch, name):
+        # the scalar battery and each target's battery share one gap sweep,
+        # in which each form object is evaluated once and each target's
+        # vector gaps come from one call of its gap functional
+        sweeps, evaluated, scored = [], [], []
+        sweep = convergence._battery_gaps
+
+        def spy_sweep(members, *args):
+            sweeps.append(members)
+            try:
+                return sweep(members, *args)
+            finally:
+                sweeps.append(None)
+
+        def spy_evaluate(evaluate):
+            def spied(self, space, pts):
+                if sweeps and sweeps[-1] is not None:
+                    evaluated.append(self)
+                return evaluate(self, space, pts)
+            return spied
+
+        def spy_gap_value(target, v):
+            if sweeps and sweeps[-1] is not None:
+                scored.append((target, np.shape(v)))
+            return gap_value(target, v)
+
+        forms = [funcs.Form]
+        for cls in forms:
+            forms += cls.__subclasses__()
+            if "evaluate" in vars(cls):
+                monkeypatch.setattr(cls, "evaluate", spy_evaluate(cls.evaluate))
+        monkeypatch.setattr(convergence, "_battery_gaps", spy_sweep)
+        monkeypatch.setattr(convergence, "gap_value", spy_gap_value)
+        entry = next(e for e in bundled_suite() if e.name == name)
+        targets = suite_targets()
+        rep = equivalence_report(entry.family, targets, seed=11)
+        assert rep.agreement
+        assert len(sweeps) == 2  # one sweep, entered and left
+        members = sweeps[0]
+        assert len(members) == len(rep.scalar_verdict.member_names) + sum(
+            len(v.member_names) for _, v in rep.vector_verdicts)
+        ids = [id(f) for f in evaluated]
+        assert len(ids) == len(set(ids))
+        # the lifts through the identity base reuse the scalar witnesses' forms
+        witnesses = {id(m.form) for m in members if isinstance(m, ScalarMember)
+                     and m.name.startswith("bl_witness")}
+        assert len(witnesses) == 2 and witnesses <= set(ids)
+        assert {id(f) for m in members if m.name.endswith(":lift")
+                for f in m.function.forms} == witnesses
+        assert [target for target, _ in scored] == list(targets)
+        for (target, shape), (_, verdict) in zip(scored, rep.vector_verdicts):
+            assert shape[0] == len(verdict.member_names) and shape[-1] == target.dim
+
+    def test_targets_keyed_by_the_battery_seed_draw_the_scalar_forms_once(self, monkeypatch):
+        draws = []
+        draw = convergence._draw_scalar_forms
+
+        def spy(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(convergence, "_draw_scalar_forms", spy)
+        targets = suite_targets()
+        scalars, vectors = battery_members(CUBE2, BatterySpec(), 7,
+                                           [(t, 7) for t in targets])
+        assert len(draws) == 1
+        assert len(scalars) == 10 and [len(v) for v in vectors] == [3, 3, 3]
+        # the command line's target seeds draw their own scalar forms, once each
+        draws.clear()
+        battery_members(CUBE2, BatterySpec(), 7, [(t, 8 + k) for k, t in enumerate(targets)])
+        assert len(draws) == 4
 
     @pytest.mark.parametrize("name", ["split-2d", "cycle3-finite"])
     def test_scalar_verdict_equals_public_certify(self, name):
