@@ -440,7 +440,7 @@ def _member_thresholds(members: Sequence, tol: float) -> tuple:
     """(tail threshold, divergence threshold) per member, in its gap scale.
 
     A vector member's pair is its target's gap functional on the constant
-    vectors tol and 10*tol, taken once per target.
+    vectors tol and 10*tol, one stacked call per target.
     """
     by_target: dict = {}
     out = []
@@ -448,9 +448,8 @@ def _member_thresholds(members: Sequence, tol: float) -> tuple:
         if isinstance(member, VectorMember):
             target = member.function.target
             if id(target) not in by_target:
-                ones = np.ones(target.dim)
-                by_target[id(target)] = (gap_value(target, tol * ones),
-                                         gap_value(target, 10.0 * tol * ones))
+                pair = gap_value(target, np.array([[tol], [10.0 * tol]]) * np.ones(target.dim))
+                by_target[id(target)] = (float(pair[0]), float(pair[1]))
             out.append(by_target[id(target)])
         else:
             out.append((tol, 10.0 * tol))

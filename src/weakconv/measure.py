@@ -31,6 +31,7 @@ exhaustive, so a returned witness is minimal among that candidate set.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -288,8 +289,8 @@ def _cheapest_cells(cost: np.ndarray, supply: list, demand: list) -> dict:
     open_row, open_col = [True] * k, [True] * n
     rows, cols = k, n
     flow = {}
-    for e in np.argsort(cost, axis=None, kind="stable").tolist():
-        i, j = divmod(e, n)
+    order = np.argsort(cost, axis=None, kind="stable")
+    for i, j in zip((order // n).tolist(), (order % n).tolist()):
         if open_row[i] and open_col[j]:
             x = min(ra[i], rb[j])
             ra[i] -= x
@@ -313,7 +314,9 @@ class _Basis:
     its parent, its depth and its potential, with u_i + v_j = c_ij on each
     basic cell.  A potential is always set by the walk formula
     pot[x] = c - pot[parent[x]], so it equals a fresh walk of the tree from
-    source 0 bit for bit, however many pivots came before.
+    source 0 bit for bit, however many pivots came before.  The potentials
+    live in one ``array("d")`` buffer, and ``u`` (a column) and ``v`` are
+    zero-copy numpy views of it, so pricing reads them with no conversion.
     """
 
     def __init__(self, cost: np.ndarray, flow: dict):
@@ -324,15 +327,17 @@ class _Basis:
         for i, j in flow:
             self.adj[i].append(k + j)
             self.adj[k + j].append(i)
-        self.parent, self.depth, self.pot = [-1] * (k + n), [0] * (k + n), [0.0] * (k + n)
+        self.parent, self.depth = [-1] * (k + n), [0] * (k + n)
+        self.pot = array("d", [0.0]) * (k + n)
+        view = np.frombuffer(self.pot)
+        self.u, self.v = view[:k, None], view[k:]
         self.reduced = np.empty_like(cost)
         self._hang(0, -1)
         self._price()
 
     def _price(self) -> None:
-        k, pot, reduced = self.k, self.pot, self.reduced
-        np.subtract(self.cost, np.array(pot[:k])[:, None], out=reduced)
-        np.subtract(reduced, np.array(pot[k:]), out=reduced)
+        np.subtract(self.cost, self.u, out=self.reduced)
+        np.subtract(self.reduced, self.v, out=self.reduced)
 
     def _hang(self, x: int, y: int) -> None:
         """Hang the subtree at x under y, or the whole tree at the root when y < 0."""
@@ -364,24 +369,23 @@ class _Basis:
     def pivot(self, i: int, j: int) -> float:
         """Bring (i, j) into the basis; return the amount moved round its cycle."""
         k, parent, depth, flow, adj = self.k, self.parent, self.depth, self.flow, self.adj
-        # the cycle closed by (i, j): tree path from its sink back to its source
+        # the cycle closed by (i, j): the tree cells from its sink and from its
+        # source up to where the two paths meet; on either path the first
+        # cell and every second one after it give up what (i, j) takes
         p, q = i, k + j
         up_p, up_q = [], []
         while p != q:
             if depth[p] >= depth[q]:
-                up_p.append(p)
+                up_p.append((p, parent[p] - k) if p < k else (parent[p], p - k))
                 p = parent[p]
             else:
-                up_q.append(q)
+                up_q.append((q, parent[q] - k) if q < k else (parent[q], q - k))
                 q = parent[q]
-        cells = [(x, parent[x] - k) if x < k else (parent[x], x - k)
-                 for x in up_q + up_p[::-1]]
-        out = min(range(0, len(cells), 2), key=lambda t: (flow[cells[t]], cells[t]))
-        leave = cells[out]
-        theta = flow[leave]
-        for cell in cells[0::2]:
+        losing = up_q[0::2] + up_p[0::2]
+        theta, leave = min(zip(map(flow.__getitem__, losing), losing))
+        for cell in losing:
             flow[cell] -= theta
-        for cell in cells[1::2]:
+        for cell in up_q[1::2] + up_p[1::2]:
             flow[cell] += theta
         del flow[leave]
         flow[i, j] = theta
@@ -391,7 +395,7 @@ class _Basis:
         adj[k + j].append(i)
         # the cut-off subtree holds the sink of (i, j) when the leaving cell
         # lies on the sink's side of the cycle, and its source otherwise
-        self._hang(*((k + j, i) if out < len(up_q) else (i, k + j)))
+        self._hang(*((k + j, i) if leave in up_q else (i, k + j)))
         self._price()
         return theta
 
@@ -400,16 +404,19 @@ def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: lis
     """Cheapest plan moving ``supply`` at atoms ``src`` onto ``demand`` at ``snk``.
 
     Network simplex on a spanning-tree basis.  The northwest corner is
-    priced first and returned if nothing improves on it; otherwise the
-    simplex restarts from the cheapest cells.  A pivot re-hangs only the
-    subtree it cuts off; pricing stays one vectorised pass over all k x n
-    cells.  The most negative reduced cost enters (Dantzig) until k + n
-    degenerate pivots in a row; from then on the smallest improving cell
-    enters (Bland).  Leaving ties go to the smallest cell, so the Bland
-    phase cannot cycle and no pivot cap is needed.  Returns the basic
-    cells {(i, j): amount} in sorted order (i indexes ``src``, j
-    ``snk``), the sink potentials v of a walk from source 0 and the pivot
-    count.
+    priced first, without building a basis: its cells form a staircase
+    from source 0 on which each cell brings in one new source or sink, so
+    one pass down the staircase gives the potentials of a walk from source
+    0.  It is returned if nothing improves on it; otherwise the simplex
+    starts from the cheapest cells.  A pivot re-hangs only the subtree it
+    cuts off; pricing stays one vectorised pass over all k x n cells, on
+    numpy views of the potentials.  The most negative reduced cost enters
+    (Dantzig) until k + n degenerate pivots in a row; from then on the
+    smallest improving cell enters (Bland).  Leaving ties go to the
+    smallest cell, so the Bland phase cannot cycle and no pivot cap is
+    needed.  Returns the basic cells {(i, j): amount} in sorted order (i
+    indexes ``src``, j ``snk``), the sink potentials v of a walk from
+    source 0 and the pivot count.
     """
     k, n = len(src), len(snk)
     if not (k and n):
@@ -417,17 +424,24 @@ def _transport(cost: np.ndarray, src: list, snk: list, supply: list, demand: lis
     flow = _northwest_corner(supply, demand)
     if k == 1 or n == 1:    # a forced plan: the walk from source 0 gives v_j = c_0j
         return flow, cost[src[0], snk], 0
-    cost = cost[src][:, snk]
-    basis = _Basis(cost, flow)
+    cost = cost[np.ix_(src, snk)]
+    pot, row = array("d", [0.0]) * (k + n), 0
+    for (i, j), c in zip(flow, cost[tuple(zip(*flow))].tolist()):
+        if i == row:        # the cell brings in sink j
+            pot[k + j] = c - pot[i]
+        else:               # the cell brings in source i
+            pot[i], row = c - pot[k + j], i
+    view = np.frombuffer(pot)
+    if ((cost - view[:k, None]) - view[k:]).min() >= -_PRICE_TOL:
+        return flow, view[k:], 0
+    basis = _Basis(cost, _cheapest_cells(cost, supply, demand))
     pivots = 0
-    if basis.entering(bland=False) is not None:
-        basis = _Basis(cost, _cheapest_cells(cost, supply, demand))
-        degenerate = 0                  # stops resetting once at k + n
-        while (cell := basis.entering(bland=degenerate >= k + n)) is not None:
-            theta = basis.pivot(*cell)
-            pivots += 1
-            degenerate = degenerate + 1 if theta == 0.0 or degenerate >= k + n else 0
-    return dict(sorted(basis.flow.items())), np.array(basis.pot[k:]), pivots
+    degenerate = 0                  # stops resetting once at k + n
+    while (cell := basis.entering(bland=degenerate >= k + n)) is not None:
+        theta = basis.pivot(*cell)
+        pivots += 1
+        degenerate = degenerate + 1 if theta == 0.0 or degenerate >= k + n else 0
+    return dict(sorted(basis.flow.items())), basis.v, pivots
 
 
 def bl_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> BLResult:

@@ -655,6 +655,30 @@ class TestCalibratedThresholds:
         assert lo == pytest.approx(expect_lo, abs=1e-15)
         assert hi == pytest.approx(expect_hi, abs=1e-15)
 
+    @pytest.mark.parametrize("target", [banach_space(3, p=1), banach_space(3, p=2),
+                                        banach_space(3, p="inf"), omega_space(4),
+                                        cumulative_l1_space(3)], ids=lambda t: t.family.name)
+    @pytest.mark.parametrize("tol", [0.05, 0.001, 1.0 / 3.0])
+    def test_one_stacked_call_a_target_gives_the_per_vector_floats(self, monkeypatch,
+                                                                   target, tol):
+        # two members on one target share one gap_value call on the stacked
+        # rows tol * 1 and 10 * tol * 1, with the bits and type of a call per row
+        calls = []
+
+        def counted(space, v):
+            calls.append(np.shape(v))
+            return gap_value(space, v)
+
+        vf = vector_function(CUBE1, target, tuple(Const(0.0) for _ in range(target.dim)))
+        member = VectorMember("zero", vf, bounds=(0.0,) * target.dim, lips=(0.0,) * target.dim)
+        monkeypatch.setattr(convergence, "gap_value", counted)
+        pairs = convergence._member_thresholds((member, member), tol)
+        ones = np.ones(target.dim)
+        expected = (gap_value(target, tol * ones), gap_value(target, 10.0 * tol * ones))
+        assert calls == [(2, target.dim)]
+        assert repr(pairs) == repr((expected, expected))
+        assert all(type(x) is float for pair in pairs for x in pair)
+
     def test_scalar_thresholds_are_raw(self):
         fam = constant_family(dirac(CUBE1, (0.5,)))
         verdict = certify(fam, dirac(CUBE1, (0.5,)), probe_battery(CUBE1),

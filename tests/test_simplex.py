@@ -9,6 +9,7 @@ basis the simplex keeps across pivots against a fresh walk of its tree.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from unittest import mock
 
@@ -23,7 +24,7 @@ from test_measure import (assert_certified, cube_pairs, finite_pairs, linprog_tr
                           pairwise, planar_space, random_pair, signed_difference, transport_lp)
 from weakconv.carrier import unit_cube
 from weakconv.measure import (_Basis, _cheapest_cells, _northwest_corner, _transport,
-                              bl_distance)
+                              bl_distance, finite_measure)
 
 
 def solve(cost, supply, demand):
@@ -122,7 +123,7 @@ def transport_instance(mu, nu):
 
 
 def walk(cost, cells, k, n):
-    """Sink potentials of a fresh walk of the basis tree from source 0."""
+    """Source and sink potentials of a fresh walk of the basis tree from source 0."""
     adj = [[] for _ in range(k + n)]
     for i, j in cells:
         adj[i].append(k + j)
@@ -136,7 +137,7 @@ def walk(cost, cells, k, n):
                 seen.add(nb)
                 queue.append(nb)
     assert len(seen) == k + n        # the basis spans every source and sink
-    return np.array(pot[k:])
+    return np.array(pot[:k]), np.array(pot[k:])
 
 
 class TestBasisTree:
@@ -149,7 +150,23 @@ class TestBasisTree:
         k, n = len(src), len(snk)
         assert len(plan) == k + n - 1
         assert list(plan) == sorted(plan)
-        assert np.array_equal(v, walk(cost[np.ix_(src, snk)], plan, k, n))
+        assert np.array_equal(v, walk(cost[np.ix_(src, snk)], plan, k, n)[1])
+
+    @given(st.one_of(cube_pairs(), finite_pairs()), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_reduced_costs_equal_a_fresh_walk_after_every_pivot(self, pair, bland):
+        # pricing reads the potentials through views of one buffer; after
+        # every pivot it equals a pricing of a fresh walk, bit for bit
+        (cost, src, snk, supply, demand), _ = transport_instance(*pair)
+        cost = cost[np.ix_(src, snk)]
+        k, n = cost.shape
+        basis = _Basis(cost, _cheapest_cells(cost, supply, demand))
+        while True:
+            u, v = walk(cost, basis.flow, k, n)
+            assert basis.reduced.tobytes() == ((cost - u[:, None]) - v).tobytes()
+            if (cell := basis.entering(bland)) is None:
+                break
+            basis.pivot(*cell)
 
 
 class TestAgainstScipy:
@@ -173,6 +190,19 @@ class TestAgainstScipy:
         assert abs(res.value - ref) <= 1e-9
 
 
+def bland_start(start, dim, side, seed):
+    """Equal weights on halves of a grid, and a basis at the given start."""
+    grid = np.array(list(itertools.product(np.linspace(0.0, 1.0, side), repeat=dim)))
+    order = np.random.default_rng(seed).permutation(len(grid))
+    k = len(grid) // 2
+    src, snk = grid[order[:k]], grid[order[k:2 * k]]
+    cost = np.minimum(np.linalg.norm(src[:, None] - snk[None], axis=-1), 2.0)
+    weights = [1.0 / k] * k
+    flow = (_northwest_corner(weights, weights) if start == "northwest"
+            else _cheapest_cells(cost, weights, weights))
+    return cost, weights, _Basis(cost, flow)
+
+
 class TestBlandPhase:
     """Bland's rule from the first pivot, on ties that force degenerate pivots.
 
@@ -186,15 +216,8 @@ class TestBlandPhase:
     @pytest.mark.parametrize("dim,side", [(1, 17), (2, 4), (2, 5)])
     @pytest.mark.parametrize("seed", range(4))
     def test_terminates_at_the_optimum(self, start, dim, side, seed):
-        grid = np.array(list(itertools.product(np.linspace(0.0, 1.0, side), repeat=dim)))
-        order = np.random.default_rng(seed).permutation(len(grid))
-        k = len(grid) // 2
-        src, snk = grid[order[:k]], grid[order[k:2 * k]]
-        cost = np.minimum(np.linalg.norm(src[:, None] - snk[None], axis=-1), 2.0)
-        weights = [1.0 / k] * k
-        flow = (_northwest_corner(weights, weights) if start == "northwest"
-                else _cheapest_cells(cost, weights, weights))
-        basis = _Basis(cost, flow)
+        cost, weights, basis = bland_start(start, dim, side, seed)
+        k = len(weights)
         pivots = degenerate = 0
         while (cell := basis.entering(bland=True)) is not None:
             degenerate += basis.pivot(*cell) == 0.0
@@ -204,3 +227,70 @@ class TestBlandPhase:
         assert (basis.reduced >= -1e-12).all()
         value = sum(x * cost[i, j] for (i, j), x in basis.flow.items())
         assert abs(value - transport_lp(cost, weights, weights)) <= 1e-9
+
+
+def grid_pair(dim, side, seed):
+    """Equal-weight halves of a grid: many equal costs, many empty starting cells."""
+    grid = list(itertools.product(np.linspace(0.0, 1.0, side).tolist(), repeat=dim))
+    order = np.random.default_rng(seed).permutation(len(grid))
+    k = len(grid) // 2
+    space = unit_cube(dim)
+    return tuple(finite_measure(space, [(grid[t], 1.0 / k) for t in half])
+                 for half in (order[:k], order[k:2 * k]))
+
+
+def pinned_case(name):
+    kind, *args = name.split("-")
+    if kind == "cube":
+        dim, m = map(int, args)
+        return random_pair(unit_cube(dim), np.random.default_rng(10 * m + dim), m)
+    if kind == "plane":
+        rng = np.random.default_rng(int(args[0]))
+        return random_pair(planar_space(rng, 64), rng, 64)
+    if kind == "ground":                 # masses 1 and 1.5: the ground node is a sink
+        mu, nu = random_pair(unit_cube(2), np.random.default_rng(7), 40)
+        return finite_measure(mu.space, [(p, 1.5 * w) for p, w in mu.atoms()]), nu
+    dim, side, seed = map(int, args)
+    return grid_pair(dim, side, seed)
+
+
+# sha256 prefixes of each case's plan, sink potentials and pivot count and
+# of its BL value, witness and iteration count: a change to the simplex that
+# moves any pivot or any bit fails here
+PINNED = {
+    "cube-1-25": "c32569c51e6a483b", "cube-1-50": "9947113e3b601ac6",
+    "cube-1-100": "d44c16d5d5806643", "cube-1-200": "818d9508e909e5d0",
+    "cube-2-25": "ede389a360935efe", "cube-2-50": "28f8763496100758",
+    "cube-2-100": "f32705aa03ef1c75", "cube-2-200": "7db2d7d129c6cd96",
+    "cube-8-25": "82abd9511d735166", "cube-8-50": "47462a6ea14d4ad4",
+    "cube-8-100": "2039539f94a83185", "cube-8-200": "0c174fd52f55169f",
+    "plane-0": "912d9f3944213e02", "plane-1": "5a33b518e88af1ae",
+    "ground": "065506443ac5282a", "grid-1-17-0": "17a172d915a4b369",
+    "grid-2-5-1": "616dfc8d719e5d11", "grid-2-8-2": "3aafd41f60d9025b",
+    "grid-3-4-3": "d9143debd849cbfd",
+}
+
+
+class TestBitIdentity:
+    """Every plan, potential, pivot count and BL bit stays as pinned."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_transport_and_oracle_outputs_are_pinned(self, name):
+        mu, nu = pinned_case(name)
+        _, (plan, v, pivots) = transport_instance(mu, nu)
+        res = bl_distance(mu, nu)
+        blob = repr((list(plan.items()), v.tobytes(), pivots,
+                     res.value, res.witness_values, res.iterations))
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == PINNED[name]
+
+    @pytest.mark.parametrize("start,dim,side,seed,digest", [
+        ("northwest", 2, 5, 1, "06acf9c38bb93f13"), ("northwest", 3, 4, 2, "f7a4ea04d5d43bba"),
+        ("cheapest", 2, 5, 1, "87d9d78bce9173e7"), ("cheapest", 3, 4, 2, "bed4133153721626")])
+    def test_bland_phase_is_pinned(self, start, dim, side, seed, digest):
+        _, _, basis = bland_start(start, dim, side, seed)
+        pivots = 0
+        while (cell := basis.entering(bland=True)) is not None:
+            basis.pivot(*cell)
+            pivots += 1
+        blob = repr((sorted(basis.flow.items()), basis.reduced.tobytes(), pivots))
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
