@@ -464,8 +464,15 @@ def _domination_caps(members: Sequence, prefix: _Prefix, ts: np.ndarray) -> np.n
     11.3).  The cap is c * (BL_n + eps_n + (a + 2) * 2^-52 * (mu_n(X) +
     mu(X))) for a atoms in all: eps_n is the certificate's tolerance, and
     the last term bounds the rounding of two dot products of magnitude at
-    most c * mass and their difference.  A vector member's cap is its
-    target's gap functional on the coordinate caps, one call per target.
+    most c * mass and their difference.  Below 2^-1022 a product rounds to
+    a multiple of 2^-1074, an absolute error no relative term covers: a
+    constant 6 scaled by 1e-76 and then 1e-247 is 62 * 2^-1074, and its
+    gap between weights (0.75, 0.75) and 2.0 on one atom comes out as 32
+    units against a cap of 31.  So every cap also adds 2^-1022 * (mu_n(X)
+    + mu(X) + a + 2): each evaluated value is taken as known to within
+    2^-1022, and each of the a products of the dot products and the cap's
+    own product and sum round by at most that.  A vector member's cap is
+    its target's gap functional on the coordinate caps, one call per target.
     That is valid as each built-in functional is monotone in each |x_j|:
     lp:1, lp:2 and lp:inf are a sum, a root of a sum of squares and a
     maximum of the |x_j|; an omega_max level is a maximum and a
@@ -480,6 +487,7 @@ def _domination_caps(members: Sequence, prefix: _Prefix, ts: np.ndarray) -> np.n
     scale = (np.array([res.value for res in prefix.bl(ts.tolist())])
              + _BL_CERT_TOL * np.maximum(1.0, np.maximum(mass, limit.total_mass))
              + (atoms + 2) * 2.0 ** -52 * (mass + limit.total_mass))
+    floor = 2.0 ** -1022 * (mass + limit.total_mass + atoms + 2)
     caps = np.empty((len(members), len(terms)))
     stacks: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -487,10 +495,10 @@ def _domination_caps(members: Sequence, prefix: _Prefix, ts: np.ndarray) -> np.n
             if isinstance(m, VectorMember):
                 stacks.setdefault(id(m.function.target), (m.function.target, []))[1].append(k)
             else:
-                caps[k] = np.maximum(m.bound, m.lip) * scale
+                caps[k] = np.maximum(m.bound, m.lip) * scale + floor
         for target, ks in stacks.values():
             c = np.array([np.maximum(members[k].bounds, members[k].lips) for k in ks])
-            caps[ks] = gap_value(target, c[:, None] * scale[:, None])
+            caps[ks] = gap_value(target, c[:, None] * scale[:, None] + floor[:, None])
     return caps
 
 

@@ -378,6 +378,20 @@ class TestBLDomination:
         caps = _domination_caps(members, prefix, ts)
         assert not (gaps > caps).any(), (gaps.ravel(), caps.ravel())
 
+    def test_subnormal_values_are_dominated(self):
+        # 6 * 1.33e-76 * 3.83e-247 is 62 units of 2^-1074; the dot products
+        # round 0.75 * 62 to 46, so the gap is 124 - 92 = 32 units, one more
+        # than max(B, L) * BL with every relative term added
+        space = finite_space((0, 1), np.array([[0.0, 3e-6], [3e-6, 0.0]]))
+        f = Scale(3.828004257036245e-247, Scale(1.3328884019795029e-76, Const(6.0)))
+        mu = finite_measure(space, [(0, 0.75), (1, 0.75)])
+        nu = finite_measure(space, [(0, 2.0)])
+        members = [ScalarMember("f", f, bound=f.bound(space), lip=f.lipschitz(space))]
+        prefix, ts = _Prefix([mu], nu), np.array([0])
+        gaps = _battery_gaps(members, prefix, nu, ts)
+        assert gaps[0, 0] == 32 * 2.0 ** -1074
+        assert gaps[0, 0] <= _domination_caps(members, prefix, ts)[0, 0]
+
 
 class TestVectorFunctions:
     def test_shapes_and_values(self):
