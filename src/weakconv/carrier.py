@@ -14,11 +14,8 @@ functions can be evaluated vectorised.
 BL oracle's cost matrix reads it too.  On the cube it takes no dot
 product, so distances and BL values do not depend on the BLAS build.
 
-Measurable sets are finite unions of cells.  The cell vocabulary is:
-axis-aligned boxes, half-open on each axis except that the outermost
-upper face of the cube is closed (so the cells of a grid tile the whole
-cube exactly once); subsets of a finite carrier; and closed metric balls,
-which are what tightness witnesses return.
+The one measurable set built here is the closed metric ball, which is
+what tightness witnesses return.
 """
 
 from __future__ import annotations
@@ -431,81 +428,21 @@ def metric_axioms_report(space: CompactSpace, samples: int = _TRIPLE_SAMPLES,
 
 
 @dataclass(frozen=True)
-class BoxCell:
-    """Axis-aligned box, half-open per axis unless flagged closed above."""
-
-    lo: tuple
-    hi: tuple
-    closed_hi: tuple
-
-    def contains(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        closed = np.asarray(self.closed_hi, dtype=bool)
-        above = pts >= lo
-        below = np.where(closed, pts <= hi, pts < hi)
-        return np.all(above & below, axis=-1)
-
-
-@dataclass(frozen=True)
-class PointCell:
-    """Subset of a finite carrier, stored as sorted indices."""
-
-    indices: tuple
-
-    def contains(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
-        return np.isin(np.asarray(pts, dtype=int), np.asarray(self.indices, dtype=int))
-
-
-@dataclass(frozen=True)
-class BallCell:
-    """Closed metric ball; the shape tightness witnesses are made of."""
+class MeasurableSet:
+    """A closed metric ball; the shape tightness witnesses take."""
 
     center: Point
     radius: float
 
     def contains(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
+        pts = space.points_array(pts) if not isinstance(pts, np.ndarray) else pts
         # tiny additive slack so that "radius equal to an atom distance"
         # keeps that atom inside despite rounding in the norm
         return space.dist_to(pts, self.center) <= self.radius + 1e-12
 
 
-Cell = Union[BoxCell, PointCell, BallCell]
-
-
-@dataclass(frozen=True)
-class MeasurableSet:
-    """A finite union of cells."""
-
-    cells: tuple = ()
-
-    def contains(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
-        pts = space.points_array(pts) if not isinstance(pts, np.ndarray) else pts
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for cell in self.cells:
-            mask |= cell.contains(space, pts)
-        return mask
-
-    def complement_contains(self, space: CompactSpace, pts: np.ndarray) -> np.ndarray:
-        return ~self.contains(space, pts)
-
-
-def box_set(lo: Sequence[float], hi: Sequence[float],
-            closed_hi: Sequence[bool] | None = None) -> MeasurableSet:
-    lo = tuple(float(x) for x in lo)
-    hi = tuple(float(x) for x in hi)
-    if closed_hi is None:
-        closed_hi = tuple(False for _ in lo)
-    return MeasurableSet(cells=(BoxCell(lo, hi, tuple(closed_hi)),))
-
-
-def point_set(indices: Iterable[int]) -> MeasurableSet:
-    return MeasurableSet(cells=(PointCell(tuple(sorted(set(int(i) for i in indices)))),))
-
-
 def ball_set(center: Point, radius: float) -> MeasurableSet:
-    return MeasurableSet(cells=(BallCell(center, float(radius)),))
+    return MeasurableSet(center, float(radius))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ The builder does not check the members' declared constants: the verdict
 does, where it reads them.
 
 One private kernel, ``_verdicts``, scores lists of members on one window
-and applies this rule to each list, for ``certify`` (one list),
-``equivalence_report`` (the scalar list, then one per target) and
-``distribution_convergence_report``; the oracle's own status is the same
-rule applied to its values.
+and applies this rule to each list, for ``certify`` (one list) and
+``equivalence_report`` (the scalar list, then one per target); the
+oracle's own status is the same rule applied to its values.
 
 Gaps of vector members are measured by the target's norm or paranorm.
 A paranorm compresses scale (it never exceeds 1), so the raw scalar
@@ -93,8 +92,7 @@ import numpy as np
 from .carrier import CompactSpace, integer, numbers
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 from .funcs import Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, VectorFunction
-from .measure import (BLResult, FiniteMeasure, MeasureFamily, RandomElement,
-                      bl_distance, check_bl_inputs)
+from .measure import BLResult, FiniteMeasure, MeasureFamily, bl_distance, check_bl_inputs
 from .target import TargetSpace, gap_value
 from .integral import atomic_oracle
 
@@ -751,44 +749,3 @@ def equivalence_report(family: MeasureFamily, targets: Sequence[TargetSpace],
                              oracle_status=oracle_status, scalar_verdict=scalar_verdict,
                              vector_verdicts=tuple((target.family.name, verdict)
                                                    for target, verdict in zip(targets, verdicts)))
-
-
-# ---------------------------------------------------------------------------
-# random elements
-# ---------------------------------------------------------------------------
-
-
-def expectation(element: RandomElement, g: VectorFunction) -> np.ndarray:
-    """E g(zeta): exact, since the law is atomic."""
-    return atomic_oracle(g, element.law)
-
-
-@dataclass(frozen=True)
-class DistributionReport:
-    verdict: Verdict
-    expectation_tails: tuple  # final expectation gap per vector member
-
-
-def distribution_convergence_report(elements: Sequence[RandomElement],
-                                    limit_element: RandomElement,
-                                    battery: Battery,
-                                    n_terms: int = DEFAULT_PREFIX,
-                                    tol: float = DEFAULT_TOL) -> DistributionReport:
-    """Convergence in distribution, reduced to the laws.
-
-    Expectations of battery members against the laws are exactly the
-    integrals the certification already compares, so the verdict doubles
-    as an expectation-convergence statement; the final expectation gaps
-    of the vector members are surfaced for convenience.
-    """
-    elements = list(elements)
-    if len(elements) < n_terms:
-        raise DomainError(f"need at least {n_terms} elements, got {len(elements)}")
-    laws = [e.law for e in elements]
-    family = MeasureFamily(space=limit_element.law.space,
-                           measure_fn=lambda n: laws[n - 1],
-                           name="random-elements")
-    verdict = certify(family, limit_element.law, battery, n_terms, tol)
-    # a vector member's last gap is its expectation gap at the last term
-    tails = tuple(gaps[-1] for gaps in verdict.window_gaps[len(battery.scalar_members):])
-    return DistributionReport(verdict=verdict, expectation_tails=tails)

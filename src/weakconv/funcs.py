@@ -472,9 +472,6 @@ class VectorFunction:
                 done[id(f)] = f.evaluate(self.space, pts)
         return np.stack([done[id(f)] for f in self.forms], axis=-1)
 
-    def at_point(self, point: Point) -> np.ndarray:
-        return self.evaluate(self.space.points_array([point]))[0]
-
     def to_json(self) -> dict:
         return {"coords": [f.to_json() for f in self.forms]}
 

@@ -212,19 +212,6 @@ def normalize(mu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(space=mu.space, points=mu.points, weights=mu.weights / mass)
 
 
-def pushforward(mu: FiniteMeasure, point_map: Callable[[Point], Point],
-                into: Optional[CompactSpace] = None) -> FiniteMeasure:
-    """Image measure under a point map; images must land in the carrier."""
-    space = into if into is not None else mu.space
-    atoms = []
-    for p, w in mu.atoms():
-        q = point_map(p)
-        if not space.contains(q):
-            raise DomainError(f"pushforward image {q!r} lies outside the carrier")
-        atoms.append((q, w))
-    return finite_measure(space, atoms)
-
-
 # ---------------------------------------------------------------------------
 # bounded-Lipschitz distance
 # ---------------------------------------------------------------------------
@@ -764,23 +751,3 @@ def _cycle(space: CompactSpace, phases: list, name: str) -> MeasureFamily:
         return phases[(n - 1) % len(phases)]
 
     return MeasureFamily(space, fn, FamilyLabel("diverges", phases[0]), name=name)
-
-
-# ---------------------------------------------------------------------------
-# random elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RandomElement:
-    """A seeded sampler with an atomic law; draws are inverse-CDF."""
-
-    law: FiniteMeasure
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.law.is_probability:
-            raise DomainError("random elements need a probability law")
-
-    def sample(self, count: int) -> np.ndarray:
-        return self.law.points[_inverse_cdf_draws(self.law, self.seed, count)]

@@ -20,8 +20,8 @@ report checks numerically.
 
 A Schauder base is a nonsingular set of D vectors; expansion coefficients
 are recovered by a dense solve (LU with partial pivoting), and the
-coordinate functionals are the biorthogonal rows.  Levels and coordinate
-functionals are 1-indexed throughout, matching the usual math convention.
+coordinate functionals are the biorthogonal rows.  Levels and base
+vectors are 1-indexed throughout, matching the usual math convention.
 """
 
 from __future__ import annotations
@@ -237,26 +237,6 @@ def gap_value(space: TargetSpace, v: np.ndarray):
     if space.kind == "banach":
         return seminorm(space, 1, v)
     return paranorm(space, v)
-
-
-def expand(space: TargetSpace, x: np.ndarray) -> np.ndarray:
-    if space.base is None:
-        raise UnsupportedError("target has no base; cannot expand")
-    return space.base.expand(x)
-
-
-def coordinate_functional(space: TargetSpace, i: int, x: np.ndarray) -> float:
-    """x'_i(x), 1-indexed: the i-th expansion coefficient."""
-    coeffs = expand(space, x)
-    if not 1 <= i <= space.dim:
-        raise DomainError(f"functional index {i} out of range")
-    return float(coeffs[i - 1])
-
-
-def reconstruct(space: TargetSpace, coeffs: np.ndarray) -> np.ndarray:
-    if space.base is None:
-        raise UnsupportedError("target has no base; cannot reconstruct")
-    return space.base.matrix @ np.asarray(coeffs, dtype=float)
 
 
 # -- built-in instances ------------------------------------------------------
@@ -504,31 +484,3 @@ def convergence_equivalence_report(space: TargetSpace,
                                       by_levels=bool(worst_level <= tol)))
     return ConvergenceEquivalenceReport(records=tuple(records),
                                         all_agree=all(r.agree for r in records))
-
-
-@dataclass(frozen=True)
-class BaseContinuityProbe:
-    ok: bool
-    max_final_residual: float
-    steps: int
-
-
-def base_continuity_probe(space: TargetSpace, samples: int = 100,
-                          seed: int = 0, steps: int = 40) -> BaseContinuityProbe:
-    """Probe continuity of the coordinate functionals along x + 2^-k v.
-
-    In finite dimension the expansion map is linear and bounded, so the
-    functional values along a convergent sequence must converge at the
-    same dyadic rate; the probe checks the final residual is tiny.
-    """
-    if space.base is None:
-        raise UnsupportedError("continuity probe needs a base")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(space.dim)
-        v = rng.standard_normal(space.dim)
-        base_coeffs = space.base.expand(x)
-        final = space.base.expand(x + (2.0 ** -steps) * v)
-        worst = max(worst, float(np.max(np.abs(final - base_coeffs))))
-    return BaseContinuityProbe(ok=worst <= 1e-9, max_final_residual=worst, steps=steps)

@@ -261,9 +261,8 @@ def test_08_tightness_witness_pins_the_concentration_point():
     family = [finite_measure(CUBE1, [((0.5,), 0.95), ((x,), 0.05)])
               for x in (0.1, 0.3, 0.7, 0.9)]
     witness = tightness_witness(family, eps=0.05)
-    cell = witness.cells[0]
-    assert cell.center == (0.5,)
-    assert cell.radius == 0.0
+    assert witness.center == (0.5,)
+    assert witness.radius == 0.0
     for mu in family:
         outside = mu.total_mass - measure_of(mu, witness)
         assert outside <= 0.05 + 1e-12

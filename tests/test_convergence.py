@@ -8,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,13 +18,11 @@ from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMember,
                                   Status, Verdict, VectorMember, _Prefix, _battery_gaps,
                                   _lift_through_base, battery_members,
-                                  bl_witness_function, certify,
-                                  distribution_convergence_report,
-                                  equivalence_report, expectation,
+                                  bl_witness_function, certify, equivalence_report,
                                   generate_battery, integral_gap)
 from weakconv.funcs import Const, Coord, Tent, validate_metadata, vector_function
-from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, RandomElement,
-                              bl_distance, dirac, finite_measure, scenario)
+from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, bl_distance, dirac,
+                              finite_measure, scenario)
 from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
                              omega_space, target_from_json)
@@ -539,17 +536,6 @@ class TestWindowFirst:
             "status", "n_terms", "tol", "window_start", "member_names", "thresholds",
             "window_gaps", "window_bl", "witness"]
 
-    def test_window_reads_do_not_complete(self, bl_calls):
-        entry = next(e for e in bundled_suite() if e.name == "split-2d")
-        fam, limit = entry.family, entry.family.label.reference
-        elements = [RandomElement(mu) for mu in fam.prefix(DEFAULT_PREFIX)]
-        battery = generate_battery(fam.space, banach_space(2, p=2), seed=3)
-        rep = distribution_convergence_report(elements, RandomElement(limit), battery)
-        assert len(bl_calls) == 16 and rep.verdict.to_json()["status"] == rep.verdict.status.value
-        assert rep.expectation_tails == tuple(g[-1] for g in rep.verdict.window_gaps[10:])
-        read_every_way(rep.verdict)
-        assert len(bl_calls) == 16
-
     @staticmethod
     def family_with_bad_term(case):
         """A labeled family on CUBE1 whose term 2 or 3 fails an input check, and its limit."""
@@ -1033,33 +1019,3 @@ class TestEquivalenceReport:
                                spec=BatterySpec(vector_members=0))
         assert str(got.value) == "vector members need a target with a base"
         assert bl_calls == []
-
-
-class TestRandomElements:
-    def test_expectation_is_exact(self):
-        law = finite_measure(CUBE2, [((0.2, 0.4), 0.5), ((0.6, 0.8), 0.5)])
-        g = vector_function(CUBE2, banach_space(2, p=2), (Coord(0), Coord(1)))
-        assert_allclose(expectation(RandomElement(law, seed=0), g), [0.4, 0.6])
-
-    def test_distribution_report(self):
-        elements = [RandomElement(dirac(CUBE1, (0.5 + 0.4 / (n * n),)), seed=n)
-                    for n in range(1, 9)]
-        limit = RandomElement(dirac(CUBE1, (0.5,)), seed=99)
-        batt = generate_battery(
-            CUBE1, target=banach_space(2, p=2),
-            spec=BatterySpec(tents=1, distances=0, mcshanes=0, vector_members=2),
-            seed=3)
-        rep = distribution_convergence_report(elements, limit, batt, n_terms=8)
-        assert rep.verdict.status == Status.CONVERGENT_EVIDENCE
-        assert len(rep.expectation_tails) == 2
-        assert all(t >= 0.0 for t in rep.expectation_tails)
-        for m, tail in zip(batt.vector_members, rep.expectation_tails):
-            g = m.function
-            assert tail == gap_value(g.target, expectation(elements[-1], g)
-                                     - expectation(limit, g))
-
-    def test_too_few_elements(self):
-        limit = RandomElement(dirac(CUBE1, (0.5,)), seed=0)
-        batt = probe_battery(CUBE1)
-        with pytest.raises(DomainError):
-            distribution_convergence_report([limit] * 5, limit, batt, n_terms=8)

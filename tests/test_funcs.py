@@ -399,7 +399,7 @@ class TestVectorFunctions:
         g = vector_function(CUBE2, target, (Coord(0), Coord(1)))
         pts = CUBE2.points_array([(0.25, 0.75), (1.0, 0.0)])
         assert g.evaluate(pts).shape == (2, 2)
-        assert_allclose(g.at_point((0.25, 0.75)), [0.25, 0.75])
+        assert_allclose(g.evaluate(pts), [[0.25, 0.75], [1.0, 0.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

@@ -12,12 +12,11 @@ from scipy.optimize import linprog
 
 import weakconv.measure as measure_module
 from weakconv import CapacityError, CertificateError, DomainError
-from weakconv.carrier import ball_set, box_set, finite_space, unit_cube
+from weakconv.carrier import ball_set, finite_space, unit_cube
 from weakconv.convergence import bl_witness_function
-from weakconv.measure import (MAX_BL_SUPPORT, RandomElement, bl_distance, dirac, finite_measure,
+from weakconv.measure import (MAX_BL_SUPPORT, bl_distance, dirac, finite_measure,
                               measure_from_json, measure_of, normalize,
-                              point_from_json, pushforward, scenario,
-                              tightness_witness)
+                              point_from_json, scenario, tightness_witness)
 
 CUBE1 = unit_cube(1)
 CUBE2 = unit_cube(2)
@@ -194,10 +193,6 @@ class TestArrayChecks:
 
 
 class TestMeasureOf:
-    def test_box(self):
-        mu = finite_measure(CUBE1, [((0.1,), 0.3), ((0.6,), 0.7)])
-        assert measure_of(mu, box_set([0.0], [0.5])) == pytest.approx(0.3)
-
     def test_ball(self):
         mu = finite_measure(CUBE2, [((0.5, 0.5), 0.9), ((0.95, 0.95), 0.1)])
         a = ball_set((0.5, 0.5), 0.1)
@@ -213,16 +208,6 @@ class TestMeasureOf:
     def test_normalize_zero_rejected(self):
         with pytest.raises(DomainError):
             normalize(finite_measure(CUBE1, []))
-
-    def test_pushforward(self):
-        mu = finite_measure(CUBE1, [((0.2,), 0.5), ((0.4,), 0.5)])
-        nu = pushforward(mu, lambda p: (p[0] / 2.0,))
-        assert_allclose(nu.points[:, 0], [0.1, 0.2])
-
-    def test_pushforward_escaping_rejected(self):
-        mu = dirac(CUBE1, (0.9,))
-        with pytest.raises(DomainError):
-            pushforward(mu, lambda p: (p[0] + 0.5,))
 
 
 class TestBLDistance:
@@ -694,16 +679,14 @@ class TestTightness:
     def test_two_diracs_need_radius_one(self):
         witness = tightness_witness([dirac(CUBE1, (0.0,)), dirac(CUBE1, (1.0,))],
                                     eps=0.5)
-        cell = witness.cells[0]
-        assert cell.radius == pytest.approx(1.0)
+        assert witness.radius == pytest.approx(1.0)
 
     def test_concentrated_family_radius_zero(self):
         family = [finite_measure(CUBE1, [((0.5,), 0.95), ((0.1,), 0.05)]),
                   finite_measure(CUBE1, [((0.5,), 0.95), ((0.9,), 0.05)])]
         witness = tightness_witness(family, eps=0.05)
-        cell = witness.cells[0]
-        assert cell.center == (0.5,)
-        assert cell.radius == 0.0
+        assert witness.center == (0.5,)
+        assert witness.radius == 0.0
         for mu in family:
             outside = mu.total_mass - measure_of(mu, witness)
             assert outside <= 0.05 + 1e-12
@@ -713,9 +696,8 @@ class TestTightness:
         space = finite_space(("x", "y", "z"), d)
         family = [finite_measure(space, [(0, 0.6), (1, 0.35), (2, 0.05)])]
         witness = tightness_witness(family, eps=0.1)
-        cell = witness.cells[0]
-        assert cell.center in (0, 1)
-        assert cell.radius == pytest.approx(0.2)
+        assert witness.center in (0, 1)
+        assert witness.radius == pytest.approx(0.2)
 
     def test_eps_validation(self):
         with pytest.raises(DomainError):
@@ -795,8 +777,6 @@ class TestScenarios:
             mu = fam.measure(n)
             assert np.array_equal(mu.points, law.points[counts > 0])
             assert np.array_equal(mu.weights, counts[counts > 0])
-            assert np.array_equal(RandomElement(law, seed=seed).sample(n),
-                                  law.points[idx])
 
     def test_empirical_terms_do_not_depend_on_access_order(self):
         law = finite_measure(CUBE1, [((0.2,), 0.3), ((0.5,), 0.3), ((0.9,), 0.4)])
@@ -806,6 +786,26 @@ class TestScenarios:
         for n in (100, 3, 64, 1, 65):
             assert backward.measure(n) == in_order[n - 1]
 
+    def test_empirical_draws_do_not_depend_on_how_many_were_asked_for(self):
+        # term 40 counts the first 40 draws, whether the family drew 40 or 100
+        law = finite_measure(CUBE1, [((0.2,), 0.25), ((0.8,), 0.75)])
+        fresh = scenario("empirical", {"space": CUBE1, "law": law}, seed=4)
+        grown = scenario("empirical", {"space": CUBE1, "law": law}, seed=4)
+        long = dict(grown.measure(100).atoms())
+        short = grown.measure(40)
+        assert short == fresh.measure(40)
+        # the first 40 draws are among the first 100
+        assert all(round(w * 40) <= round(long[p] * 100) for p, w in short.atoms())
+
+    def test_empirical_term_follows_the_law(self):
+        law = finite_measure(CUBE1, [((0.2,), 0.25), ((0.8,), 0.75)])
+        mu = scenario("empirical", {"space": CUBE1, "law": law}, seed=4).measure(4000)
+        assert measure_of(mu, ball_set((0.8,), 0.0)) == pytest.approx(0.75, abs=0.03)
+
+    def test_empirical_needs_probability_law(self):
+        with pytest.raises(DomainError, match="needs a probability law"):
+            scenario("empirical", {"space": CUBE1, "law": finite_measure(CUBE1, [((0.2,), 0.25)])})
+
     def test_indices_start_at_one(self):
         fam = scenario("constant", {"space": CUBE1, "mu": dirac(CUBE1, (0.5,))})
         with pytest.raises(DomainError):
@@ -814,22 +814,3 @@ class TestScenarios:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             scenario("brownian", {"space": CUBE1})
-
-
-class TestRandomElements:
-    def test_prefix_consistent_sampling(self):
-        law = finite_measure(CUBE1, [((0.2,), 0.25), ((0.8,), 0.75)])
-        elem = RandomElement(law, seed=4)
-        long = elem.sample(100)
-        short = elem.sample(40)
-        assert_allclose(long[:40], short)
-
-    def test_law_frequencies(self):
-        law = finite_measure(CUBE1, [((0.2,), 0.25), ((0.8,), 0.75)])
-        draws = RandomElement(law, seed=4).sample(4000)
-        frac = np.mean(draws[:, 0] > 0.5)
-        assert frac == pytest.approx(0.75, abs=0.03)
-
-    def test_needs_probability_law(self):
-        with pytest.raises(DomainError):
-            RandomElement(finite_measure(CUBE1, [((0.2,), 0.25)]))

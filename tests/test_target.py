@@ -10,12 +10,10 @@ from weakconv import DomainError, UnsupportedError
 from weakconv.suite import suite_targets
 from weakconv.target import (_FAMILY_BUILDERS, BaseCriterionReport, SchauderBase,
                              SeminormFamily, TargetSpace, banach_space,
-                             base_continuity_probe, base_criterion_report,
-                             constant_lp_family, convergence_equivalence_report,
-                             coordinate_functional, cumulative_l1_space, expand,
+                             base_criterion_report, constant_lp_family,
+                             convergence_equivalence_report, cumulative_l1_space,
                              gap_value, omega_max_family, omega_space, paranorm,
-                             paranorm_axioms_report, reconstruct, seminorm,
-                             target_from_json)
+                             paranorm_axioms_report, seminorm, target_from_json)
 
 OMEGA4 = omega_space(4)
 CUM3 = cumulative_l1_space(3)
@@ -97,21 +95,6 @@ class TestSchauderBase:
         f = base.functional_matrix()
         assert_allclose(f @ base.matrix, np.eye(2), atol=1e-12)
 
-    def test_expand_reconstruct_round_trip(self):
-        space = banach_space(3, base=np.array([[1.0, 0.0, 0.0],
-                                               [1.0, 1.0, 0.0],
-                                               [0.5, 0.0, 2.0]]))
-        rng = np.random.default_rng(2)
-        for x in rng.standard_normal((50, 3)):
-            coeffs = expand(space, x)
-            assert_allclose(reconstruct(space, coeffs), x, atol=1e-10)
-
-    def test_coordinate_functional_is_coefficient(self):
-        space = omega_space(3)
-        x = np.array([0.3, -0.7, 2.0])
-        for i in range(1, 4):
-            assert coordinate_functional(space, i, x) == pytest.approx(x[i - 1])
-
     def test_dependent_base_rejected(self):
         with pytest.raises(DomainError):
             SchauderBase(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -124,16 +107,6 @@ class TestSchauderBase:
     def test_zero_or_non_finite_base_rejected(self, vectors):
         with pytest.raises(DomainError):
             SchauderBase(np.array(vectors))
-
-    def test_baseless_target_cannot_expand(self):
-        space = banach_space(2, base=None)
-        with pytest.raises(UnsupportedError):
-            expand(space, np.ones(2))
-
-    def test_continuity_probe(self):
-        rep = base_continuity_probe(omega_space(4), samples=50, seed=1)
-        assert rep.ok
-        assert rep.max_final_residual <= 1e-9
 
 
 class TestBaseCriterion:
