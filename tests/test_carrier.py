@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from weakconv import CapacityError, DomainError
 from weakconv.carrier import (ball_set, finite_space, grid_partition, metric_axioms_report,
                               space_from_json, trivial_partition, unit_cube)
+from weakconv.measure import finite_measure, measure_of
 
 
 def three_point_space():
@@ -254,6 +255,32 @@ class TestMetricAxioms:
 
 
 class TestMeasurableSets:
+    def test_box_half_open(self):
+        # the cells of a grid are half-open boxes: a point on an inner edge
+        # belongs to the cell above it on that axis, never to both
+        s = unit_cube(2)
+        part = grid_partition(s, 0.5)
+        pts = s.points_array([(0.0, 0.0), (0.25, 0.49), (0.5, 0.25), (0.49, 0.5), (0.5, 0.5)])
+        assert part.cell_of(pts).tolist() == [[0, 0], [0, 0], [1, 0], [0, 1], [1, 1]]
+
+    def test_box_closed_top_edge(self):
+        # on the line a closed ball is the closed box [c - r, c + r]
+        s = unit_cube(1)
+        a = ball_set((0.75,), 0.25)
+        pts = s.points_array([(0.5,), (1.0,), (0.49,)])
+        assert list(a.contains(s, pts)) == [True, True, False]
+
+    def test_point_set_and_complement(self):
+        # on a finite carrier a ball is a point set; its complement holds
+        # the rest of the mass
+        s = three_point_space()
+        a = ball_set(0, 1.0)
+        pts = s.points_array([0, 1, 2])
+        assert list(a.contains(s, pts)) == [True, True, False]
+        assert list(ball_set(2, 0.0).contains(s, pts)) == [False, False, True]
+        mu = finite_measure(s, [(0, 0.5), (1, 0.3), (2, 0.2)])
+        assert mu.total_mass - measure_of(mu, a) == pytest.approx(0.2)
+
     def test_ball_set(self):
         s = unit_cube(2)
         a = ball_set((0.5, 0.5), 0.25)

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -536,6 +537,20 @@ class TestWindowFirst:
             "status", "n_terms", "tol", "window_start", "member_names", "thresholds",
             "window_gaps", "window_bl", "witness"]
 
+    def test_window_reads_do_not_complete(self, bl_calls):
+        # certify on the laws of split-2d with a Banach-valued battery: reading
+        # the verdict, the last gaps of its vector members included, solves
+        # no term outside the window
+        entry = next(e for e in bundled_suite() if e.name == "split-2d")
+        fam, limit = entry.family, entry.family.label.reference
+        battery = generate_battery(fam.space, banach_space(2, p=2), seed=3)
+        verdict = certify(fam, limit, battery)
+        assert len(bl_calls) == 16 and verdict.to_json()["status"] == verdict.status.value
+        tails = tuple(g[-1] for g in verdict.window_gaps[len(battery.scalar_members):])
+        assert len(tails) == len(battery.vector_members) > 0
+        read_every_way(verdict)
+        assert len(bl_calls) == 16
+
     @staticmethod
     def family_with_bad_term(case):
         """A labeled family on CUBE1 whose term 2 or 3 fails an input check, and its limit."""
@@ -1019,3 +1034,35 @@ class TestEquivalenceReport:
                                spec=BatterySpec(vector_members=0))
         assert str(got.value) == "vector members need a target with a base"
         assert bl_calls == []
+
+
+class TestRandomElements:
+    """A random element converges in distribution exactly when its laws
+    converge weakly, so ``certify`` on the laws decides it."""
+
+    def test_expectation_is_exact(self):
+        # the mean of g at a random element is the atomic integral of g
+        # against its law
+        law = finite_measure(CUBE2, [((0.2, 0.4), 0.5), ((0.6, 0.8), 0.5)])
+        g = vector_function(CUBE2, banach_space(2, p=2), (Coord(0), Coord(1)))
+        assert_allclose(integral.atomic_oracle(g, law), [0.4, 0.6])
+
+    def test_distribution_report(self):
+        laws = [dirac(CUBE1, (0.5 + 0.4 / (n * n),)) for n in range(1, 9)]
+        family = MeasureFamily(space=CUBE1, measure_fn=lambda n: laws[n - 1],
+                               name="random-elements")
+        limit = dirac(CUBE1, (0.5,))
+        batt = generate_battery(
+            CUBE1, target=banach_space(2, p=2),
+            spec=BatterySpec(tents=1, distances=0, mcshanes=0, vector_members=2),
+            seed=3)
+        verdict = certify(family, limit, batt, n_terms=8)
+        assert verdict.status == Status.CONVERGENT_EVIDENCE
+        # a vector member's last gap is the gap of its means at the last term
+        tails = [gaps[-1] for gaps in verdict.window_gaps[len(batt.scalar_members):]]
+        assert len(tails) == 2
+        for m, tail in zip(batt.vector_members, tails):
+            g = m.function
+            assert tail >= 0.0
+            assert tail == gap_value(g.target, integral.atomic_oracle(g, laws[-1])
+                                     - integral.atomic_oracle(g, limit))

@@ -193,6 +193,12 @@ class TestArrayChecks:
 
 
 class TestMeasureOf:
+    def test_box(self):
+        # on the line the closed ball of centre 0.25 and radius 0.25 is the
+        # box [0, 0.5]
+        mu = finite_measure(CUBE1, [((0.1,), 0.3), ((0.6,), 0.7)])
+        assert measure_of(mu, ball_set((0.25,), 0.25)) == pytest.approx(0.3)
+
     def test_ball(self):
         mu = finite_measure(CUBE2, [((0.5, 0.5), 0.9), ((0.95, 0.95), 0.1)])
         a = ball_set((0.5, 0.5), 0.1)
@@ -802,10 +808,6 @@ class TestScenarios:
         mu = scenario("empirical", {"space": CUBE1, "law": law}, seed=4).measure(4000)
         assert measure_of(mu, ball_set((0.8,), 0.0)) == pytest.approx(0.75, abs=0.03)
 
-    def test_empirical_needs_probability_law(self):
-        with pytest.raises(DomainError, match="needs a probability law"):
-            scenario("empirical", {"space": CUBE1, "law": finite_measure(CUBE1, [((0.2,), 0.25)])})
-
     def test_indices_start_at_one(self):
         fam = scenario("constant", {"space": CUBE1, "mu": dirac(CUBE1, (0.5,))})
         with pytest.raises(DomainError):
@@ -814,3 +816,24 @@ class TestScenarios:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             scenario("brownian", {"space": CUBE1})
+
+
+class TestRandomElements:
+    """The inverse-CDF draw of a random element with an atomic law, which
+    the ``empirical`` scenario counts."""
+
+    def test_prefix_consistent_sampling(self):
+        law = finite_measure(CUBE1, [((0.2,), 0.25), ((0.8,), 0.75)])
+        long = measure_module._inverse_cdf_draws(law, 4, 100)
+        short = measure_module._inverse_cdf_draws(law, 4, 40)
+        assert np.array_equal(long[:40], short)
+
+    def test_law_frequencies(self):
+        law = finite_measure(CUBE1, [((0.2,), 0.25), ((0.5,), 0.15), ((0.8,), 0.6)])
+        draws = law.points[measure_module._inverse_cdf_draws(law, 4, 4000)]
+        for (p,), w in law.atoms():
+            assert np.mean(draws[:, 0] == p) == pytest.approx(w, abs=0.03)
+
+    def test_needs_probability_law(self):
+        with pytest.raises(DomainError, match="needs a probability law"):
+            scenario("empirical", {"space": CUBE1, "law": finite_measure(CUBE1, [((0.2,), 0.25)])})

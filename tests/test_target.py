@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from weakconv import DomainError, UnsupportedError
+from weakconv.carrier import unit_cube
+from weakconv.convergence import generate_battery
 from weakconv.suite import suite_targets
 from weakconv.target import (_FAMILY_BUILDERS, BaseCriterionReport, SchauderBase,
                              SeminormFamily, TargetSpace, banach_space,
@@ -95,6 +97,26 @@ class TestSchauderBase:
         f = base.functional_matrix()
         assert_allclose(f @ base.matrix, np.eye(2), atol=1e-12)
 
+    def test_expand_reconstruct_round_trip(self):
+        # the coefficients of x in the base, summed against the base vectors,
+        # give x back
+        space = banach_space(3, base=np.array([[1.0, 0.0, 0.0],
+                                               [1.0, 1.0, 0.0],
+                                               [0.5, 0.0, 2.0]]))
+        rng = np.random.default_rng(2)
+        for x in rng.standard_normal((50, 3)):
+            coeffs = space.base.expand(x)
+            assert_allclose(space.base.matrix @ coeffs, x, atol=1e-10)
+
+    def test_coordinate_functional_is_coefficient(self):
+        # on the coordinate base the i-th coefficient functional reads x_i
+        space = omega_space(3)
+        x = np.array([0.3, -0.7, 2.0])
+        coeffs = space.base.expand(x)
+        for i in range(1, 4):
+            assert coeffs[i - 1] == pytest.approx(x[i - 1])
+            assert space.base.functional_matrix()[i - 1] @ x == pytest.approx(x[i - 1])
+
     def test_dependent_base_rejected(self):
         with pytest.raises(DomainError):
             SchauderBase(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -107,6 +129,24 @@ class TestSchauderBase:
     def test_zero_or_non_finite_base_rejected(self, vectors):
         with pytest.raises(DomainError):
             SchauderBase(np.array(vectors))
+
+    def test_baseless_target_cannot_expand(self):
+        # vector members are expansions sum_k f_k x_k, so a target without a
+        # base refuses them
+        space = banach_space(2, base=None)
+        assert space.base is None
+        with pytest.raises(UnsupportedError, match="base"):
+            generate_battery(unit_cube(1), target=space, seed=0)
+
+    def test_continuity_probe(self):
+        # the coefficient functionals are bounded, so moving x by 2^-40 v
+        # moves its coefficients by about 2^-40 too
+        base = omega_space(4).base
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            x, v = rng.standard_normal(4), rng.standard_normal(4)
+            moved = base.expand(x + 2.0 ** -40 * v)
+            assert np.max(np.abs(moved - base.expand(x))) <= 1e-9
 
 
 class TestBaseCriterion:
