@@ -60,19 +60,18 @@ The atoms of the distinct terms being scored are concatenated, the
 limit's atoms follow them, and each distinct form object (a scalar
 member's form or a vector member's coordinate form) is evaluated once on
 all of them.  Values are pointwise, so each part equals an evaluation of
-its own.  Terms with the same atom count form a group, and one stacked
-``matmul`` per member of the group's weights, shape (G, 1, a), with its
-values, (G, a, 1) or (G, a, D), gives every integral of the group: each
-stack runs the same dot product as a one-term ``weights @ values``.  The
-limit's integral is taken once per member, the vector gaps of each
-target are scored in one call of its gap functional, and the gaps are
-then expanded to the indices that reference each term.  Every gap is
-bit-identical to the per-term route (``integral_gap``), which evaluates
-a member on one measure at a time and integrates the limit afresh.  That
-per-term route is kept as the independent recheck of a divergence
-witness: the two gaps that decide a divergent verdict are recomputed by
-it, sharing no evaluation with the sweep, and must agree with the sweep
-(or ``CertificateError`` is raised).
+its own.  Every integral over atoms is one ``measure.atom_sums`` call,
+numpy's pairwise sum of the products w_i * v_i over each run of atoms,
+which no BLAS kernel touches and whose bits do not depend on the runs
+beside it.  The sweep makes each term and the limit a run of one call a
+member, scores each target's vector gaps in one call of its gap
+functional, and expands the gaps to the indices that reference each
+term.  So every gap is bit-identical to the per-term route
+(``integral_gap``), which evaluates a member on one measure at a time
+and integrates the limit afresh.  That per-term route is kept as the
+independent recheck of a divergence witness: the two gaps that decide a
+divergent verdict are recomputed by it, sharing no evaluation with the
+sweep, and must agree with it or ``CertificateError`` is raised.
 
 The bounded-Lipschitz oracle is the independent route: its LP witness
 can be lifted back into the battery (as a clamped McShane extension of
@@ -92,7 +91,7 @@ import numpy as np
 from .carrier import CompactSpace, integer, numbers
 from .errors import CapacityError, CertificateError, DomainError, UnsupportedError
 from .funcs import Clamp, Const, DistTo, Form, McShane, Scale, Sum, Tent, VectorFunction
-from .measure import BLResult, FiniteMeasure, MeasureFamily, bl_distance, check_bl_inputs
+from .measure import BLResult, FiniteMeasure, MeasureFamily, atom_sums, bl_distance, check_bl_inputs
 from .target import TargetSpace, gap_value
 from .integral import atomic_oracle
 
@@ -320,19 +319,13 @@ def bl_witness_function(mu: FiniteMeasure, nu: FiniteMeasure,
 # ---------------------------------------------------------------------------
 
 
-def _scalar_integral(form: Form, mu: FiniteMeasure) -> float:
-    if mu.n_atoms == 0:
-        return 0.0
-    return float(mu.weights @ form.evaluate(mu.space, mu.points))
-
-
 def integral_gap(g: Union[Form, VectorFunction], mu_n: FiniteMeasure,
                  mu: FiniteMeasure) -> float:
     """|integral g d mu_n - integral g d mu|, in the target's gap scale."""
     if isinstance(g, VectorFunction):
-        diff = atomic_oracle(g, mu_n) - atomic_oracle(g, mu)
-        return gap_value(g.target, diff)
-    return abs(_scalar_integral(g, mu_n) - _scalar_integral(g, mu))
+        return gap_value(g.target, atomic_oracle(g, mu_n) - atomic_oracle(g, mu))
+    sums = [atom_sums(m.weights, [g.evaluate(m.space, m.points)])[0, 0] for m in (mu_n, mu)]
+    return float(abs(sums[0] - sums[1]))
 
 
 def _member_gap(member, mu_n: FiniteMeasure, mu: FiniteMeasure) -> float:
@@ -380,28 +373,17 @@ def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure,
 
     Returns one row per member and one column per term of ``ts``.  Each
     distinct form object is evaluated once, on the atoms of those terms
-    followed by the limit's atoms; values are pointwise, so each part
-    equals an evaluation on its own.  Terms with the same atom count form
-    a group, and a member's integrals on a group are a stacked ``matmul``,
-    (G, 1, a) weights with (G, a, 1) or (G, a, D) values, whose every
-    stack runs the same dot product, on the same operands in the same
-    order, as the per-term ``mu.weights @ vals``.  One member a
-    ``matmul``: several members' columns in one change the bits.  The
-    gap functional scores each row alike, so it takes one target's vector
+    followed by the limit's atoms, which are the runs of one ``atom_sums``
+    call a member; values are pointwise and a run's sum depends on its own
+    products alone, so each integral is the per-term route's.  The gap
+    functional scores each row alike, so it takes one target's vector
     differences in one call.  So every gap equals ``integral_gap`` bit for
     bit, whichever terms and members are scored together.
     """
     terms = [prefix.distinct[t] for t in ts]
-    sizes = [mu.n_atoms for mu in terms]
-    split = sum(sizes)
-    starts = np.cumsum([0] + sizes[:-1])
+    starts = np.cumsum([0] + [mu.n_atoms for mu in terms])
     points = np.concatenate([mu.points for mu in terms] + [limit.points])
-    by_size: dict = {}
-    for i, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(i)
-    groups = [(np.array(rows), np.stack([terms[i].weights for i in rows])[:, None],
-               starts[rows][:, None] + np.arange(size))
-              for size, rows in by_size.items()]
+    weights = np.concatenate([mu.weights for mu in terms] + [limit.weights])
     values: dict = {}
 
     def evaluate(form: Form) -> np.ndarray:
@@ -412,23 +394,17 @@ def _battery_gaps(members: Sequence, prefix: _Prefix, limit: FiniteMeasure,
     gaps = np.empty((len(members), len(terms)))
     stacks: dict = {}
     for k, member in enumerate(members):
-        if isinstance(member, VectorMember):
-            both = np.stack([evaluate(f) for f in member.function.forms], axis=-1)
-        else:
-            both = evaluate(member.form)
-        vals, at_limit = both[:split], both[split:].copy()
-        cols = vals[:, None] if vals.ndim == 1 else vals
-        sums = np.empty((len(terms), cols.shape[1]))
-        for rows, weights, atoms in groups:
-            sums[rows] = (weights @ cols[atoms])[:, 0]
-        diff = (sums if vals.ndim > 1 else sums[:, 0]) - limit.weights @ at_limit
-        if isinstance(member, VectorMember):
+        vector = isinstance(member, VectorMember)
+        forms = member.function.forms if vector else (member.form,)
+        sums = atom_sums(weights, [evaluate(f) for f in forms], starts)
+        diff = sums[:-1] - sums[-1]
+        if vector:
             target = member.function.target
             stack = stacks.setdefault(id(target), (target, [], []))
             stack[1].append(k)
             stack[2].append(diff)
         else:
-            gaps[k] = np.abs(diff)
+            gaps[k] = np.abs(diff[:, 0])
     for target, ks, diffs in stacks.values():
         gaps[ks] = gap_value(target, np.stack(diffs))
     return gaps
@@ -461,14 +437,19 @@ def _domination_caps(members: Sequence, prefix: _Prefix, ts: np.ndarray) -> np.n
     c * BL_n with c = max(B, L) (Dudley, Real Analysis and Probability,
     11.3).  The cap is c * (BL_n + eps_n + (a + 2) * 2^-52 * (mu_n(X) +
     mu(X))) for a atoms in all: eps_n is the certificate's tolerance, and
-    the last term bounds the rounding of two dot products of magnitude at
-    most c * mass and their difference.  Below 2^-1022 a product rounds to
-    a multiple of 2^-1074, an absolute error no relative term covers: a
+    the last term bounds the rounding of the two integrals, of magnitude at
+    most c * mass, and of their difference: each product and addition
+    rounds by at most 2^-53 relative, and in any order of summation, the
+    pairwise one of ``atom_sums`` too, each of k summed products meets at
+    most k - 1 additions, so the integrals err by about a * 2^-53 * c *
+    (mu_n(X) + mu(X)) at most (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 3.1), half the term.  Below 2^-1022 a product rounds
+    to a multiple of 2^-1074, an absolute error no relative term covers: a
     constant 6 scaled by 1e-76 and then 1e-247 is 62 * 2^-1074, and its
     gap between weights (0.75, 0.75) and 2.0 on one atom comes out as 32
     units against a cap of 31.  So every cap also adds 2^-1022 * (mu_n(X)
     + mu(X) + a + 2): each evaluated value is taken as known to within
-    2^-1022, and each of the a products of the dot products and the cap's
+    2^-1022, and each of the a products of the integrals and the cap's
     own product and sum round by at most that.  A vector member's cap is
     its target's gap functional on the coordinate caps, one call per target.
     That is valid as each built-in functional is monotone in each |x_j|:

@@ -24,8 +24,8 @@ shrink monotonically, and both must sit below the declared tolerance at
 the final mesh for the verdict to be "certified".
 
 The weighted atom sum  sum_i w_i g(s_i)  is kept as a separate exact
-route (``atomic_oracle``) and never shares code with the partition
-construction; tests compare the two.
+route (``atomic_oracle``); it shares only the sum, ``measure.atom_sums``,
+with the partition construction, and tests compare the two.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .carrier import CompactSpace, Partition, grid_partition, trivial_partition
 from .errors import DomainError
 from .funcs import Form, VectorFunction, validate_metadata
-from .measure import FiniteMeasure
+from .measure import FiniteMeasure, atom_sums
 from .target import TargetSpace, banach_space
 
 DEFAULT_SCHEDULE = tuple(2.0 ** -k for k in range(1, 9))
@@ -73,7 +73,7 @@ class SimpleFunction:
 def integrate_simple(sf: SimpleFunction) -> np.ndarray:
     """Exact integral sum_j x_j mu(B_j) of a simple function against its
     measure: the mass of each atom times the value on the atom's cell."""
-    return sf.measure.weights @ sf.values
+    return atom_sums(sf.measure.weights, sf.values.T)[0]
 
 
 def approximate_by_simple(g: VectorFunction, partition: Partition,
@@ -100,17 +100,14 @@ def as_vector_function(g, space: CompactSpace) -> VectorFunction:
 def atomic_oracle(g: VectorFunction, mu: FiniteMeasure) -> np.ndarray:
     """Exact closed-form integral for atomic measures: sum_i w_i g(s_i)."""
     g = as_vector_function(g, mu.space)
-    if mu.n_atoms == 0:
-        return np.zeros(g.target.dim)
-    vals = g.evaluate(mu.points)
-    return mu.weights @ vals
+    return atom_sums(mu.weights, g.evaluate(mu.points).T)[0]
 
 
 def seminorm_mean_gap(sf: SimpleFunction, exact: np.ndarray, level: int) -> float:
     """sum_i w_i p_level(sf(s_i) - g(s_i)) over the atoms s_i of sf's measure,
     where ``exact`` holds g's values there: the level-wise mean error."""
     diff = sf.values - exact
-    return float(sf.measure.weights @ sf.target.family.level(level, diff))
+    return float(atom_sums(sf.measure.weights, [sf.target.family.level(level, diff)])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +254,13 @@ def integrability_report(g: VectorFunction, mu: FiniteMeasure) -> IntegrabilityR
     g = as_vector_function(g, mu.space)
     if mu.space != g.space:
         raise DomainError("function and measure live on different carriers")
-    depth = g.target.family.depth
-    if mu.n_atoms == 0:
-        return IntegrabilityReport(True, (), tuple(0.0 for _ in range(depth)), ())
     with np.errstate(invalid="ignore"):
         vals = g.evaluate(mu.points)
     finite_rows = np.all(np.isfinite(vals), axis=1)
     offending = tuple(int(i) for i in np.where(~finite_rows)[0])
-    levels = []
-    for n in range(1, depth + 1):
-        pn = g.target.family.level(n, np.where(np.isfinite(vals), vals, np.inf))
-        levels.append(float(mu.weights @ pn))
+    pn = [g.target.family.level(n, np.where(np.isfinite(vals), vals, np.inf))
+          for n in range(1, g.target.family.depth + 1)]
+    levels = [float(v) for v in atom_sums(mu.weights, pn)[0]]
     integrable = bool(np.all(finite_rows) and all(math.isfinite(v) for v in levels))
     image = tuple(tuple(float(x) for x in row) for row in vals[finite_rows])
     return IntegrabilityReport(integrable=integrable, finite_image=image,

@@ -115,6 +115,31 @@ class FiniteMeasure:
                 and np.array_equal(self.weights, other.weights))
 
 
+def atom_sums(weights: np.ndarray, columns, starts: Sequence[int] = (0,)) -> np.ndarray:
+    """sum_i w_i v_i over each run of atoms: one row a run, one column a column.
+
+    ``columns`` holds each column's values, one per atom (a list of arrays
+    or the rows of a 2-D array).  Run k is the atoms ``starts[k]`` up to
+    ``starts[k + 1]``, the last to the end; ``starts`` does not decrease.
+    The products fill one atoms x columns array, and ``np.add.reduceat``
+    sums each run along the atom axis by numpy's pairwise sum, which no
+    BLAS kernel touches: a run's sum depends on its own products alone, so
+    a sweep over many measures gives the bits of one call per measure.  An
+    empty run sums to 0.0; past the float range a sum is +-inf, and
+    inf - inf is nan, with no warning.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    products = np.empty((len(weights), len(columns)), order="F")
+    sums = np.zeros((len(starts), len(columns)))
+    # reduceat returns the product at the index for an empty run
+    full = starts < np.concatenate((starts[1:], [len(weights)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, col in enumerate(columns):
+            np.multiply(weights, col, out=products[:, j])
+        sums[full] = np.add.reduceat(products, starts[full], axis=0)
+    return sums
+
+
 def finite_measure(space: CompactSpace, atoms: Sequence[Tuple[Point, float]]) -> FiniteMeasure:
     """Build a measure from (point, weight) pairs; weights must be >= 0.
 
@@ -539,8 +564,8 @@ def tightness_witness(family: Sequence[FiniteMeasure], eps: float) -> Measurable
     if any(mu.space != space for mu in family):
         raise DomainError("family members live on different carriers")
 
-    all_points = np.concatenate([mu.points for mu in family if mu.n_atoms])
-    all_weights = np.concatenate([mu.weights for mu in family if mu.n_atoms])
+    all_points = np.concatenate([mu.points for mu in family])
+    all_weights = np.concatenate([mu.weights for mu in family])
     if all_weights.size == 0:
         return ball_set(space.point_at(np.zeros(space.dim)) if space.kind == "cube" else 0, 0.0)
 
@@ -548,7 +573,7 @@ def tightness_witness(family: Sequence[FiniteMeasure], eps: float) -> Measurable
         dists = space.dist_to(all_points, np.average(all_points, axis=0, weights=all_weights))
     else:
         # weighted medoid: atom minimising the mass-weighted distance sum
-        dists = space.dist_to(all_points[:, None], all_points) @ all_weights
+        dists = atom_sums(all_weights, space.dist_to(all_points[:, None], all_points))[0]
     center = space.point_at(all_points[int(np.argmin(dists))])
 
     radii = np.unique(space.dist_to(all_points, center))

@@ -20,8 +20,8 @@ from .carrier import CompactSpace, finite_space, metric_axioms_report, unit_cube
 from .convergence import Status, equivalence_report
 from .funcs import Scale, Step, Tent
 from .integral import atomic_oracle, integrability_report, integrate
-from .measure import (FiniteMeasure, MeasureFamily, bl_distance, dirac,
-                      finite_measure, scenario, tightness_witness)
+from .measure import (MeasureFamily, bl_distance, dirac, finite_measure, scenario,
+                      tightness_witness)
 from .target import (TargetSpace, banach_space, base_criterion_report,
                      cumulative_l1_space, omega_space, paranorm_axioms_report)
 

@@ -11,7 +11,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from weakconv.carrier import finite_space, unit_cube
 from weakconv.convergence import (Battery, BatterySpec, ScalarMember, Status,

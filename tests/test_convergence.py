@@ -22,8 +22,8 @@ from weakconv.convergence import (DEFAULT_PREFIX, Battery, BatterySpec, ScalarMe
                                   bl_witness_function, certify, equivalence_report,
                                   generate_battery, integral_gap)
 from weakconv.funcs import Const, Coord, Tent, validate_metadata, vector_function
-from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, bl_distance, dirac,
-                              finite_measure, scenario)
+from weakconv.measure import (FamilyLabel, FiniteMeasure, MeasureFamily, atom_sums, bl_distance,
+                              dirac, finite_measure, scenario)
 from weakconv.suite import bundled_suite, suite_targets
 from weakconv.target import (banach_space, cumulative_l1_space, gap_value,
                              omega_space, target_from_json)
@@ -375,8 +375,7 @@ class TestRepeatedCoordinateForms:
 
         def integral(g, mu):
             # each coordinate form evaluated on its own, repeats included
-            vals = np.stack([f.evaluate(space, mu.points) for f in g.forms], axis=-1)
-            return mu.weights @ vals
+            return atom_sums(mu.weights, [f.evaluate(space, mu.points) for f in g.forms])[0]
 
         for member, series in zip(members, gaps):
             g = member.function

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from weakconv import DomainError, funcs
+from weakconv import DomainError
 from weakconv.carrier import CompactSpace, finite_space, unit_cube
 from weakconv.convergence import ScalarMember, _battery_gaps, _domination_caps, _Prefix
 from weakconv.funcs import (Clamp, Const, Coord, DistTo, Form, McShane, Scale,
@@ -379,8 +379,8 @@ class TestBLDomination:
         assert not (gaps > caps).any(), (gaps.ravel(), caps.ravel())
 
     def test_subnormal_values_are_dominated(self):
-        # 6 * 1.33e-76 * 3.83e-247 is 62 units of 2^-1074; the dot products
-        # round 0.75 * 62 to 46, so the gap is 124 - 92 = 32 units, one more
+        # 6 * 1.33e-76 * 3.83e-247 is 62 units of 2^-1074; the products
+        # w_i * v_i round 0.75 * 62 to 46, so the gap is 124 - 92 = 32 units, one more
         # than max(B, L) * BL with every relative term added
         space = finite_space((0, 1), np.array([[0.0, 3e-6], [3e-6, 0.0]]))
         f = Scale(3.828004257036245e-247, Scale(1.3328884019795029e-76, Const(6.0)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import weakconv.measure as measure_module
 from weakconv import CapacityError, CertificateError, DomainError
 from weakconv.carrier import ball_set, finite_space, unit_cube
 from weakconv.convergence import bl_witness_function
-from weakconv.measure import (MAX_BL_SUPPORT, bl_distance, dirac, finite_measure,
+from weakconv.measure import (MAX_BL_SUPPORT, atom_sums, bl_distance, dirac, finite_measure,
                               measure_from_json, measure_of, normalize,
                               point_from_json, scenario, tightness_witness)
 
@@ -681,6 +682,43 @@ class TestBLEdgeCases:
             bl_distance(dirac(CUBE1, (0.2,)), dirac(CUBE1, (0.9,)))
 
 
+class TestAtomSums:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=5), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    def test_a_run_sums_alike_whatever_sits_beside_it(self, sizes, n_cols, seed):
+        # up to 300 atoms a run, past the 128 where the pairwise sum splits
+        rng = np.random.default_rng(seed)
+        starts = np.cumsum([0] + sizes[:-1])
+        weights = rng.random(sum(sizes))
+        scales = 10.0 ** rng.integers(-3, 4, n_cols)[:, None]
+        columns = rng.normal(size=(n_cols, sum(sizes))) * scales
+        sums = atom_sums(weights, columns, starts)
+        for k, (start, size) in enumerate(zip(starts, sizes)):
+            run = slice(start, start + size)
+            for j in range(n_cols):
+                alone = atom_sums(weights[run], [columns[j, run]])
+                assert alone.tobytes() == sums[k, j].tobytes()
+            assert atom_sums(weights[run], columns[::-1, run]).tobytes() == sums[k, ::-1].tobytes()
+
+    def test_empty_runs_and_measures_sum_to_zero(self):
+        weights, values = np.array([0.5, 0.25, 2.0]), np.array([3.0, 4.0, 5.0])
+        assert atom_sums(weights, [values], [0, 0, 2, 2, 3]).tolist() == [
+            [0.0], [2.5], [0.0], [10.0], [0.0]]
+        empty = finite_measure(CUBE2, [])
+        assert atom_sums(empty.weights, empty.points.T).tolist() == [[0.0, 0.0]]
+        assert atom_sums(empty.weights, [], [0, 0]).shape == (2, 0)
+
+    def test_sums_past_the_float_range_are_inf_and_nan_without_a_warning(self):
+        big = np.array([1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = atom_sums(big, [np.ones(2), -np.ones(2), np.array([10.0, -10.0]),
+                                   np.array([math.inf, -math.inf])])
+        assert sums[0, :2].tolist() == [math.inf, -math.inf]
+        assert np.isnan(sums[0, 2:]).all()
+
+
 class TestTightness:
     def test_two_diracs_need_radius_one(self):
         witness = tightness_witness([dirac(CUBE1, (0.0,)), dirac(CUBE1, (1.0,))],
@@ -710,6 +748,11 @@ class TestTightness:
             tightness_witness([dirac(CUBE1, (0.5,))], eps=0.0)
         with pytest.raises(DomainError):
             tightness_witness([], eps=0.1)
+
+    @pytest.mark.parametrize("space", [CUBE2, PAIR], ids=["cube", "finite"])
+    def test_a_family_without_atoms_gets_a_radius_zero_ball(self, space):
+        empty = finite_measure(space, [])
+        assert tightness_witness([empty, empty], eps=0.1).radius == 0.0
 
 
 class TestScenarios:

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import functools
 
-import pytest
-
 from weakconv.convergence import Status
 from weakconv.suite import (SUITE_PREFIX, SUITE_TOL, bundled_suite,
                             scenario_agreement, selftest, suite_spaces,
